@@ -1,0 +1,88 @@
+"""Golden CLI output: stdout byte for byte and the exit code.
+
+Every README command plus ``catalog verify all`` runs in each output
+format, together with a few larger exact runs and usage errors.  The data
+under ``tests/golden/`` pins the current output; a change that alters it
+must be declared.  Regenerate with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import os
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from betawalk.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+README_COMMANDS = [
+    "verify master --n 1..6 --coeffs 1/3,1/3,1/3 --p 1/2",
+    "verify master --n 2 --coeffs 1,2 --p 0.7 --mode float",
+    "verify equal-coeff --n 1..3 --k 1..4 --p 1/2",
+    "compute return-prob --dim 2 --steps 10",
+    "compute moment --n 3 --p 1",
+    "compute path-count --dim 3 --steps 4",
+    "oracle --dim 2 --steps 4",
+    "simulate walk --dim 2 --n 5 --trials 1000000 --seed 7",
+    "simulate beta --dim 1 --n 1 --trials 1000000 --seed 1",
+    "catalog list",
+    "catalog verify k-dim-remark",
+    "series --n 0 --variant printed",
+    "catalog verify all",
+]
+
+EXTRA_COMMANDS = [
+    "verify master --n 6 --coeffs 1,2,3,4,5 --p 3/2 --threads 2 --format json",
+    "verify master --n 1..6 --k 1..3 --p 3/2 --format json",
+    "verify master --n 1..3 --coeffs 1/2,1/3,7 --p 5/2 --format csv",
+    "verify equal-coeff --n 1..4 --k 1..4 --p 5/2 --threads 2 --format json",
+    "compute path-count --dim 6 --steps 20",
+    "compute return-prob --dim 4 --steps 16 --format json",
+    "verify master --n 1 --coeffs 1 --p 1/3",
+    "compute moment --n 2 --p 1/3",
+    "compute return-prob --dim 2 --steps 5",
+]
+
+CASES = ([f"{c} --format {fmt}" for c in README_COMMANDS
+          for fmt in ("plain", "json", "csv")] + EXTRA_COMMANDS)
+
+
+def case_name(command: str) -> str:
+    return re.sub(r"[^A-Za-z0-9]+", "_", command).strip("_")
+
+
+@pytest.mark.parametrize("command", CASES, ids=case_name)
+def test_golden_output(command, capsys, monkeypatch):
+    # the thread count is echoed in the output parameters
+    monkeypatch.setenv("BETAWALK_THREADS", "1")
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    name = case_name(command)
+    code = main(command.split())
+    assert code == codes[name]
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+
+
+def _regenerate() -> None:
+    import contextlib
+    import io
+
+    os.environ["BETAWALK_THREADS"] = "1"
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    for command in CASES:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            codes[case_name(command)] = main(command.split())
+        (GOLDEN / f"{case_name(command)}.out").write_text(out.getvalue())
+    (GOLDEN / "exit_codes.json").write_text(
+        json.dumps(codes, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    sys.exit(_regenerate())
