@@ -9,13 +9,7 @@ against exhaustive enumeration and seeded Monte Carlo.
 """
 
 from .catalog import CATALOG, CatalogEntry, entries, run_entry
-from .compositions import (
-    composition_range,
-    count_weak_compositions,
-    rank_composition,
-    unrank_composition,
-    weak_compositions,
-)
+from .compositions import count_weak_compositions, weak_compositions
 from .exact import (
     HalfInt,
     PiRational,

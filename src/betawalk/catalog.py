@@ -173,6 +173,24 @@ def _one_dim_counterexample() -> IdentityReport:
 
 
 # ---------------------------------------------------------------------------
+# the two-, three- and k-variable arcsine remarks are one literal sum:
+#   sum over j1+..+j_{k+1} = 2n of multi(2n;j)
+#       * prod_s slot_coeff^(j_{s+1}) C(2j_{s+1}, j_{s+1})
+# whose correct per-factor coefficient is -1/(2k)
+# ---------------------------------------------------------------------------
+
+
+def _k_dim_sum(n: int, k: int, slot_coeff: Fraction) -> PiRational:
+    acc = Fraction(0)
+    for comp in weak_compositions(2 * n, k + 1):
+        value = Fraction(multinomial(2 * n, comp), 1)
+        for j in comp[1:]:
+            value *= slot_coeff ** j * binomial(2 * j, j)
+        acc += value
+    return PiRational(acc)
+
+
+# ---------------------------------------------------------------------------
 # two-variable remark (arcsine case):
 #   sum over j1+j2+j3 = 2n of (-1)^(j2+j3) 4^-(j2+j3) multi(2n;j)
 #       * C(2j2,j2) C(2j3,j3)  =  C(2n,n)^2 / 4^(2n)
@@ -188,14 +206,9 @@ _TWO_DIM_ERRATUM = (
 def verify_two_dim_remark(n: int) -> IdentityReport:
     if n < 1:
         raise ValueError("n must be >= 1")
-    acc = Fraction(0)
-    for j1, j2, j3 in weak_compositions(2 * n, 3):
-        sign = -1 if (j2 + j3) % 2 else 1
-        acc += Fraction(sign * multinomial(2 * n, (j1, j2, j3))
-                        * binomial(2 * j2, j2) * binomial(2 * j3, j3),
-                        4 ** (j2 + j3))
     return _report("two-dim-remark", {"n": n, "p": "1/2"},
-                   PiRational(acc), PiRational(closed_form_2d(n)),
+                   _k_dim_sum(n, 2, Fraction(-1, 4)),
+                   PiRational(closed_form_2d(n)),
                    notes=(_TWO_DIM_ERRATUM,))
 
 
@@ -219,15 +232,9 @@ def _two_dim_counterexample() -> IdentityReport:
 def verify_three_dim_remark(n: int) -> IdentityReport:
     if n < 1:
         raise ValueError("n must be >= 1")
-    acc = Fraction(0)
-    for comp in weak_compositions(2 * n, 4):
-        tail = sum(comp[1:])
-        value = Fraction(multinomial(2 * n, comp), 1)
-        for j in comp[1:]:
-            value *= binomial(2 * j, j)
-        acc += value * Fraction(-1, 6) ** tail
     return _report("three-dim-remark", {"n": n, "p": "1/2"},
-                   PiRational(acc), PiRational(return_probability(3, n)))
+                   _k_dim_sum(n, 3, Fraction(-1, 6)),
+                   PiRational(return_probability(3, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -243,16 +250,6 @@ _K_DIM_ERRATUM = (
     "the master identity gives (-1/(2k))^j per factor and (1/(2k))^(2n) on "
     "the right"
 )
-
-
-def _k_dim_sum(n: int, k: int, slot_coeff: Fraction) -> PiRational:
-    acc = Fraction(0)
-    for comp in weak_compositions(2 * n, k + 1):
-        value = Fraction(multinomial(2 * n, comp), 1)
-        for j in comp[1:]:
-            value *= slot_coeff ** j * binomial(2 * j, j)
-        acc += value
-    return PiRational(acc)
 
 
 def verify_k_dim_remark(n: int, k: int) -> IdentityReport:

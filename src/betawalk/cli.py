@@ -79,7 +79,12 @@ def _parse_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _default_threads() -> int:
+def _threads(args) -> int:
+    """--threads, else BETAWALK_THREADS, else the logical CPU count."""
+    if args.threads is not None:
+        if args.threads < 1:
+            raise UsageError("--threads must be >= 1")
+        return args.threads
     env = os.environ.get("BETAWALK_THREADS")
     if env is not None:
         try:
@@ -143,7 +148,7 @@ def _erratum_banner(entry: catalog_mod.CatalogEntry) -> None:
 
 
 def _cmd_verify_master(args) -> int:
-    threads = args.threads or _default_threads()
+    threads = _threads(args)
     n_values = _parse_range(args.n)
     if (args.coeffs is None) == (args.k is None):
         raise UsageError("give exactly one of --coeffs or --k")
@@ -190,7 +195,7 @@ def _cmd_verify_master(args) -> int:
             params = {"n": n, "k": len(cs), "p": str(p), "coeffs": coeff_text,
                       "mode": args.mode, "threads": threads}
             if args.mode == "exact":
-                rep = verify_master(n, cs, p, threads=threads)
+                rep = verify_master(n, cs, p)
                 status = "ok" if rep.verified else "violated"
                 all_good &= rep.verified
                 out.emit(
@@ -229,7 +234,7 @@ def _cmd_verify_master(args) -> int:
 
 
 def _cmd_verify_equal_coeff(args) -> int:
-    threads = args.threads or _default_threads()
+    threads = _threads(args)
     p = _parse_rational(args.p)
     if not p > 0:
         raise UsageError("p must be > 0")
@@ -241,7 +246,7 @@ def _cmd_verify_equal_coeff(args) -> int:
         for k in _parse_range(args.k):
             if n < 1 or k < 1:
                 raise UsageError("n and k must be >= 1")
-            rep = verify_equal_coeff_form(n, k, p, threads=threads)
+            rep = verify_equal_coeff_form(n, k, p)
             all_good &= rep.verified
             params = {"n": n, "k": k, "p": str(p), "threads": threads}
             out.emit(
@@ -380,7 +385,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    workers = args.threads or _default_threads()
+    workers = _threads(args)
     if args.trials < 1:
         raise UsageError("trials must be >= 1")
     if args.dim < 1 or args.n < 1:
@@ -540,7 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
     vm.add_argument("--p", required=True, help="beta shape (a/b; decimal in float mode)")
     vm.add_argument("--mode", choices=("exact", "float"), default="exact")
     vm.add_argument("--tolerance", type=float, default=1e-10)
-    vm.add_argument("--threads", type=int)
+    vm.add_argument("--threads", type=int,
+                    help="echoed in the output; exact runs use one thread")
     _add_format(vm)
     vm.set_defaults(handler=_cmd_verify_master)
 
@@ -549,7 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--n", required=True, help="N or LO..HI")
     ve.add_argument("--k", required=True, help="N or LO..HI")
     ve.add_argument("--p", required=True)
-    ve.add_argument("--threads", type=int)
+    ve.add_argument("--threads", type=int,
+                    help="echoed in the output; exact runs use one thread")
     _add_format(ve)
     ve.set_defaults(handler=_cmd_verify_equal_coeff)
 
@@ -587,7 +594,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="half the walk length")
         sp.add_argument("--trials", type=int, required=True)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int)
+        sp.add_argument("--threads", type=int,
+                        help="worker threads (default: BETAWALK_THREADS, "
+                             "else the CPU count)")
         _add_format(sp)
         sp.set_defaults(handler=_cmd_simulate)
 

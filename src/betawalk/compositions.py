@@ -8,9 +8,9 @@ colexicographically (read right-to-left, lexicographic).  Compositions are
 yielded as plain int tuples and the stream holds one scratch list, so memory
 stays constant no matter how large the index set is.
 
-``rank_composition``/``unrank_composition`` convert between a composition and
-its position in that stream, which lets a reduction over the stream be split
-into disjoint rank ranges and merged deterministically.
+The streams feed the catalog's literal sums, the float-mode terms in
+``numeric`` and the tests' small-size oracles; the master expansions and
+path counts are evaluated as power-series coefficients instead.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ from typing import Iterator
 __all__ = [
     "count_weak_compositions",
     "weak_compositions",
-    "composition_range",
-    "rank_composition",
-    "unrank_composition",
 ]
 
 
@@ -89,80 +86,3 @@ def _advance(current: list[int], last: int) -> bool:
     current[j] = 0
     current[j + 1] += 1
     return True
-
-
-# ---------------------------------------------------------------------------
-# rank / unrank
-#
-# Stars-and-bars: a composition (c_0..c_{k-1}) of t maps to the (k-1)-subset
-# {c_0 + ... + c_i + i : i < k-1} of {0..t+k-2}.  Colex order on compositions
-# is the REVERSE of colex order on those subsets, so ranks are mirrored
-# through count-1.
-# ---------------------------------------------------------------------------
-
-
-def rank_composition(comp: tuple[int, ...]) -> int:
-    """Position of ``comp`` in the colex stream for its own total/length."""
-    parts = len(comp)
-    total = sum(comp)
-    _check_args(total, parts)
-    if parts <= 1:
-        return 0
-    subset_rank = 0
-    prefix = -1
-    for i in range(parts - 1):
-        prefix += comp[i] + 1
-        subset_rank += math.comb(prefix, i + 1)
-    return count_weak_compositions(total, parts) - 1 - subset_rank
-
-
-def unrank_composition(rank: int, total: int, parts: int) -> tuple[int, ...]:
-    """Composition at ``rank`` in the colex stream (inverse of rank)."""
-    count = count_weak_compositions(total, parts)
-    if not 0 <= rank < count:
-        raise ValueError(f"rank {rank} outside [0, {count})")
-    if parts == 0:
-        return ()
-    if parts == 1:
-        return (total,)
-    bars = _unrank_subset(count - 1 - rank, total + parts - 1, parts - 1)
-    comp = []
-    prev = -1
-    for bar in bars:
-        comp.append(bar - prev - 1)
-        prev = bar
-    comp.append(total + parts - 1 - prev - 1)
-    return tuple(comp)
-
-
-def _unrank_subset(r: int, n: int, k: int) -> list[int]:
-    """k-subset of {0..n-1} with colex rank r (binary-search combinadic)."""
-    subset = [0] * k
-    while k > 0:
-        lower = k - 1
-        while lower < n:
-            mid = (lower + n + 1) // 2
-            if r < math.comb(mid, k):
-                n = mid - 1
-            else:
-                lower = mid
-        r -= math.comb(n, k)
-        k -= 1
-        subset[k] = n
-    return subset
-
-
-def composition_range(total: int, parts: int, start: int,
-                      stop: int) -> Iterator[tuple[int, ...]]:
-    """Stream the compositions with ranks in [start, stop)."""
-    count = count_weak_compositions(total, parts)
-    if not 0 <= start <= stop <= count:
-        raise ValueError(f"range [{start}, {stop}) outside [0, {count}]")
-    if start == stop:
-        return
-    current = list(unrank_composition(start, total, parts))
-    last = parts - 1
-    for _ in range(stop - start - 1):
-        yield tuple(current)
-        _advance(current, last)
-    yield tuple(current)

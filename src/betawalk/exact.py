@@ -10,7 +10,6 @@ has the exact shape q * pi^(e/2) with q rational and e an integer.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -47,7 +46,7 @@ def as_fraction(value: RationalLike) -> Fraction:
 # factorial with an on-demand memo table
 # ---------------------------------------------------------------------------
 
-_fact_lock = threading.Lock()
+# grown by unlocked appends: every exact computation runs on one thread
 _fact_table: list[int] = [1, 1]
 _fact_cap = 100_000  # max table entries; larger arguments fall through
 
@@ -57,9 +56,8 @@ def set_factorial_cache_limit(entries: int) -> None:
     global _fact_cap
     if entries < 1:
         raise ValueError("cache limit must be at least 1")
-    with _fact_lock:
-        _fact_cap = entries
-        del _fact_table[entries:]
+    _fact_cap = entries
+    del _fact_table[entries:]
 
 
 def factorial(n: int) -> int:
@@ -71,12 +69,10 @@ def factorial(n: int) -> int:
     table = _fact_table
     if n < len(table):
         return table[n]
-    with _fact_lock:
-        # re-check under the lock; another thread may have grown the table
-        value = table[-1]
-        for m in range(len(table), n + 1):
-            value *= m
-            table.append(value)
+    value = table[-1]
+    for m in range(len(table), n + 1):
+        value *= m
+        table.append(value)
     return table[n]
 
 

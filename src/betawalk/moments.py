@@ -15,25 +15,24 @@ probabilistic moment):
                                              * B(i_j + 1/2, p)
                     (all terms positive; odd single-variable moments vanish)
 
+Each composition sum is one coefficient of a product of exponential
+generating functions, one factor per slot, so it is evaluated as a truncated
+power-series product in O(k n^2) exact operations instead of term by term
+over all C(2n + k, k) compositions.  Each side is built only from its own
+moments: the raw expansion from B(j + p, p) with alternating signs, the even
+expansion from B(i + 1/2, p).
+
 ``verify_master`` evaluates both and reports exact equality.  Everything here
-is a pure function; composition streams may be split across threads by rank
-range and the exact partial sums merged in chunk order, so results are
-identical for any thread count.
+is a pure function.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
-from .compositions import (
-    composition_range,
-    count_weak_compositions,
-    weak_compositions,
-)
 from .exact import (
     HalfInt,
     PiRational,
@@ -158,101 +157,71 @@ def _beta_family(offset_doubled: int, p: HalfInt,
     return [v.coeff for v in values], values[0].sqrt_pi_pow
 
 
-def _composition_sum(total: int, parts: int,
-                     term: Callable[[tuple[int, ...]], Fraction],
-                     threads: int = 1) -> Fraction:
-    """Exact sum of term() over all weak compositions, optionally chunked.
+def _series_coefficient(factors: Sequence[Sequence[Fraction]],
+                        degree: int) -> Fraction:
+    """[x^degree] of the product of power series.
 
-    Chunks are disjoint rank ranges merged in order; exactness makes the
-    result independent of the chunking.
+    Each factor lists its coefficients of x^0..x^degree; the running product
+    is truncated at x^degree, so the cost is O(len(factors) * degree^2).
     """
-    count = count_weak_compositions(total, parts)
-    if threads <= 1 or count < 2 * threads:
-        acc = Fraction(0)
-        for comp in weak_compositions(total, parts):
-            acc += term(comp)
-        return acc
-    bounds = [count * i // threads for i in range(threads + 1)]
-
-    def chunk(lo: int, hi: int) -> Fraction:
-        acc = Fraction(0)
-        for comp in composition_range(total, parts, lo, hi):
-            acc += term(comp)
-        return acc
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        partials = list(pool.map(chunk, bounds[:-1], bounds[1:]))
-    return sum(partials, Fraction(0))
+    product = factors[0]
+    for factor in factors[1:]:
+        product = [sum(product[i] * factor[d - i] for i in range(d + 1))
+                   for d in range(degree + 1)]
+    return product[degree]
 
 
-def _lhs_raw(n: int, coeffs: Sequence[Fraction], p: HalfInt,
-             threads: int = 1) -> PiRational:
+def _lhs_raw(n: int, coeffs: Sequence[Fraction], p: HalfInt) -> PiRational:
     """Raw-expansion sum before division by B(p,p)^k.
 
+    The sum over weak compositions of 2n is the Cauchy product
+    (2n)! [x^2n] e^(Cx) * prod_s sum_j (-2 c_s)^j B(j + p, p) x^j / j!.
     Tolerates zero coefficients (0^0 = 1 drops the slot), which realizes
     dimension shrinking without a separate formula.
     """
-    k = len(coeffs)
     two_n = 2 * n
     c_total = sum(coeffs, Fraction(0))
     betas, beta_pow = _beta_family(p.doubled, p, two_n + 1)
-    total_pows = [c_total ** j for j in range(two_n + 1)]
-    slot_pows = [[(-2 * c) ** j for j in range(two_n + 1)] for c in coeffs]
-    f2n = factorial(two_n)
-
-    def term(comp: tuple[int, ...]) -> Fraction:
-        multi = f2n
-        for j in comp:
-            multi //= factorial(j)
-        value = multi * total_pows[comp[0]]
-        for s in range(k):
-            j = comp[s + 1]
-            value *= slot_pows[s][j] * betas[j]
-        return value
-
-    raw = _composition_sum(two_n, k + 1, term, threads)
-    return PiRational(raw, k * beta_pow)
+    factors = [[Fraction(c_total ** j, factorial(j)) for j in range(two_n + 1)]]
+    for c in coeffs:
+        factors.append([(-2 * c) ** j * betas[j] / factorial(j)
+                        for j in range(two_n + 1)])
+    raw = factorial(two_n) * _series_coefficient(factors, two_n)
+    return PiRational(raw, len(coeffs) * beta_pow)
 
 
-def _rhs_raw(n: int, coeffs: Sequence[Fraction], p: HalfInt,
-             threads: int = 1) -> PiRational:
+def _rhs_raw(n: int, coeffs: Sequence[Fraction], p: HalfInt) -> PiRational:
     """Even-expansion sum (with its 2^-(2p-1)k prefactor) before division
-    by B(p,p)^k."""
+    by B(p,p)^k.
+
+    The sum over weak compositions of n is the Cauchy product
+    (2n)! [x^n] prod_s sum_i c_s^(2i) B(i + 1/2, p) x^i / (2i)!.
+    """
     k = len(coeffs)
-    two_n = 2 * n
     betas, beta_pow = _beta_family(1, p, n + 1)  # B(i + 1/2, p)
-    slot_pows = [[c ** (2 * i) for i in range(n + 1)] for c in coeffs]
-    f2n = factorial(two_n)
-
-    def term(comp: tuple[int, ...]) -> Fraction:
-        multi = f2n
-        value = Fraction(1)
-        for s, i in enumerate(comp):
-            multi //= factorial(2 * i)
-            value *= slot_pows[s][i] * betas[i]
-        return multi * value
-
-    raw = _composition_sum(n, k, term, threads)
+    factors = [[c ** (2 * i) * betas[i] / factorial(2 * i)
+                for i in range(n + 1)] for c in coeffs]
+    raw = factorial(2 * n) * _series_coefficient(factors, n)
     prefactor = Fraction(1, 2 ** ((p.doubled - 1) * k))
     return PiRational(raw * prefactor, k * beta_pow)
 
 
-def lhs_master(n: int, coeffs, p, threads: int = 1) -> PiRational:
+def lhs_master(n: int, coeffs, p) -> PiRational:
     """E[(sum c_i U_i)^(2n)] by the raw (alternating) expansion."""
     if n < 1:
         raise ValueError("n must be >= 1")
     c = CoefficientVector.of(coeffs)
     p = HalfInt.of(p)
-    return _lhs_raw(n, c.coeffs, p, threads) / beta_half(p, p) ** len(c)
+    return _lhs_raw(n, c.coeffs, p) / beta_half(p, p) ** len(c)
 
 
-def rhs_master(n: int, coeffs, p, threads: int = 1) -> PiRational:
+def rhs_master(n: int, coeffs, p) -> PiRational:
     """E[(sum c_i U_i)^(2n)] by the even-moment expansion."""
     if n < 1:
         raise ValueError("n must be >= 1")
     c = CoefficientVector.of(coeffs)
     p = HalfInt.of(p)
-    return _rhs_raw(n, c.coeffs, p, threads) / beta_half(p, p) ** len(c)
+    return _rhs_raw(n, c.coeffs, p) / beta_half(p, p) ** len(c)
 
 
 def _master_parameters(n: int, c: CoefficientVector, p: HalfInt) -> dict:
@@ -264,30 +233,17 @@ def _master_parameters(n: int, c: CoefficientVector, p: HalfInt) -> dict:
     }
 
 
-def verify_master(n: int, coeffs, p, mode: str = "exact",
-                  tolerance: float = 1e-10, threads: int = 1):
-    """Check the two expansions against each other.
+def verify_master(n: int, coeffs, p) -> IdentityReport:
+    """Check the two expansions against each other, bit-exactly.
 
-    Exact mode returns an IdentityReport with bit-exact comparison; float
-    mode delegates to the floating-point path (arbitrary real p > 0) and
-    returns its FloatVerification.  A failed comparison is reported, never
-    raised.
+    A failed comparison is reported, never raised.  The floating-point
+    check for arbitrary real p > 0 is ``numeric.verify_master_float``.
     """
-    if mode == "float":
-        from .numeric import verify_master_float
-        return verify_master_float(n, [float(as_fraction(x)) if not
-                                       isinstance(x, float) else x
-                                       for x in coeffs],
-                                   float(as_fraction(p)) if not
-                                   isinstance(p, float) else p,
-                                   tolerance=tolerance)
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
     c = CoefficientVector.of(coeffs)
     p = HalfInt.of(p)
     start = time.perf_counter()
-    lhs = lhs_master(n, c, p, threads)
-    rhs = rhs_master(n, c, p, threads)
+    lhs = lhs_master(n, c, p)
+    rhs = rhs_master(n, c, p)
     elapsed = time.perf_counter() - start
     return IdentityReport(
         identity_name="master",
@@ -300,8 +256,7 @@ def verify_master(n: int, coeffs, p, mode: str = "exact",
     )
 
 
-def verify_equal_coeff_form(n: int, k: int, p,
-                            threads: int = 1) -> IdentityReport:
+def verify_equal_coeff_form(n: int, k: int, p) -> IdentityReport:
     """Check the coefficient-free symmetric form and its scale invariance.
 
     With all weights equal the identity loses its constants: the raw sides
@@ -314,14 +269,14 @@ def verify_equal_coeff_form(n: int, k: int, p,
     p = HalfInt.of(p)
     start = time.perf_counter()
     ones = (Fraction(1),) * k
-    lhs = _lhs_raw(n, ones, p, threads)
-    rhs = _rhs_raw(n, ones, p, threads)
+    lhs = _lhs_raw(n, ones, p)
+    rhs = _rhs_raw(n, ones, p)
     verified = lhs == rhs
 
-    base = verify_master(n, ones, p, threads=threads)
+    base = verify_master(n, ones, p)
     verified = verified and base.verified
     for c in (Fraction(1, 4), Fraction(1), Fraction(7, 3)):
-        rep = verify_master(n, (c,) * k, p, threads=threads)
+        rep = verify_master(n, (c,) * k, p)
         scale = PiRational(c ** (2 * n))
         verified = (verified and rep.verified
                     and rep.lhs == base.lhs * scale

@@ -278,3 +278,18 @@ def test_usage_error_goes_to_argparse(capsys):
         main(["verify", "master", "--n", "1", "--coeffs", "1",
               "--mode", "bogus", "--p", "1"])
     assert info.value.code == 2
+
+
+def test_threads_below_one_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("BETAWALK_THREADS", "1")
+    commands = [
+        ["verify", "master", "--n", "1", "--coeffs", "1", "--p", "1"],
+        ["verify", "equal-coeff", "--n", "1", "--k", "1", "--p", "1"],
+        ["simulate", "walk", "--dim", "1", "--n", "1", "--trials", "100"],
+    ]
+    for argv in commands:
+        for threads in ("0", "-1"):
+            code, out, err = run_cli(capsys, *argv, "--threads", threads)
+            assert code == 2, (argv, threads)
+            assert out == ""
+            assert "--threads" in err

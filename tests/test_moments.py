@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betawalk.exact import HalfInt, PiRational, beta_half, binomial
+from betawalk.compositions import weak_compositions
+from betawalk.exact import HalfInt, PiRational, beta_half, binomial, multinomial
 from betawalk.moments import (
     CoefficientVector,
     _lhs_raw,
+    _rhs_raw,
     even_moment,
     lhs_master,
     odd_moment,
@@ -194,13 +196,45 @@ def test_moment_walk_correspondence_small():
                     == PiRational(return_probability(k, n)))
 
 
-def test_threaded_sum_is_bit_identical():
-    coeffs = (Fraction(1, 2), Fraction(1, 3), Fraction(1))
-    for threads in (2, 3, 7):
-        assert (lhs_master(4, coeffs, "3/2", threads=threads)
-                == lhs_master(4, coeffs, "3/2"))
-        assert (rhs_master(4, coeffs, "3/2", threads=threads)
-                == rhs_master(4, coeffs, "3/2"))
+def literal_lhs_raw(n, coeffs, p):
+    """Raw expansion written out over the weak compositions of 2n."""
+    total = sum(coeffs, Fraction(0))
+    acc = PiRational.ZERO
+    for comp in weak_compositions(2 * n, len(coeffs) + 1):
+        term = PiRational(multinomial(2 * n, comp) * total ** comp[0])
+        for c, j in zip(coeffs, comp[1:]):
+            term = term * beta_half(HalfInt(2 * j) + p, p) * (-2 * c) ** j
+        acc = acc + term
+    return acc
+
+
+def literal_rhs_raw(n, coeffs, p):
+    """Even expansion written out over the weak compositions of n."""
+    acc = PiRational.ZERO
+    for comp in weak_compositions(n, len(coeffs)):
+        term = PiRational(multinomial(2 * n, [2 * i for i in comp]))
+        for c, i in zip(coeffs, comp):
+            term = term * beta_half(HalfInt(2 * i + 1), p) * c ** (2 * i)
+        acc = acc + term
+    return acc / 2 ** ((p.doubled - 1) * len(coeffs))
+
+
+def test_expansions_match_literal_composition_sums():
+    vectors = [(Fraction(1, 2),), (Fraction(1), Fraction(1)),
+               (Fraction(1, 2), Fraction(1, 3)),
+               (Fraction(2), Fraction(1, 3), Fraction(7, 5))]
+    for n in range(1, 5):
+        for p in map(HalfInt.of, P_GRID):
+            for coeffs in vectors + [(Fraction(1, 2), Fraction(0),
+                                      Fraction(1, 3))]:
+                assert _lhs_raw(n, coeffs, p) == literal_lhs_raw(n, coeffs, p)
+                assert _rhs_raw(n, coeffs, p) == literal_rhs_raw(n, coeffs, p)
+            for coeffs in vectors:
+                norm = beta_half(p, p) ** len(coeffs)
+                assert lhs_master(n, coeffs, p) == literal_lhs_raw(
+                    n, coeffs, p) / norm
+                assert rhs_master(n, coeffs, p) == literal_rhs_raw(
+                    n, coeffs, p) / norm
 
 
 def test_verify_equal_coeff_form():
@@ -224,11 +258,3 @@ def test_coefficient_vector_validation():
     vec = CoefficientVector.of(["1/2", "1/3"])
     assert vec.total == Fraction(5, 6)
     assert len(vec) == 2
-
-
-def test_verify_master_float_dispatch():
-    report = verify_master(1, [1.0], 1.0, mode="float")
-    assert report.passed
-    assert report.lhs == pytest.approx(1 / 3, rel=1e-12)
-    with pytest.raises(ValueError):
-        verify_master(1, [1], 1, mode="nonsense")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from betawalk.compositions import weak_compositions
 from betawalk.exact import binomial
 from betawalk.walks import (
     PathBudgetError,
@@ -68,6 +69,22 @@ def test_path_count_dimensions():
     assert pc.count == 90
     assert pc.total_paths == 6 ** 4
     assert pc.probability == Fraction(5, 72)
+
+
+def literal_path_count(dim, half_steps):
+    """The per-axis round-trip composition sum, term by term."""
+    f2n = math.factorial(2 * half_steps)
+    return sum(f2n // math.prod(math.factorial(i) ** 2 for i in comp)
+               for comp in weak_compositions(half_steps, dim))
+
+
+def test_path_count_matches_literal_composition_sum():
+    # sizes beyond brute_force_return's budget
+    for dim in range(1, 7):
+        for n in range(1, 11):
+            pc = path_count(dim, n)
+            assert pc.count == literal_path_count(dim, n), (dim, n)
+            assert pc.total_paths == (2 * dim) ** (2 * n)
 
 
 def test_brute_force_examples():
