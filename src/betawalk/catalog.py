@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-from .compositions import weak_compositions
-from .exact import HalfInt, PiRational, beta_half, binomial, factorial, gamma_half, multinomial
-from .moments import UPPER_LIMIT_NOTE, IdentityReport, rhs_master
+from .exact import HalfInt, PiRational, beta_half, binomial, factorial, gamma_half
+from .moments import UPPER_LIMIT_NOTE, IdentityReport, _series_coefficient, rhs_master
 from .walks import closed_form_2d, return_probability
 
 __all__ = [
@@ -173,21 +172,22 @@ def _one_dim_counterexample() -> IdentityReport:
 
 
 # ---------------------------------------------------------------------------
-# the two-, three- and k-variable arcsine remarks are one literal sum:
+# the two-, three- and k-variable arcsine remarks are one sum:
 #   sum over j1+..+j_{k+1} = 2n of multi(2n;j)
-#       * prod_s slot_coeff^(j_{s+1}) C(2j_{s+1}, j_{s+1})
-# whose correct per-factor coefficient is -1/(2k)
+#       * prod_s a^(j_{s+1}) C(2j_{s+1}, j_{s+1})
+#   = (2n)! [x^2n] e^x * (sum_j a^j C(2j,j) x^j / j!)^k
+# whose correct per-factor coefficient is a = -1/(2k); the coefficient is
+# read off the truncated series product in O(k n^2) operations
 # ---------------------------------------------------------------------------
 
 
 def _k_dim_sum(n: int, k: int, slot_coeff: Fraction) -> PiRational:
-    acc = Fraction(0)
-    for comp in weak_compositions(2 * n, k + 1):
-        value = Fraction(multinomial(2 * n, comp), 1)
-        for j in comp[1:]:
-            value *= slot_coeff ** j * binomial(2 * j, j)
-        acc += value
-    return PiRational(acc)
+    two_n = 2 * n
+    exp_series = [Fraction(1, factorial(j)) for j in range(two_n + 1)]
+    slot = [slot_coeff ** j * binomial(2 * j, j) / factorial(j)
+            for j in range(two_n + 1)]
+    return PiRational(factorial(two_n)
+                      * _series_coefficient([exp_series] + [slot] * k, two_n))
 
 
 # ---------------------------------------------------------------------------

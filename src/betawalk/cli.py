@@ -15,6 +15,7 @@ import io
 import json
 import os
 import re
+import signal
 import sys
 import time
 from fractions import Fraction
@@ -637,6 +638,10 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
 
 
 def entry_point() -> None:
+    # A reader that closes stdout early (`| head`) ends the process the way
+    # it ends `cat`, instead of a BrokenPipeError traceback on stderr.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

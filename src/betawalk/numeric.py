@@ -86,7 +86,8 @@ def verify_master_float(n: int, coeffs: Sequence[float], p: float,
     """Evaluate both moment expansions in doubles and compare.
 
     Valid for any real p > 0 and positive weights.  A failed comparison is
-    a report, not an exception.
+    a report, not an exception; a term or sum beyond the double range
+    raises ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -102,31 +103,35 @@ def verify_master_float(n: int, coeffs: Sequence[float], p: float,
 
     log_slot = [math.log(2 * c) for c in coeffs]
     log_b_raw = [log_beta(j + p, p) for j in range(two_n + 1)]
-    lhs_terms = []
-    for comp in weak_compositions(two_n, k + 1):
-        log_t = (_log_multinomial(two_n, comp)
-                 + comp[0] * math.log(c_total) - k * log_bpp)
-        sign = 1.0
-        for s in range(k):
-            j = comp[s + 1]
-            log_t += j * log_slot[s] + log_b_raw[j]
-            if j & 1:
-                sign = -sign
-        lhs_terms.append(sign * math.exp(log_t))
-    lhs = math.fsum(lhs_terms)
-    lhs_mass = math.fsum(abs(t) for t in lhs_terms)
+    try:
+        lhs_terms = []
+        for comp in weak_compositions(two_n, k + 1):
+            log_t = (_log_multinomial(two_n, comp)
+                     + comp[0] * math.log(c_total) - k * log_bpp)
+            sign = 1.0
+            for s in range(k):
+                j = comp[s + 1]
+                log_t += j * log_slot[s] + log_b_raw[j]
+                if j & 1:
+                    sign = -sign
+            lhs_terms.append(sign * math.exp(log_t))
+        lhs = math.fsum(lhs_terms)
+        lhs_mass = math.fsum(abs(t) for t in lhs_terms)
 
-    log_c = [math.log(c) for c in coeffs]
-    log_b_even = [log_beta(i + 0.5, p) for i in range(n + 1)]
-    scale = k * ((2 * p - 1) * math.log(2.0) + log_bpp)
-    rhs_terms = []
-    for comp in weak_compositions(n, k):
-        log_t = _log_multinomial(two_n, [2 * i for i in comp]) - scale
-        for s, i in enumerate(comp):
-            log_t += 2 * i * log_c[s] + log_b_even[i]
-        rhs_terms.append(math.exp(log_t))
-    rhs = math.fsum(rhs_terms)
-    rhs_mass = math.fsum(rhs_terms)
+        log_c = [math.log(c) for c in coeffs]
+        log_b_even = [log_beta(i + 0.5, p) for i in range(n + 1)]
+        scale = k * ((2 * p - 1) * math.log(2.0) + log_bpp)
+        rhs_terms = []
+        for comp in weak_compositions(n, k):
+            log_t = _log_multinomial(two_n, [2 * i for i in comp]) - scale
+            for s, i in enumerate(comp):
+                log_t += 2 * i * log_c[s] + log_b_even[i]
+            rhs_terms.append(math.exp(log_t))
+        rhs = math.fsum(rhs_terms)
+        rhs_mass = math.fsum(rhs_terms)
+    except OverflowError:
+        raise ValueError(f"float evaluation at n={n} exceeds the double "
+                         "range (overflow)") from None
 
     abs_diff = abs(lhs - rhs)
     denom = max(abs(lhs), abs(rhs))

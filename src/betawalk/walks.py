@@ -9,18 +9,17 @@ positive and negative steps on every axis, so with i_j round trips on axis j,
 
 computed here as an exact rational.  Two independent oracles back it up:
 exhaustive enumeration of every step sequence, and seeded Monte Carlo
-(walk paths, and sampling the matching arcsine-beta moment).
+(walk paths, and sampling the matching arcsine-beta moment).  Only the
+Monte Carlo functions use numpy, and they import it when they run, so the
+exact functions load neither numpy nor a thread pool.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-import numpy as np
 
 from .exact import binomial
 from .render import decimal15, fraction_str
@@ -261,7 +260,9 @@ def brute_force_return(dim: int, half_steps: int,
 # ---------------------------------------------------------------------------
 
 
-def _worker_rng(seed: int, worker_index: int) -> np.random.Generator:
+def _worker_rng(seed: int, worker_index: int) -> "np.random.Generator":
+    import numpy as np
+
     root = np.random.SeedSequence(entropy=seed & 0xFFFFFFFFFFFFFFFF,
                                   spawn_key=(worker_index,))
     return np.random.Generator(np.random.Philox(root))
@@ -274,6 +275,8 @@ def _worker_counts(trials: int, workers: int) -> list[int]:
 def _run_workers(fn, workers: int) -> list:
     if workers == 1:
         return [fn(0)]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(workers)))
 
@@ -281,6 +284,8 @@ def _run_workers(fn, workers: int) -> list:
 def simulate_walk(spec: WalkSpec, trials: int, seed: int,
                   workers: int = 1) -> SimulationResult:
     """Estimate the return probability from independent simulated walks."""
+    import numpy as np
+
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if workers < 1:
@@ -324,6 +329,8 @@ def simulate_beta_moment(dim: int, half_steps: int, trials: int, seed: int,
     draw.  The estimate averages ((V_1+..+V_k)/k)^(2n); chunk sums merge
     through math.fsum, which is exact compensated summation.
     """
+    import numpy as np
+
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if workers < 1:

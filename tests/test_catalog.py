@@ -4,6 +4,7 @@ import pytest
 
 from betawalk.catalog import (
     CATALOG,
+    _k_dim_sum,
     entries,
     run_entry,
     verify_alternating,
@@ -15,7 +16,8 @@ from betawalk.catalog import (
     verify_two_dim_remark,
     verify_vandermonde,
 )
-from betawalk.exact import PiRational, binomial
+from betawalk.compositions import weak_compositions
+from betawalk.exact import PiRational, binomial, multinomial
 from betawalk.walks import closed_form_2d, return_probability
 
 
@@ -115,6 +117,26 @@ def test_k_dim_counterexample():
     assert not rep.verified
     assert rep.lhs == PiRational(Fraction(17))
     assert rep.rhs == PiRational(Fraction(2))
+
+
+def literal_k_dim_sum(n, k, slot_coeff):
+    """The k-variable remark sum written out over the weak compositions of 2n."""
+    acc = Fraction(0)
+    for comp in weak_compositions(2 * n, k + 1):
+        term = Fraction(multinomial(2 * n, comp))
+        for j in comp[1:]:
+            term *= slot_coeff ** j * binomial(2 * j, j)
+        acc += term
+    return acc
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_k_dim_sum_matches_literal_composition_sum(k):
+    # the corrected coefficient -1/(2k) and the printed -2/k
+    for slot_coeff in (Fraction(-1, 2 * k), Fraction(-2, k)):
+        for n in range(1, 5):
+            assert _k_dim_sum(n, k, slot_coeff) == PiRational(
+                literal_k_dim_sum(n, k, slot_coeff)), (n, k, slot_coeff)
 
 
 def test_vandermonde():

@@ -1,4 +1,9 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +129,16 @@ def test_verify_master_float_mode(capsys):
                            "--coeffs", "1,2", "--p", "0.7", "--mode", "float")
     assert code == 0
     assert "passed=true" in out
+
+
+def test_verify_master_float_overflow_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "master", "--n", "200",
+                             "--coeffs", "1000", "--p", "1/2",
+                             "--mode", "float")
+    assert code == 2
+    assert out == ""
+    assert "double range" in err
+    assert err.count("\n") == 1
 
 
 def test_verify_equal_coeff(capsys):
@@ -293,3 +308,22 @@ def test_threads_below_one_is_a_usage_error(capsys, monkeypatch):
             assert code == 2, (argv, threads)
             assert out == ""
             assert "--threads" in err
+
+
+def test_closed_stdout_pipe_ends_without_traceback(tmp_path):
+    # the JSON catalog run writes more than a pipe buffer holds, so the
+    # process is still writing when the reader goes away
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    with open(tmp_path / "stderr", "wb") as stderr:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "betawalk.cli", "catalog", "verify", "all",
+             "--format", "json"],
+            stdout=subprocess.PIPE, stderr=stderr, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        proc.wait(timeout=60)
+    assert first.startswith(b"{")
+    assert b"Traceback" not in (tmp_path / "stderr").read_bytes()
+    assert proc.returncode == -signal.SIGPIPE
