@@ -35,7 +35,6 @@ from .numeric import (
     FloatVerification,
     SeriesEvaluation,
     evaluate_series,
-    log_gamma,
     verify_master_float,
 )
 from .walks import (

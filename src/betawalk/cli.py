@@ -19,7 +19,7 @@ import signal
 import sys
 import time
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import catalog as catalog_mod
 from .exact import HalfInt
@@ -102,36 +102,64 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-class Emitter:
-    """Serialize one command's records to stdout in the chosen format."""
+def _status(ok: bool) -> str:
+    return "ok" if ok else "violated"
 
-    def __init__(self, fmt: str, command: str, csv_fields: list[str]):
+
+class Record(NamedTuple):
+    """One output record.
+
+    ``row`` maps at least the command's CSV columns to values rendered with
+    ``str``; it fills both the plain template and the CSV line, and CSV
+    ignores the keys that only the template uses, or that neither does.
+    """
+
+    parameters: dict
+    payload: object
+    status: str  # "ok" | "violated"
+    row: dict
+
+
+class Emitter:
+    """Serialize one command's records to stdout in the chosen format.
+
+    Plain output is ``plain_template`` filled from the record's row, CSV
+    writes the row's ``columns`` under one header, and JSON writes the
+    payload with the record's parameters and status.
+    """
+
+    def __init__(self, fmt: str, command: str, columns: list[str],
+                 plain_template: str):
         self.fmt = fmt
         self.command = command
-        self.csv_fields = csv_fields
+        self.columns = columns
+        self.plain_template = plain_template
         self._wrote_header = False
 
-    def emit(self, parameters: dict, payload, status: str,
-             plain: str, csv_row: dict) -> None:
+    def emit(self, record: Record) -> None:
         if self.fmt == "json":
+            payload = record.payload
             obj = payload.to_json_obj() if hasattr(payload, "to_json_obj") else payload
             print(json.dumps({
                 "command": self.command,
-                "parameters": parameters,
+                "parameters": record.parameters,
                 "payload": obj,
-                "status": status,
+                "status": record.status,
             }))
         elif self.fmt == "csv":
             buf = io.StringIO()
-            writer = csv.DictWriter(buf, fieldnames=self.csv_fields,
-                                    lineterminator="\n")
+            writer = csv.DictWriter(buf, fieldnames=self.columns,
+                                    lineterminator="\n", extrasaction="ignore")
             if not self._wrote_header:
                 writer.writeheader()
                 self._wrote_header = True
-            writer.writerow(csv_row)
+            writer.writerow(record.row)
             print(buf.getvalue(), end="")
         else:
-            print(plain)
+            print(self.plain_template.format(**record.row))
+
+
+Output = tuple[Emitter, list[Record]]
 
 
 def _note(message: str) -> None:
@@ -148,7 +176,7 @@ def _erratum_banner(entry: catalog_mod.CatalogEntry) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_verify_master(args) -> int:
+def _cmd_verify_master(args) -> Output:
     threads = _threads(args)
     n_values = _parse_range(args.n)
     if (args.coeffs is None) == (args.k is None):
@@ -182,85 +210,66 @@ def _cmd_verify_master(args) -> int:
         if n < 1:
             raise UsageError("n must be >= 1")
 
+    columns = ["n", "k", "p", "coeffs", "mode", "lhs", "rhs"]
     if args.mode == "exact":
-        fields = ["n", "k", "p", "coeffs", "mode", "lhs", "rhs", "verified"]
+        out = Emitter(args.format, "verify master", columns + ["verified"],
+                      "master n={n} k={k} p={p} coeffs={coeffs} "
+                      "lhs={lhs} rhs={rhs} verified={verified}")
     else:
-        fields = ["n", "k", "p", "coeffs", "mode", "lhs", "rhs", "abs_diff",
-                  "rel_diff", "condition_number", "tolerance", "passed"]
-    out = Emitter(args.format, "verify master", fields)
+        out = Emitter(args.format, "verify master",
+                      columns + ["abs_diff", "rel_diff", "condition_number",
+                                 "tolerance", "passed"],
+                      "master-float n={n} k={k} p={p} coeffs={coeffs} "
+                      "lhs={lhs} rhs={rhs} relDiff={rel_diff} "
+                      "cond={condition_number} passed={passed}")
     started = time.perf_counter()
-    all_good = True
+    records = []
     for n in n_values:
         for cs in coeff_sets:
             coeff_text = ",".join(str(c) for c in cs)
             params = {"n": n, "k": len(cs), "p": str(p), "coeffs": coeff_text,
                       "mode": args.mode, "threads": threads}
+            row = dict(params)
             if args.mode == "exact":
                 rep = verify_master(n, cs, p)
-                status = "ok" if rep.verified else "violated"
-                all_good &= rep.verified
-                out.emit(
-                    params, rep, status,
-                    plain=(f"master n={n} k={len(cs)} p={p} coeffs={coeff_text} "
-                           f"lhs={rep.lhs} rhs={rep.rhs} "
-                           f"verified={_bool(rep.verified)}"),
-                    csv_row={"n": n, "k": len(cs), "p": p,
-                             "coeffs": coeff_text, "mode": "exact",
-                             "lhs": str(rep.lhs), "rhs": str(rep.rhs),
-                             "verified": _bool(rep.verified)},
-                )
+                ok = rep.verified
+                row.update(lhs=rep.lhs, rhs=rep.rhs, verified=_bool(ok))
             else:
-                fv = verify_master_float(n, cs, p, tolerance=args.tolerance)
-                status = "ok" if fv.passed else "violated"
-                all_good &= fv.passed
-                out.emit(
-                    params, fv, status,
-                    plain=(f"master-float n={n} k={len(cs)} p={p!r} "
-                           f"coeffs={coeff_text} lhs={fv.lhs!r} rhs={fv.rhs!r} "
-                           f"relDiff={fv.rel_diff!r} "
-                           f"cond={fv.condition_number!r} "
-                           f"passed={_bool(fv.passed)}"),
-                    csv_row={"n": n, "k": len(cs), "p": repr(p),
-                             "coeffs": coeff_text, "mode": "float",
-                             "lhs": repr(fv.lhs), "rhs": repr(fv.rhs),
-                             "abs_diff": repr(fv.abs_diff),
-                             "rel_diff": repr(fv.rel_diff),
-                             "condition_number": repr(fv.condition_number),
-                             "tolerance": repr(fv.tolerance),
-                             "passed": _bool(fv.passed)},
-                )
+                rep = verify_master_float(n, cs, p, tolerance=args.tolerance)
+                ok = rep.passed
+                row.update(lhs=rep.lhs, rhs=rep.rhs, abs_diff=rep.abs_diff,
+                           rel_diff=rep.rel_diff,
+                           condition_number=rep.condition_number,
+                           tolerance=rep.tolerance, passed=_bool(ok))
+            records.append(Record(params, rep, _status(ok), row))
     _note(f"# verify master: {time.perf_counter() - started:.3f}s, "
           f"threads={threads}")
-    return EXIT_OK if all_good else EXIT_VIOLATED
+    return out, records
 
 
-def _cmd_verify_equal_coeff(args) -> int:
+def _cmd_verify_equal_coeff(args) -> Output:
     threads = _threads(args)
     p = _parse_rational(args.p)
     if not p > 0:
         raise UsageError("p must be > 0")
-    fields = ["n", "k", "p", "lhs", "rhs", "verified"]
-    out = Emitter(args.format, "verify equal-coeff", fields)
+    out = Emitter(args.format, "verify equal-coeff",
+                  ["n", "k", "p", "lhs", "rhs", "verified"],
+                  "equal-coeff n={n} k={k} p={p} lhs={lhs} rhs={rhs} "
+                  "verified={verified}")
     started = time.perf_counter()
-    all_good = True
+    records = []
     for n in _parse_range(args.n):
         for k in _parse_range(args.k):
             if n < 1 or k < 1:
                 raise UsageError("n and k must be >= 1")
             rep = verify_equal_coeff_form(n, k, p)
-            all_good &= rep.verified
             params = {"n": n, "k": k, "p": str(p), "threads": threads}
-            out.emit(
-                params, rep, "ok" if rep.verified else "violated",
-                plain=(f"equal-coeff n={n} k={k} p={p} lhs={rep.lhs} "
-                       f"rhs={rep.rhs} verified={_bool(rep.verified)}"),
-                csv_row={"n": n, "k": k, "p": p, "lhs": str(rep.lhs),
-                         "rhs": str(rep.rhs),
-                         "verified": _bool(rep.verified)},
-            )
+            records.append(Record(params, rep, _status(rep.verified), dict(
+                params, lhs=rep.lhs, rhs=rep.rhs,
+                verified=_bool(rep.verified))))
     _note(f"# verify equal-coeff: {time.perf_counter() - started:.3f}s, "
           f"threads={threads}")
-    return EXIT_OK if all_good else EXIT_VIOLATED
+    return out, records
 
 
 # ---------------------------------------------------------------------------
@@ -281,44 +290,36 @@ def _even_steps(args) -> tuple[int, bool]:
     return args.steps // 2, False
 
 
-def _cmd_compute(args) -> int:
+def _cmd_compute(args) -> Output:
     if args.what in ("return-prob", "path-count"):
         if args.dim is None or args.steps is None:
             raise UsageError(f"{args.what} needs --dim and --steps")
         if args.dim < 1:
             raise UsageError("dim must be >= 1")
         half, odd = _even_steps(args)
+        params = {"dim": args.dim, "steps": args.steps}
         if args.what == "return-prob":
             value = (return_probability_odd(args.dim, args.steps) if odd
                      else return_probability(args.dim, half))
+            payload = {"probability": fraction_str(value),
+                       "decimal": decimal15(value)}
             out = Emitter(args.format, "compute return-prob",
-                          ["dim", "steps", "probability", "decimal"])
-            params = {"dim": args.dim, "steps": args.steps}
-            out.emit(params,
-                     {"probability": fraction_str(value),
-                      "decimal": decimal15(value)},
-                     "ok",
-                     plain=f"{fraction_str(value)} {decimal15(value)}",
-                     csv_row={"dim": args.dim, "steps": args.steps,
-                              "probability": fraction_str(value),
-                              "decimal": decimal15(value)})
-            return EXIT_OK
+                          ["dim", "steps", "probability", "decimal"],
+                          "{probability} {decimal}")
+            return out, [Record(params, payload, "ok",
+                                dict(params, **payload))]
         if odd:  # no closed path of odd length exists
             pc = PathCount(0, (2 * args.dim) ** args.steps)
         else:
             pc = path_count(args.dim, half)
         out = Emitter(args.format, "compute path-count",
                       ["dim", "steps", "count", "total_paths", "probability",
-                       "decimal"])
-        params = {"dim": args.dim, "steps": args.steps}
-        out.emit(params, pc, "ok",
-                 plain=(f"{pc.count}/{pc.total_paths} "
-                        f"{decimal15(pc.probability)}"),
-                 csv_row={"dim": args.dim, "steps": args.steps,
-                          "count": pc.count, "total_paths": pc.total_paths,
-                          "probability": fraction_str(pc.probability),
-                          "decimal": decimal15(pc.probability)})
-        return EXIT_OK
+                       "decimal"],
+                      "{count}/{total_paths} {decimal}")
+        return out, [Record(params, pc, "ok", dict(
+            params, count=pc.count, total_paths=pc.total_paths,
+            probability=fraction_str(pc.probability),
+            decimal=decimal15(pc.probability)))]
 
     # moment
     if args.n is None or args.p is None:
@@ -334,16 +335,11 @@ def _cmd_compute(args) -> int:
         raise UsageError(str(exc)) from None
     # the sqrt(pi) powers cancel; the moment is a plain rational
     moment = value.coeff
+    payload = {"value": fraction_str(moment), "decimal": decimal15(moment)}
     out = Emitter(args.format, "compute moment",
-                  ["n", "p", "value", "decimal"])
-    params = {"n": args.n, "p": str(p)}
-    out.emit(params,
-             {"value": fraction_str(moment), "decimal": decimal15(moment)},
-             "ok",
-             plain=f"{fraction_str(moment)} {decimal15(moment)}",
-             csv_row={"n": args.n, "p": p, "value": fraction_str(moment),
-                      "decimal": decimal15(moment)})
-    return EXIT_OK
+                  ["n", "p", "value", "decimal"], "{value} {decimal}")
+    return out, [Record({"n": args.n, "p": str(p)}, payload, "ok",
+                        dict(payload, n=args.n, p=p))]
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +347,7 @@ def _cmd_compute(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> Output:
     if args.dim < 1:
         raise UsageError("dim must be >= 1")
     if args.steps < 1 or args.steps % 2:
@@ -365,19 +361,16 @@ def _cmd_oracle(args) -> int:
     matches = pc.probability == expected
     out = Emitter(args.format, "oracle",
                   ["dim", "steps", "count", "total_paths", "probability",
-                   "expected", "matches"])
+                   "expected", "matches"],
+                  "{count}/{total_paths} {match}")
     params = {"dim": args.dim, "steps": args.steps, "budget": args.budget}
     payload = dict(pc.to_json_obj(), expected=fraction_str(expected),
                    matches=matches)
-    out.emit(params, payload, "ok" if matches else "violated",
-             plain=(f"{pc.count}/{pc.total_paths} "
-                    f"{'match' if matches else 'MISMATCH'}"),
-             csv_row={"dim": args.dim, "steps": args.steps,
-                      "count": pc.count, "total_paths": pc.total_paths,
-                      "probability": fraction_str(pc.probability),
-                      "expected": fraction_str(expected),
-                      "matches": _bool(matches)})
-    return EXIT_OK if matches else EXIT_VIOLATED
+    row = dict(params, count=pc.count, total_paths=pc.total_paths,
+               probability=fraction_str(pc.probability),
+               expected=fraction_str(expected), matches=_bool(matches),
+               match="match" if matches else "MISMATCH")
+    return out, [Record(params, payload, _status(matches), row)]
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +378,7 @@ def _cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> Output:
     workers = _threads(args)
     if args.trials < 1:
         raise UsageError("trials must be >= 1")
@@ -397,29 +390,21 @@ def _cmd_simulate(args) -> int:
     else:
         result = simulate_beta_moment(args.dim, args.n, args.trials,
                                       args.seed, workers=workers)
-    ok = abs(result.z_score) < Z_LIMIT
     out = Emitter(args.format, f"simulate {args.kind}",
                   ["kind", "dim", "n", "trials", "seed", "workers", "hits",
-                   "estimate", "std_error", "exact", "z_score"])
+                   "estimate", "std_error", "exact", "z_score"],
+                  "{kind} dim={dim} n={n} trials={trials} seed={seed} "
+                  "workers={workers} hits={hits} estimate={estimate} "
+                  "stdError={std_error} exact={exact} z={z_score}")
     params = {"dim": args.dim, "n": args.n, "trials": args.trials,
               "seed": args.seed, "workers": workers}
-    hits_text = "" if result.hits is None else str(result.hits)
-    out.emit(params, result, "ok" if ok else "violated",
-             plain=(f"{args.kind} dim={args.dim} n={args.n} "
-                    f"trials={args.trials} seed={args.seed} "
-                    f"workers={workers} hits={hits_text} "
-                    f"estimate={result.estimate!r} "
-                    f"stdError={result.std_error!r} "
-                    f"exact={fraction_str(result.exact_reference)} "
-                    f"z={result.z_score!r}"),
-             csv_row={"kind": args.kind, "dim": args.dim, "n": args.n,
-                      "trials": args.trials, "seed": args.seed,
-                      "workers": workers, "hits": hits_text,
-                      "estimate": repr(result.estimate),
-                      "std_error": repr(result.std_error),
-                      "exact": fraction_str(result.exact_reference),
-                      "z_score": repr(result.z_score)})
-    return EXIT_OK if ok else EXIT_STATISTICAL
+    row = dict(params, kind=args.kind,
+               hits="" if result.hits is None else result.hits,
+               estimate=result.estimate, std_error=result.std_error,
+               exact=fraction_str(result.exact_reference),
+               z_score=result.z_score)
+    ok = abs(result.z_score) < Z_LIMIT
+    return out, [Record(params, result, _status(ok), row)]
 
 
 # ---------------------------------------------------------------------------
@@ -427,25 +412,23 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args) -> Output:
     if args.action == "list":
         out = Emitter(args.format, "catalog list",
                       ["name", "variant", "location", "parameter_range",
-                       "erratum"])
+                       "erratum"],
+                      "{name} [{variant}] {location}; range: {parameter_range}")
+        records = []
         for entry in catalog_mod.entries():
             _erratum_banner(entry)
             payload = {"name": entry.name, "variant": entry.variant,
                        "location": entry.location,
                        "parameterRange": entry.parameter_range,
                        "erratum": entry.erratum}
-            out.emit({"name": entry.name}, payload, "ok",
-                     plain=(f"{entry.name} [{entry.variant}] "
-                            f"{entry.location}; range: {entry.parameter_range}"),
-                     csv_row={"name": entry.name, "variant": entry.variant,
-                              "location": entry.location,
-                              "parameter_range": entry.parameter_range,
-                              "erratum": entry.erratum or ""})
-        return EXIT_OK
+            records.append(Record({"name": entry.name}, payload, "ok", dict(
+                payload, parameter_range=entry.parameter_range,
+                erratum=entry.erratum or "")))
+        return out, records
 
     names = [args.name] if args.name != "all" else list(catalog_mod.CATALOG)
     for name in names:
@@ -453,34 +436,32 @@ def _cmd_catalog(args) -> int:
             raise UsageError(f"unknown catalog entry {name!r} "
                              f"(try: {', '.join(catalog_mod.CATALOG)})")
     out = Emitter(args.format, "catalog verify",
-                  ["name", "variant", "parameters", "lhs", "rhs", "verified"])
+                  ["name", "variant", "parameters", "lhs", "rhs", "verified"],
+                  "{name} variant={variant} {parameters} lhs={lhs} rhs={rhs} "
+                  "verified={verified}")
     started = time.perf_counter()
-    all_good = True
+    records = []
 
-    def emit_report(rep) -> None:
-        variant = rep.parameters.get("variant", "corrected")
+    def record(rep, counterexample: bool) -> Record:
+        # a counterexample is expected to fail; its record is still ok
         shown = {k: v for k, v in rep.parameters.items() if k != "variant"}
-        param_text = ",".join(f"{k}={v}" for k, v in shown.items())
-        status = "ok" if (rep.verified or variant == "printed") else "violated"
-        out.emit(dict(rep.parameters), rep, status,
-                 plain=(f"{rep.identity_name} variant={variant} {param_text} "
-                        f"lhs={rep.lhs} rhs={rep.rhs} "
-                        f"verified={_bool(rep.verified)}"),
-                 csv_row={"name": rep.identity_name, "variant": variant,
-                          "parameters": param_text, "lhs": str(rep.lhs),
-                          "rhs": str(rep.rhs),
-                          "verified": _bool(rep.verified)})
+        return Record(dict(rep.parameters), rep,
+                      _status(rep.verified or counterexample),
+                      {"name": rep.identity_name,
+                       "variant": rep.parameters.get("variant", "corrected"),
+                       "parameters": ",".join(f"{k}={v}"
+                                              for k, v in shown.items()),
+                       "lhs": rep.lhs, "rhs": rep.rhs,
+                       "verified": _bool(rep.verified)})
 
     for name in names:
         entry = catalog_mod.CATALOG[name]
         _erratum_banner(entry)
-        for rep in entry.run():
-            all_good &= rep.verified
-            emit_report(rep)
+        records.extend(record(rep, False) for rep in entry.run())
         if entry.counterexample is not None:
-            emit_report(entry.counterexample())
+            records.append(record(entry.counterexample(), True))
     _note(f"# catalog verify: {time.perf_counter() - started:.3f}s")
-    return EXIT_OK if all_good else EXIT_VIOLATED
+    return out, records
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +469,7 @@ def _cmd_catalog(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args) -> Output:
     if args.n < 0:
         raise UsageError("n must be >= 0")
     if args.max_terms < 1:
@@ -498,24 +479,19 @@ def _cmd_series(args) -> int:
                                  cutoff=args.cutoff)
     out = Emitter(args.format, "series",
                   ["n", "variant", "terms_evaluated", "converged", "diverged",
-                   "limit_estimate", "target", "last_term"])
+                   "limit_estimate", "target", "last_term"],
+                  "series n={n} variant={variant} terms={terms_evaluated} "
+                  "converged={converged} diverged={diverged} "
+                  "limitEstimate={limit_estimate} target={target}")
     params = {"n": args.n, "variant": args.variant,
               "maxTerms": args.max_terms, "cutoff": args.cutoff}
-    out.emit(params, evaluation, "ok",
-             plain=(f"series n={args.n} variant={args.variant} "
-                    f"terms={evaluation.terms_evaluated} "
-                    f"converged={_bool(evaluation.converged)} "
-                    f"diverged={_bool(evaluation.diverged)} "
-                    f"limitEstimate={evaluation.limit_estimate!r} "
-                    f"target={evaluation.target!r}"),
-             csv_row={"n": args.n, "variant": args.variant,
-                      "terms_evaluated": evaluation.terms_evaluated,
-                      "converged": _bool(evaluation.converged),
-                      "diverged": _bool(evaluation.diverged),
-                      "limit_estimate": repr(evaluation.limit_estimate),
-                      "target": repr(evaluation.target),
-                      "last_term": repr(evaluation.terms[-1])})
-    return EXIT_OK
+    row = {"n": args.n, "variant": args.variant,
+           "terms_evaluated": evaluation.terms_evaluated,
+           "converged": _bool(evaluation.converged),
+           "diverged": _bool(evaluation.diverged),
+           "limit_estimate": evaluation.limit_estimate,
+           "target": evaluation.target, "last_term": evaluation.terms[-1]}
+    return out, [Record(params, evaluation, "ok", row)]
 
 
 # ---------------------------------------------------------------------------
@@ -628,13 +604,15 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv if argv is None else list(argv))
     try:
-        return args.handler(args)
-    except UsageError as exc:
+        out, records = args.handler(args)
+    except ValueError as exc:  # UsageError and the library's own rejections
         print(f"betawalk: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"betawalk: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    for record in records:
+        out.emit(record)
+    if any(record.status == "violated" for record in records):
+        return EXIT_STATISTICAL if args.command == "simulate" else EXIT_VIOLATED
+    return EXIT_OK
 
 
 def entry_point() -> None:

@@ -8,9 +8,9 @@ colexicographically (read right-to-left, lexicographic).  Compositions are
 yielded as plain int tuples and the stream holds one scratch list, so memory
 stays constant no matter how large the index set is.
 
-The streams feed the catalog's literal sums, the float-mode terms in
-``numeric`` and the tests' small-size oracles; the master expansions and
-path counts are evaluated as power-series coefficients instead.
+The streams feed the float-mode terms in ``numeric`` and the tests'
+literal-sum oracles; the master expansions, path counts and catalog
+remark sums are evaluated as power-series coefficients instead.
 """
 
 from __future__ import annotations

@@ -26,26 +26,14 @@ __all__ = [
     "FloatVerification",
     "SeriesEvaluation",
     "SERIES_VARIANTS",
-    "log_gamma",
     "log_beta",
     "verify_master_float",
     "evaluate_series",
 ]
 
 
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0.
-
-    Relative accuracy is contract-tested against the exact half-integer
-    values (<= 1e-13 over the supported range).
-    """
-    if not x > 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
 def log_beta(a: float, b: float) -> float:
-    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
 @dataclass(frozen=True)
@@ -78,7 +66,7 @@ class FloatVerification:
 
 
 def _log_multinomial(n: int, parts: Sequence[int]) -> float:
-    return log_gamma(n + 1) - sum(log_gamma(p + 1) for p in parts)
+    return math.lgamma(n + 1) - sum(math.lgamma(p + 1) for p in parts)
 
 
 def verify_master_float(n: int, coeffs: Sequence[float], p: float,

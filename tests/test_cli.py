@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import signal
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from betawalk import catalog
 from betawalk.cli import main
 
 
@@ -132,13 +134,15 @@ def test_verify_master_float_mode(capsys):
 
 
 def test_verify_master_float_overflow_is_a_usage_error(capsys):
-    code, out, err = run_cli(capsys, "verify", "master", "--n", "200",
-                             "--coeffs", "1000", "--p", "1/2",
-                             "--mode", "float")
-    assert code == 2
-    assert out == ""
-    assert "double range" in err
-    assert err.count("\n") == 1
+    # 40..80 overflows at n=45: the records for smaller n are not printed
+    for n in ("200", "40..80"):
+        code, out, err = run_cli(capsys, "verify", "master", "--n", n,
+                                 "--coeffs", "1000", "--p", "1/2",
+                                 "--mode", "float")
+        assert code == 2, n
+        assert out == ""
+        assert "double range" in err
+        assert err.count("\n") == 1
 
 
 def test_verify_equal_coeff(capsys):
@@ -205,6 +209,30 @@ def test_catalog_verify_shows_counterexample(capsys):
     assert "lhs=17 rhs=2" in lines[-1]
     assert "verified=false" in lines[-1]
     assert "ERRATUM [k-dim-remark]" in err
+
+
+def test_catalog_status_follows_record_role(capsys, monkeypatch):
+    # duplication's run reports carry variant=printed; a failing one is
+    # still a violation, only an entry's counterexample may fail as "ok"
+    real = catalog.verify_duplication
+
+    def broken(n):
+        report = real(n)
+        return dataclasses.replace(report, verified=False) if n == 3 else report
+
+    monkeypatch.setattr(catalog, "verify_duplication", broken)
+    code, out, _ = run_cli(capsys, "catalog", "verify", "duplication",
+                           "--format", "json")
+    assert code == 1
+    records = [json.loads(line) for line in out.splitlines()]
+    assert records[3]["parameters"] == {"variant": "printed", "n": "3"}
+    assert [r["status"] for r in records].count("violated") == 1
+    assert records[3]["status"] == "violated"
+
+    code, out, _ = run_cli(capsys, "catalog", "verify", "k-dim-remark",
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out.splitlines()[-1])["status"] == "ok"
 
 
 def test_catalog_verify_unknown(capsys):

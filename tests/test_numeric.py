@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from betawalk.exact import HalfInt, gamma_half, pochhammer
+from betawalk.exact import HalfInt, beta_half, pochhammer
 from betawalk.moments import rhs_master, verify_master
 from betawalk.numeric import (
     SERIES_VARIANTS,
     evaluate_series,
-    log_gamma,
+    log_beta,
     verify_master_float,
 )
 
@@ -24,23 +24,12 @@ def series_term_oracle(n: int, k: int, variant: str) -> Fraction:
     return value
 
 
-def test_log_gamma_examples():
-    assert log_gamma(1.0) == 0.0
-    assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)),
-                                           rel=1e-15)
-    assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-15)
-    with pytest.raises(ValueError):
-        log_gamma(0.0)
-    with pytest.raises(ValueError):
-        log_gamma(-1.5)
-
-
-def test_log_gamma_calibrated_against_exact_half_integers():
-    for doubled in range(1, 201):  # every half-integer argument <= 100
-        exact = float(gamma_half(HalfInt(doubled)))
-        expected = math.log(exact)
-        got = log_gamma(doubled / 2.0)
-        assert math.isclose(got, expected, rel_tol=1e-13, abs_tol=1e-13)
+def test_log_beta_calibrated_against_exact_half_integers():
+    for da in range(1, 101):  # every half-integer argument <= 50
+        for db in range(1, 101):
+            expected = math.log(float(beta_half(HalfInt(da), HalfInt(db))))
+            got = log_beta(da / 2.0, db / 2.0)
+            assert math.isclose(got, expected, rel_tol=1e-13, abs_tol=1e-13)
 
 
 def test_verify_master_float_against_quadrature_oracle():
