@@ -6,50 +6,44 @@ weights they equal the return probability of the simple symmetric walk on
 Z^k.  This package verifies the identity family in exact rational/sqrt(pi)
 arithmetic, reproduces the walk probabilities, and cross-checks everything
 against exhaustive enumeration and seeded Monte Carlo.
+
+The public names below load their submodule on first access (PEP 562), so
+importing the package, or one command of the CLI, pays only for the layers
+it uses.
 """
 
-from .catalog import CATALOG, CatalogEntry, entries, run_entry
-from .compositions import count_weak_compositions, weak_compositions
-from .exact import (
-    HalfInt,
-    PiRational,
-    as_fraction,
-    beta_half,
-    binomial,
-    factorial,
-    gamma_half,
-    multinomial,
-    pochhammer,
-)
-from .moments import (
-    CoefficientVector,
-    IdentityReport,
-    even_moment,
-    lhs_master,
-    odd_moment,
-    rhs_master,
-    verify_equal_coeff_form,
-    verify_master,
-)
-from .numeric import (
-    FloatVerification,
-    SeriesEvaluation,
-    evaluate_series,
-    verify_master_float,
-)
-from .walks import (
-    PathBudgetError,
-    PathCount,
-    SimulationResult,
-    WalkSpec,
-    brute_force_return,
-    closed_form_1d,
-    closed_form_2d,
-    path_count,
-    return_probability,
-    return_probability_odd,
-    simulate_beta_moment,
-    simulate_walk,
-)
+from importlib import import_module
 
+# submodule -> the names it exports at package level
+_EXPORTS = {
+    "catalog": ("CATALOG", "CatalogEntry", "entries", "run_entry"),
+    "compositions": ("count_weak_compositions", "weak_compositions"),
+    "exact": ("HalfInt", "PiRational", "as_fraction", "beta_half", "binomial",
+              "factorial", "gamma_half", "multinomial", "pochhammer"),
+    "moments": ("CoefficientVector", "IdentityReport", "even_moment",
+                "lhs_master", "odd_moment", "rhs_master",
+                "verify_equal_coeff_form", "verify_master"),
+    "numeric": ("FloatVerification", "SeriesEvaluation", "evaluate_series",
+                "verify_master_float"),
+    "walks": ("PathBudgetError", "PathCount", "SimulationResult", "WalkSpec",
+              "brute_force_return", "closed_form_1d", "closed_form_2d",
+              "path_count", "return_probability", "return_probability_odd",
+              "simulate_beta_moment", "simulate_walk"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = (*_EXPORTS, "render")
+
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        return getattr(import_module(f".{_HOME[name]}", __name__), name)
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -10,9 +10,7 @@ error, so the tool composes in pipelines.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
+import math
 import os
 import re
 import signal
@@ -21,23 +19,10 @@ import time
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
-from . import catalog as catalog_mod
-from .exact import HalfInt
-from .moments import verify_equal_coeff_form, verify_master, even_moment
-from .numeric import SERIES_VARIANTS, evaluate_series, verify_master_float
-from .render import decimal15, fraction_str
-from .walks import (
-    DEFAULT_PATH_BUDGET,
-    PathBudgetError,
-    PathCount,
-    WalkSpec,
-    brute_force_return,
-    path_count,
-    return_probability,
-    return_probability_odd,
-    simulate_beta_moment,
-    simulate_walk,
-)
+# Handlers import their library layers, and the emitter its serializer, when
+# they run, so a command loads only what it uses: without cached bytecode each
+# module loaded is compiled from source at every start.
+from .render import DEFAULT_PATH_BUDGET, SERIES_VARIANTS, decimal15, fraction_str
 
 Z_LIMIT = 4.0
 
@@ -59,13 +44,19 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def _parse_real(text: str) -> float:
-    """Float-mode value: rational syntax or a decimal."""
-    if re.fullmatch(r"-?\d+(/[1-9]\d*)?", text):
-        return float(Fraction(text))
+    """Float-mode value: rational syntax or a decimal, finite as a double."""
     try:
-        return float(text)
+        if re.fullmatch(r"-?\d+(/[1-9]\d*)?", text):
+            value = float(Fraction(text))
+        else:
+            value = float(text)
+    except OverflowError:
+        value = math.inf
     except ValueError:
         raise UsageError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise UsageError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_range(text: str) -> list[int]:
@@ -138,6 +129,7 @@ class Emitter:
 
     def emit(self, record: Record) -> None:
         if self.fmt == "json":
+            import json
             payload = record.payload
             obj = payload.to_json_obj() if hasattr(payload, "to_json_obj") else payload
             print(json.dumps({
@@ -147,6 +139,8 @@ class Emitter:
                 "status": record.status,
             }))
         elif self.fmt == "csv":
+            import csv
+            import io
             buf = io.StringIO()
             writer = csv.DictWriter(buf, fieldnames=self.columns,
                                     lineterminator="\n", extrasaction="ignore")
@@ -166,7 +160,7 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _erratum_banner(entry: catalog_mod.CatalogEntry) -> None:
+def _erratum_banner(entry) -> None:
     if entry.erratum:
         _note(f"ERRATUM [{entry.name}] ({entry.location}): {entry.erratum}")
 
@@ -185,6 +179,8 @@ def _cmd_verify_master(args) -> Output:
         p = _parse_rational(args.p)
     else:
         p = _parse_real(args.p)
+        if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+            raise UsageError("--tolerance must be finite and >= 0")
     if not p > 0:
         raise UsageError("p must be > 0")
 
@@ -212,10 +208,12 @@ def _cmd_verify_master(args) -> Output:
 
     columns = ["n", "k", "p", "coeffs", "mode", "lhs", "rhs"]
     if args.mode == "exact":
+        from .moments import verify_master
         out = Emitter(args.format, "verify master", columns + ["verified"],
                       "master n={n} k={k} p={p} coeffs={coeffs} "
                       "lhs={lhs} rhs={rhs} verified={verified}")
     else:
+        from .numeric import verify_master_float
         out = Emitter(args.format, "verify master",
                       columns + ["abs_diff", "rel_diff", "condition_number",
                                  "tolerance", "passed"],
@@ -252,6 +250,7 @@ def _cmd_verify_equal_coeff(args) -> Output:
     p = _parse_rational(args.p)
     if not p > 0:
         raise UsageError("p must be > 0")
+    from .moments import verify_equal_coeff_form
     out = Emitter(args.format, "verify equal-coeff",
                   ["n", "k", "p", "lhs", "rhs", "verified"],
                   "equal-coeff n={n} k={k} p={p} lhs={lhs} rhs={rhs} "
@@ -297,6 +296,8 @@ def _cmd_compute(args) -> Output:
         if args.dim < 1:
             raise UsageError("dim must be >= 1")
         half, odd = _even_steps(args)
+        from .walks import (PathCount, path_count, return_probability,
+                            return_probability_odd)
         params = {"dim": args.dim, "steps": args.steps}
         if args.what == "return-prob":
             value = (return_probability_odd(args.dim, args.steps) if odd
@@ -329,6 +330,8 @@ def _cmd_compute(args) -> Output:
     p = _parse_rational(args.p)
     if not p > 0:
         raise UsageError("p must be > 0")
+    from .exact import HalfInt
+    from .moments import even_moment
     try:
         value = even_moment(args.n, HalfInt.of(p))
     except ValueError as exc:
@@ -353,6 +356,7 @@ def _cmd_oracle(args) -> Output:
     if args.steps < 1 or args.steps % 2:
         raise UsageError("oracle needs a positive even --steps")
     half = args.steps // 2
+    from .walks import PathBudgetError, brute_force_return, return_probability
     try:
         pc = brute_force_return(args.dim, half, budget=args.budget)
     except PathBudgetError as exc:
@@ -384,6 +388,7 @@ def _cmd_simulate(args) -> Output:
         raise UsageError("trials must be >= 1")
     if args.dim < 1 or args.n < 1:
         raise UsageError("dim and n must be >= 1")
+    from .walks import WalkSpec, simulate_beta_moment, simulate_walk
     if args.kind == "walk":
         result = simulate_walk(WalkSpec(args.dim, args.n), args.trials,
                                args.seed, workers=workers)
@@ -413,13 +418,14 @@ def _cmd_simulate(args) -> Output:
 
 
 def _cmd_catalog(args) -> Output:
+    from .catalog import CATALOG, entries
     if args.action == "list":
         out = Emitter(args.format, "catalog list",
                       ["name", "variant", "location", "parameter_range",
                        "erratum"],
                       "{name} [{variant}] {location}; range: {parameter_range}")
         records = []
-        for entry in catalog_mod.entries():
+        for entry in entries():
             _erratum_banner(entry)
             payload = {"name": entry.name, "variant": entry.variant,
                        "location": entry.location,
@@ -430,11 +436,11 @@ def _cmd_catalog(args) -> Output:
                 erratum=entry.erratum or "")))
         return out, records
 
-    names = [args.name] if args.name != "all" else list(catalog_mod.CATALOG)
+    names = [args.name] if args.name != "all" else list(CATALOG)
     for name in names:
-        if name not in catalog_mod.CATALOG:
+        if name not in CATALOG:
             raise UsageError(f"unknown catalog entry {name!r} "
-                             f"(try: {', '.join(catalog_mod.CATALOG)})")
+                             f"(try: {', '.join(CATALOG)})")
     out = Emitter(args.format, "catalog verify",
                   ["name", "variant", "parameters", "lhs", "rhs", "verified"],
                   "{name} variant={variant} {parameters} lhs={lhs} rhs={rhs} "
@@ -455,7 +461,7 @@ def _cmd_catalog(args) -> Output:
                        "verified": _bool(rep.verified)})
 
     for name in names:
-        entry = catalog_mod.CATALOG[name]
+        entry = CATALOG[name]
         _erratum_banner(entry)
         records.extend(record(rep, False) for rep in entry.run())
         if entry.counterexample is not None:
@@ -474,6 +480,7 @@ def _cmd_series(args) -> Output:
         raise UsageError("n must be >= 0")
     if args.max_terms < 1:
         raise UsageError("max-terms must be >= 1")
+    from .numeric import evaluate_series
     evaluation = evaluate_series(args.n, args.variant,
                                  max_terms=args.max_terms,
                                  cutoff=args.cutoff)

@@ -19,17 +19,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .compositions import weak_compositions
+from .compositions import count_weak_compositions, weak_compositions
 from .exact import binomial
+from .render import SERIES_VARIANTS
 
 __all__ = [
     "FloatVerification",
     "SeriesEvaluation",
     "SERIES_VARIANTS",
+    "FLOAT_TERM_BUDGET",
     "log_beta",
     "verify_master_float",
     "evaluate_series",
 ]
+
+
+# Both expansions are summed term by term, one term per weak composition
+# (about 5 microseconds and one list slot each), so the count is capped.
+FLOAT_TERM_BUDGET = 1_000_000
 
 
 def log_beta(a: float, b: float) -> float:
@@ -74,8 +81,8 @@ def verify_master_float(n: int, coeffs: Sequence[float], p: float,
     """Evaluate both moment expansions in doubles and compare.
 
     Valid for any real p > 0 and positive weights.  A failed comparison is
-    a report, not an exception; a term or sum beyond the double range
-    raises ValueError.
+    a report, not an exception; more than ``FLOAT_TERM_BUDGET`` terms, or a
+    term or sum beyond the double range, raises ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -86,12 +93,16 @@ def verify_master_float(n: int, coeffs: Sequence[float], p: float,
         raise ValueError("coefficients must be positive")
     k = len(coeffs)
     two_n = 2 * n
-    log_bpp = log_beta(p, p)
-    c_total = math.fsum(coeffs)
-
-    log_slot = [math.log(2 * c) for c in coeffs]
-    log_b_raw = [log_beta(j + p, p) for j in range(two_n + 1)]
+    required = (count_weak_compositions(two_n, k + 1)
+                + count_weak_compositions(n, k))
+    if required > FLOAT_TERM_BUDGET:
+        raise ValueError(f"float evaluation at n={n}, k={k} needs {required} "
+                         f"terms (budget is {FLOAT_TERM_BUDGET})")
     try:
+        log_bpp = log_beta(p, p)
+        c_total = math.fsum(coeffs)
+        log_slot = [math.log(2 * c) for c in coeffs]
+        log_b_raw = [log_beta(j + p, p) for j in range(two_n + 1)]
         lhs_terms = []
         for comp in weak_compositions(two_n, k + 1):
             log_t = (_log_multinomial(two_n, comp)
@@ -117,7 +128,7 @@ def verify_master_float(n: int, coeffs: Sequence[float], p: float,
             rhs_terms.append(math.exp(log_t))
         rhs = math.fsum(rhs_terms)
         rhs_mass = math.fsum(rhs_terms)
-    except OverflowError:
+    except (OverflowError, ValueError):  # fsum's ValueError is inf - inf
         raise ValueError(f"float evaluation at n={n} exceeds the double "
                          "range (overflow)") from None
 
@@ -145,8 +156,6 @@ def verify_master_float(n: int, coeffs: Sequence[float], p: float,
 # terms eventually GROW; which normalization actually reaches the target is
 # measured, never assumed.
 # ---------------------------------------------------------------------------
-
-SERIES_VARIANTS = ("printed", "over-k-factorial", "over-k-factorial-squared")
 
 _CONVERGE_WINDOW = 8   # trailing terms that must be nonincreasing
 _DIVERGE_WINDOW = 16   # consecutive term increases before giving up

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exact import binomial
-from .render import decimal15, fraction_str
+from .render import DEFAULT_PATH_BUDGET, decimal15, fraction_str
 
 __all__ = [
     "WalkSpec",
@@ -39,8 +39,6 @@ __all__ = [
     "simulate_walk",
     "simulate_beta_moment",
 ]
-
-DEFAULT_PATH_BUDGET = 10_000_000
 
 _CHUNK = 1 << 17  # simulation draw block; fixed so chunked sums are stable
 
@@ -146,11 +144,13 @@ def path_count(dim: int, half_steps: int) -> PathCount:
     if dim < 1 or half_steps < 1:
         raise ValueError("dim and half_steps must be >= 1")
     n = half_steps
-    squares = [[binomial(m, i) ** 2 for i in range(m + 1)] for m in range(n + 1)]
     t = [1] * (n + 1)
-    for _ in range(dim - 1):
-        t = [sum(squares[m][i] * t[m - i] for i in range(m + 1))
-             for m in range(n + 1)]
+    if dim > 1:  # T_1 needs no table; building it would cost O(n^2) bigints
+        squares = [[binomial(m, i) ** 2 for i in range(m + 1)]
+                   for m in range(n + 1)]
+        for _ in range(dim - 1):
+            t = [sum(squares[m][i] * t[m - i] for i in range(m + 1))
+                 for m in range(n + 1)]
     return PathCount(binomial(2 * n, n) * t[n], (2 * dim) ** (2 * n))
 
 

@@ -134,15 +134,56 @@ def test_verify_master_float_mode(capsys):
 
 
 def test_verify_master_float_overflow_is_a_usage_error(capsys):
-    # 40..80 overflows at n=45: the records for smaller n are not printed
-    for n in ("200", "40..80"):
+    # 40..80 overflows at n=45: the records for smaller n are not printed;
+    # 1e308,1e308 overflows the weight sum, 1e308 makes an inf - inf
+    for n, coeffs in (("200", "1000"), ("40..80", "1000"),
+                      ("2", "1e308,1e308"), ("2", "1e308")):
         code, out, err = run_cli(capsys, "verify", "master", "--n", n,
-                                 "--coeffs", "1000", "--p", "1/2",
+                                 "--coeffs", coeffs, "--p", "1/2",
                                  "--mode", "float")
-        assert code == 2, n
+        assert code == 2, (n, coeffs)
         assert out == ""
         assert "double range" in err
         assert err.count("\n") == 1
+
+
+def test_verify_master_float_over_term_budget_is_a_usage_error(capsys):
+    # C(72, 4) + C(37, 3) terms, just over the budget: refused before
+    # enumerating (chosen so that a missing check costs seconds, not memory)
+    code, out, err = run_cli(capsys, "verify", "master", "--n", "34",
+                             "--coeffs", "1,1,1,1", "--p", "0.7",
+                             "--mode", "float")
+    assert code == 2
+    assert out == ""
+    assert "needs 1036560 terms (budget is 1000000)" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--coeffs", "1,2", "--p", "inf"],
+    ["--coeffs", "1,2", "--p", "nan"],
+    ["--coeffs", "1,2", "--p", "1e999"],
+    ["--coeffs", "1,inf", "--p", "0.7"],
+    ["--coeffs", "1,-inf", "--p", "0.7"],
+])
+def test_verify_master_float_non_finite_input_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", "master", "--n", "2", *argv,
+                             "--mode", "float")
+    assert code == 2
+    assert out == ""
+    assert "expected a finite number" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1e-10"])
+def test_verify_master_float_bad_tolerance_is_a_usage_error(capsys, tolerance):
+    code, out, err = run_cli(capsys, "verify", "master", "--n", "2",
+                             "--coeffs", "1,2", "--p", "0.7", "--mode", "float",
+                             f"--tolerance={tolerance}")
+    assert code == 2
+    assert out == ""
+    assert "--tolerance must be finite and >= 0" in err
+    assert err.count("\n") == 1
 
 
 def test_verify_equal_coeff(capsys):

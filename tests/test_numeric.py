@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from betawalk.compositions import count_weak_compositions
 from betawalk.exact import HalfInt, beta_half, pochhammer
 from betawalk.moments import rhs_master, verify_master
 from betawalk.numeric import (
+    FLOAT_TERM_BUDGET,
     SERIES_VARIANTS,
     evaluate_series,
     log_beta,
@@ -85,6 +87,21 @@ def test_verify_master_float_pass_rule_is_condition_scaled():
                          <= fv.tolerance * max(1.0, fv.condition_number))
     assert fv.condition_number >= 1.0
     assert fv.abs_diff == abs(fv.lhs - fv.rhs)
+
+
+def float_terms(n, k):
+    return count_weak_compositions(2 * n, k + 1) + count_weak_compositions(n, k)
+
+
+def test_verify_master_float_term_budget():
+    # the float-series workload (n <= 20, k <= 3) fits
+    assert float_terms(20, 3) <= FLOAT_TERM_BUDGET
+    assert float_terms(33, 4) <= FLOAT_TERM_BUDGET < float_terms(34, 4)
+    with pytest.raises(ValueError) as info:
+        verify_master_float(34, [1.0] * 4, 0.7)
+    assert str(info.value) == (f"float evaluation at n=34, k=4 needs "
+                               f"{float_terms(34, 4)} terms "
+                               f"(budget is {FLOAT_TERM_BUDGET})")
 
 
 def test_verify_master_float_validation():

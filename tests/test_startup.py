@@ -1,7 +1,11 @@
-"""The exact commands start without numpy and without a thread pool.
+"""Each command starts with only the modules it runs.
 
-Only the Monte Carlo simulations need numpy; importing it costs more than
-the rest of a typical exact command, so it must stay off that path.
+Every test runs in a fresh interpreter, since ``sys.modules`` in the test
+process already holds every layer.  Only the Monte Carlo simulations need
+numpy, and each CLI handler imports its library layers when it runs, so
+an exact command loads neither numpy nor the layers it does not use.
+Without cached bytecode each module loaded is compiled from source at
+every start, which makes this the larger part of a small command's time.
 """
 
 import json
@@ -11,8 +15,98 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+LAYERS = ("catalog", "compositions", "exact", "moments", "numeric", "walks")
 
-SCRIPT = """
+
+def run_fresh(code, *args):
+    """Run ``code`` in a new interpreter; return what it prints, as JSON."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+LOADED_AFTER = """
+import contextlib, io, json, sys
+from betawalk import cli
+
+argv = json.loads(sys.argv[1])
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("betawalk"))))
+"""
+
+
+def loaded_after(*argv):
+    """The betawalk modules loaded by importing the CLI and running argv."""
+    return set(run_fresh(LOADED_AFTER, json.dumps(argv)))
+
+
+def test_importing_the_cli_loads_only_the_parser_constants():
+    assert loaded_after() == {"betawalk", "betawalk.cli", "betawalk.render"}
+
+
+def test_path_count_loads_no_moment_catalog_or_float_layer():
+    loaded = loaded_after("compute", "path-count", "--dim", "3", "--steps", "4")
+    assert "betawalk.walks" in loaded
+    assert not loaded & {"betawalk.moments", "betawalk.catalog",
+                         "betawalk.numeric"}
+
+
+def test_exact_verify_master_loads_no_float_walk_or_catalog_layer():
+    loaded = loaded_after("verify", "master", "--n", "1..3", "--coeffs", "1,2",
+                          "--p", "1/2", "--threads", "1")
+    assert "betawalk.moments" in loaded
+    assert not loaded & {"betawalk.numeric", "betawalk.walks",
+                         "betawalk.catalog"}
+
+
+def test_float_verify_master_loads_no_exact_moment_layer():
+    loaded = loaded_after("verify", "master", "--n", "2", "--coeffs", "1,2",
+                          "--p", "0.7", "--mode", "float", "--threads", "1")
+    assert "betawalk.numeric" in loaded
+    assert not loaded & {"betawalk.moments", "betawalk.walks",
+                         "betawalk.catalog"}
+
+
+PUBLIC_NAMES = """
+import importlib, json, sys
+import betawalk
+
+report = {"import": sorted(m for m in sys.modules if m.startswith("betawalk")),
+          "dir": dir(betawalk), "all": betawalk.__all__,
+          "walks_is_module": betawalk.walks is sys.modules["betawalk.walks"]}
+layers = {name: importlib.import_module(f"betawalk.{name}")
+          for name in json.loads(sys.argv[1])}
+report["owners"] = {
+    name: [layer for layer, mod in layers.items()
+           if name in mod.__all__ and getattr(mod, name) is getattr(betawalk, name)]
+    for name in betawalk.__all__}
+from betawalk import path_count, CATALOG
+report["from_import"] = (path_count is layers["walks"].path_count
+                         and CATALOG is layers["catalog"].CATALOG)
+print(json.dumps(report))
+"""
+
+
+def test_public_names_resolve_to_their_submodule_objects():
+    report = run_fresh(PUBLIC_NAMES, json.dumps(LAYERS))
+    assert report["import"] == ["betawalk"]
+    assert len(report["all"]) == len(set(report["all"])) == 39
+    assert set(report["all"]) <= set(report["dir"])
+    assert set(LAYERS) <= set(report["dir"])
+    # each exported name is the very object its one home module exports
+    assert all(len(owners) == 1 for owners in report["owners"].values()), \
+        report["owners"]
+    assert report["walks_is_module"]
+    assert report["from_import"]
+
+
+NUMPY_LOADED = """
 import contextlib, io, json, sys
 
 def loaded():
@@ -44,12 +138,7 @@ print(json.dumps(report))
 
 
 def test_exact_commands_do_not_load_numpy():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
-                            capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    report = json.loads(result.stdout)
+    report = run_fresh(NUMPY_LOADED)
     assert report["import"] == []
     assert report["exact"] == []
     assert "numpy" in report["simulate"]

@@ -64,6 +64,11 @@ def test_closed_form_consistency():
         assert return_probability(2, n) == closed_form_2d(n)
 
 
+def test_path_count_one_dimension_is_the_central_binomial():
+    for n in range(1, 2001):
+        assert path_count(1, n).probability == closed_form_1d(n), n
+
+
 def test_path_count_dimensions():
     pc = path_count(3, 2)
     assert pc.count == 90
