@@ -250,6 +250,10 @@ def _cmd_verify_equal_coeff(args) -> Output:
     p = _parse_rational(args.p)
     if not p > 0:
         raise UsageError("p must be > 0")
+    if p.denominator > 2:
+        raise UsageError(f"verify equal-coeff prints the unnormalized sides "
+                         f"with their powers of pi and needs a half-integer "
+                         f"--p, got {p}")
     from .moments import verify_equal_coeff_form
     out = Emitter(args.format, "verify equal-coeff",
                   ["n", "k", "p", "lhs", "rhs", "verified"],
@@ -330,14 +334,8 @@ def _cmd_compute(args) -> Output:
     p = _parse_rational(args.p)
     if not p > 0:
         raise UsageError("p must be > 0")
-    from .exact import HalfInt
     from .moments import even_moment
-    try:
-        value = even_moment(args.n, HalfInt.of(p))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    # the sqrt(pi) powers cancel; the moment is a plain rational
-    moment = value.coeff
+    moment = even_moment(args.n, p).coeff
     payload = {"value": fraction_str(moment), "decimal": decimal15(moment)}
     out = Emitter(args.format, "compute moment",
                   ["n", "p", "value", "decimal"], "{value} {decimal}")

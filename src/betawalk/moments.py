@@ -2,25 +2,27 @@
 
 Let X_1..X_k be iid Be(p, p) on [0, 1] and U_i = 2X_i - 1 the centered
 copies on [-1, 1].  The 2n-th moment of c_1 U_1 + ... + c_k U_k has two
-independent exact expansions (both normalized by B(p,p)^k so each equals the
-probabilistic moment):
+independent exact expansions, each in one moment sequence of a single
+variable:
 
   raw expansion     sum over weak compositions (j_1..j_{k+1}) of 2n of
                     multi(2n; j) * C^{j_1} * prod_s (-2 c_s)^{j_{s+1}}
-                                             * B(j_{s+1} + p, p)
+                                             * m_{j_{s+1}}
                     where C = c_1 + ... + c_k  (alternating terms)
+                    and m_j = E[X^j] = (p)_j / (2p)_j
 
-  even expansion    2^-(2p-1)k * sum over weak compositions (i_1..i_k) of n
-                    of multi(2n; 2i_1..2i_k) * prod_j c_j^{2 i_j}
-                                             * B(i_j + 1/2, p)
+  even expansion    sum over weak compositions (i_1..i_k) of n
+                    of multi(2n; 2i_1..2i_k) * prod_s c_s^{2 i_s} * mu_{i_s}
+                    where mu_i = E[U^(2i)] = (1/2)_i / (p + 1/2)_i
                     (all terms positive; odd single-variable moments vanish)
 
-Each composition sum is one coefficient of a product of exponential
-generating functions, one factor per slot, so it is evaluated as a truncated
-power-series product in O(k n^2) exact operations instead of term by term
-over all C(2n + k, k) compositions.  Each side is built only from its own
-moments: the raw expansion from B(j + p, p) with alternating signs, the even
-expansion from B(i + 1/2, p).
+Both sequences are rational for every rational p > 0, so the exact engine
+takes any such p.  Each composition sum is one coefficient of a product of
+exponential generating functions, one factor per slot, so it is evaluated as
+a truncated power-series product in O(k n^2) exact operations instead of
+term by term over all C(2n + k, k) compositions.  Each side is built only
+from its own sequence: the raw expansion from m_j with alternating signs,
+the even expansion from mu_i.
 
 ``verify_master`` evaluates both and reports exact equality.  Everything here
 is a pure function.
@@ -116,23 +118,41 @@ class IdentityReport:
 
 
 # ---------------------------------------------------------------------------
-# single-variable moments
+# the two moment sequences
 # ---------------------------------------------------------------------------
 
 
-def even_moment(n: int, p) -> PiRational:
-    """E[U^(2n)] = B(n + 1/2, p) / (B(p, p) * 2^(2p-1)), exactly.
+def _shape(p) -> Fraction:
+    """The beta shape as an exact rational; any p > 0 is accepted."""
+    p = as_fraction(p)
+    if not p > 0:
+        raise ValueError("p must be > 0")
+    return p
 
-    The sqrt(pi) contents of the two beta values cancel, so the result
-    always has exponent 0.
-    """
+
+def _ratio_sequence(a: Fraction, b: Fraction, count: int) -> list[Fraction]:
+    """(a)_j / (b)_j for j = 0..count-1, each from the last by one ratio."""
+    seq = [Fraction(1)]
+    for j in range(count - 1):
+        seq.append(seq[-1] * (a + j) / (b + j))
+    return seq
+
+
+def _raw_moments(p: Fraction, count: int) -> list[Fraction]:
+    """m_j = E[X^j] = (p)_j / (2p)_j for X ~ Be(p, p), j = 0..count-1."""
+    return _ratio_sequence(p, 2 * p, count)
+
+
+def _even_moments(p: Fraction, count: int) -> list[Fraction]:
+    """mu_i = E[U^(2i)] = (1/2)_i / (p + 1/2)_i, i = 0..count-1."""
+    return _ratio_sequence(Fraction(1, 2), p + Fraction(1, 2), count)
+
+
+def even_moment(n: int, p) -> PiRational:
+    """E[U^(2n)] = (1/2)_n / (p + 1/2)_n, exactly (sqrt(pi) exponent 0)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    p = HalfInt.of(p)
-    numer = beta_half(HalfInt(2 * n + 1), p)
-    # 2p - 1 = doubled - 1 is a non-negative integer for half-integer p > 0
-    scale = Fraction(2) ** (p.doubled - 1)
-    return numer / beta_half(p, p) / scale
+    return PiRational(_even_moments(_shape(p), n + 1)[n])
 
 
 def odd_moment(n: int, p) -> PiRational:
@@ -143,18 +163,6 @@ def odd_moment(n: int, p) -> PiRational:
 # ---------------------------------------------------------------------------
 # the two expansions
 # ---------------------------------------------------------------------------
-
-
-def _beta_family(offset_doubled: int, p: HalfInt,
-                 count: int) -> tuple[list[Fraction], int]:
-    """Coefficients of B(j + offset, p) for j = 0..count-1.
-
-    For fixed p every member shares one sqrt(pi) exponent, which is returned
-    separately so sums can run in plain Fraction arithmetic.
-    """
-    values = [beta_half(HalfInt(2 * j + offset_doubled), p)
-              for j in range(count)]
-    return [v.coeff for v in values], values[0].sqrt_pi_pow
 
 
 def _series_coefficient(factors: Sequence[Sequence[Fraction]],
@@ -171,60 +179,45 @@ def _series_coefficient(factors: Sequence[Sequence[Fraction]],
     return product[degree]
 
 
-def _lhs_raw(n: int, coeffs: Sequence[Fraction], p: HalfInt) -> PiRational:
-    """Raw-expansion sum before division by B(p,p)^k.
+def _lhs(n: int, coeffs: Sequence[Fraction], p: Fraction) -> Fraction:
+    """The raw side, (2n)! [x^2n] e^(Cx) prod_s sum_j (-2c_s)^j m_j x^j/j!.
 
-    The sum over weak compositions of 2n is the Cauchy product
-    (2n)! [x^2n] e^(Cx) * prod_s sum_j (-2 c_s)^j B(j + p, p) x^j / j!.
-    Tolerates zero coefficients (0^0 = 1 drops the slot), which realizes
-    dimension shrinking without a separate formula.
+    Tolerates zero coefficients (0^0 = 1 makes the slot's factor 1), which
+    realizes dimension shrinking without a separate formula.
     """
     two_n = 2 * n
     c_total = sum(coeffs, Fraction(0))
-    betas, beta_pow = _beta_family(p.doubled, p, two_n + 1)
+    m = _raw_moments(p, two_n + 1)
     factors = [[Fraction(c_total ** j, factorial(j)) for j in range(two_n + 1)]]
     for c in coeffs:
-        factors.append([(-2 * c) ** j * betas[j] / factorial(j)
+        factors.append([(-2 * c) ** j * m[j] / factorial(j)
                         for j in range(two_n + 1)])
-    raw = factorial(two_n) * _series_coefficient(factors, two_n)
-    return PiRational(raw, len(coeffs) * beta_pow)
+    return factorial(two_n) * _series_coefficient(factors, two_n)
 
 
-def _rhs_raw(n: int, coeffs: Sequence[Fraction], p: HalfInt) -> PiRational:
-    """Even-expansion sum (with its 2^-(2p-1)k prefactor) before division
-    by B(p,p)^k.
-
-    The sum over weak compositions of n is the Cauchy product
-    (2n)! [x^n] prod_s sum_i c_s^(2i) B(i + 1/2, p) x^i / (2i)!.
-    """
-    k = len(coeffs)
-    betas, beta_pow = _beta_family(1, p, n + 1)  # B(i + 1/2, p)
-    factors = [[c ** (2 * i) * betas[i] / factorial(2 * i)
+def _rhs(n: int, coeffs: Sequence[Fraction], p: Fraction) -> Fraction:
+    """The even side, (2n)! [x^n] prod_s sum_i c_s^(2i) mu_i x^i/(2i)!."""
+    mu = _even_moments(p, n + 1)
+    factors = [[c ** (2 * i) * mu[i] / factorial(2 * i)
                 for i in range(n + 1)] for c in coeffs]
-    raw = factorial(2 * n) * _series_coefficient(factors, n)
-    prefactor = Fraction(1, 2 ** ((p.doubled - 1) * k))
-    return PiRational(raw * prefactor, k * beta_pow)
+    return factorial(2 * n) * _series_coefficient(factors, n)
 
 
 def lhs_master(n: int, coeffs, p) -> PiRational:
     """E[(sum c_i U_i)^(2n)] by the raw (alternating) expansion."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    c = CoefficientVector.of(coeffs)
-    p = HalfInt.of(p)
-    return _lhs_raw(n, c.coeffs, p) / beta_half(p, p) ** len(c)
+    return PiRational(_lhs(n, CoefficientVector.of(coeffs).coeffs, _shape(p)))
 
 
 def rhs_master(n: int, coeffs, p) -> PiRational:
     """E[(sum c_i U_i)^(2n)] by the even-moment expansion."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    c = CoefficientVector.of(coeffs)
-    p = HalfInt.of(p)
-    return _rhs_raw(n, c.coeffs, p) / beta_half(p, p) ** len(c)
+    return PiRational(_rhs(n, CoefficientVector.of(coeffs).coeffs, _shape(p)))
 
 
-def _master_parameters(n: int, c: CoefficientVector, p: HalfInt) -> dict:
+def _master_parameters(n: int, c: CoefficientVector, p: Fraction) -> dict:
     return {
         "n": str(n),
         "k": str(len(c)),
@@ -240,7 +233,7 @@ def verify_master(n: int, coeffs, p) -> IdentityReport:
     check for arbitrary real p > 0 is ``numeric.verify_master_float``.
     """
     c = CoefficientVector.of(coeffs)
-    p = HalfInt.of(p)
+    p = _shape(p)
     start = time.perf_counter()
     lhs = lhs_master(n, c, p)
     rhs = rhs_master(n, c, p)
@@ -259,34 +252,32 @@ def verify_master(n: int, coeffs, p) -> IdentityReport:
 def verify_equal_coeff_form(n: int, k: int, p) -> IdentityReport:
     """Check the coefficient-free symmetric form and its scale invariance.
 
-    With all weights equal the identity loses its constants: the raw sides
-    are compared as stated (weight 1, no B(p,p)^k normalization), and on top
-    of that the full check must scale by exactly c^(2n) for c in
+    With all weights equal the identity loses its constants: the sides are
+    reported as stated, unnormalized (weight 1, times B(p,p)^k, so they
+    carry their powers of pi), which needs a half-integer p.  On top of
+    that the full check must scale by exactly c^(2n) for c in
     {1/4, 1, 7/3}.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
-    p = HalfInt.of(p)
+    half = HalfInt.of(p)
+    p = half.as_fraction()
     start = time.perf_counter()
-    ones = (Fraction(1),) * k
-    lhs = _lhs_raw(n, ones, p)
-    rhs = _rhs_raw(n, ones, p)
-    verified = lhs == rhs
-
-    base = verify_master(n, ones, p)
-    verified = verified and base.verified
+    base = verify_master(n, (Fraction(1),) * k, p)
+    verified = base.verified
     for c in (Fraction(1, 4), Fraction(1), Fraction(7, 3)):
         rep = verify_master(n, (c,) * k, p)
         scale = PiRational(c ** (2 * n))
         verified = (verified and rep.verified
                     and rep.lhs == base.lhs * scale
                     and rep.rhs == base.rhs * scale)
+    norm = beta_half(half, half) ** k
     elapsed = time.perf_counter() - start
     return IdentityReport(
         identity_name="equal-coeff",
         parameters={"n": str(n), "k": str(k), "p": str(p)},
-        lhs=lhs,
-        rhs=rhs,
+        lhs=base.lhs * norm,
+        rhs=base.rhs * norm,
         verified=verified,
         mode="exact",
         elapsed=elapsed,

@@ -1,11 +1,11 @@
-"""Floating-point checks for shapes outside the exact half-integer closure.
+"""Floating-point checks of the master identity in doubles.
 
-The exact engine only covers half-integer beta shapes.  For arbitrary real
-p > 0 the two moment expansions are evaluated here in doubles through
-log-gamma, with exact compensated summation (math.fsum) and a cancellation
-diagnostic: the raw expansion alternates, so its sum loses roughly
-log10(condition number) digits and the pass criterion scales the tolerance
-accordingly.
+The exact engine takes every rational shape p > 0.  Here, for a real p > 0
+given as a double (``--mode float``), the two moment expansions are
+evaluated in doubles through log-gamma, with exact compensated summation
+(math.fsum) and a cancellation diagnostic: the raw expansion alternates, so
+its sum loses roughly log10(condition number) digits and the pass criterion
+scales the tolerance accordingly.
 
 Also here: partial-sum diagnostics for the central-binomial ratio series
 (three normalization variants, since the stated form of that series

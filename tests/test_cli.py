@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -41,9 +42,15 @@ def test_compute_moment(capsys):
     assert out.split()[0] == "1/7"
 
 
-def test_compute_moment_rejects_non_half_integer(capsys):
+def test_compute_moment_at_non_half_integer_shape(capsys):
+    code, out, _ = run_cli(capsys, "compute", "moment",
+                           "--n", "2", "--p", "1/3")
+    assert code == 0
+    assert out.split()[0] == "27/55"
+
+    # exact mode takes rationals only
     code, out, err = run_cli(capsys, "compute", "moment",
-                             "--n", "2", "--p", "1/3")
+                             "--n", "2", "--p", "0.5")
     assert code == 2
     assert out == ""
     assert "error" in err
@@ -191,6 +198,34 @@ def test_verify_equal_coeff(capsys):
                            "--k", "1..2", "--p", "1/2")
     assert code == 0
     assert all("verified=true" in line for line in out.strip().splitlines())
+
+
+def test_verify_equal_coeff_needs_half_integer_p(capsys):
+    code, out, err = run_cli(capsys, "verify", "equal-coeff", "--n", "1",
+                             "--k", "1", "--p", "1/3")
+    assert code == 2
+    assert out == ""
+    assert err == ("betawalk: error: verify equal-coeff prints the "
+                   "unnormalized sides with their powers of pi and needs a "
+                   "half-integer --p, got 1/3\n")
+
+
+def test_verify_master_reports_a_broken_side(capsys, monkeypatch):
+    # one side's moments perturbed: the record still prints, and exit is 1
+    from betawalk import moments
+    real = moments._even_moments
+
+    def perturbed(p, count):
+        seq = real(p, count)
+        seq[1] += Fraction(1, 10 ** 6)
+        return seq
+
+    monkeypatch.setattr(moments, "_even_moments", perturbed)
+    code, out, _ = run_cli(capsys, "verify", "master", "--n", "3",
+                           "--coeffs", "1,2", "--p", "1/3")
+    assert code == 1
+    assert out.startswith("master n=3 k=2 p=1/3 coeffs=1,2 lhs=")
+    assert out.endswith(" verified=false\n")
 
 
 def test_simulate_walk_deterministic_stdout(capsys):

@@ -4,12 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betawalk import moments
 from betawalk.compositions import weak_compositions
-from betawalk.exact import HalfInt, PiRational, beta_half, binomial, multinomial
+from betawalk.exact import (
+    HalfInt,
+    PiRational,
+    beta_half,
+    binomial,
+    multinomial,
+    pochhammer,
+)
 from betawalk.moments import (
     CoefficientVector,
-    _lhs_raw,
-    _rhs_raw,
+    _lhs,
+    _rhs,
     even_moment,
     lhs_master,
     odd_moment,
@@ -20,6 +28,9 @@ from betawalk.moments import (
 from betawalk.walks import brute_force_return, return_probability
 
 P_GRID = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
+# shapes off the half-integers: B(p, p) is no rational multiple of a power
+# of sqrt(pi) there, but every normalized moment is still rational
+P_GENERAL = [Fraction(1, 3), Fraction(7, 10)]
 
 
 def variance_oracle(p: Fraction) -> Fraction:
@@ -55,26 +66,62 @@ def test_even_moment_arcsine_closed_form():
         assert value.coeff == Fraction(binomial(2 * n, n), 4 ** n)
 
 
+def quadrature_even_moment(mpmath, n: int, p: Fraction):
+    """E[U^(2n)] by numerical integration against the Be(p, p) density.
+
+    By symmetry the integral is twice the one over [0, 1/2], and there
+    x = t^(1/p) turns x^(p-1) dx into dt/p, so the integrand stays bounded
+    at t = 0 even for p < 1.
+    """
+    pf = mpmath.mpf(p.numerator) / p.denominator
+    root = 1 / pf
+    integral = mpmath.quad(
+        lambda t: (1 - 2 * t ** root) ** (2 * n) * (1 - t ** root) ** (pf - 1),
+        [0, mpmath.mpf(2) ** -pf])
+    return 2 * integral / (pf * mpmath.beta(pf, pf))
+
+
+def as_mpf(mpmath, value):
+    if isinstance(value, PiRational):
+        assert value.sqrt_pi_pow == 0
+        value = value.coeff
+    return mpmath.mpf(value.numerator) / value.denominator
+
+
 def test_even_moment_quadrature_oracle():
     mpmath = pytest.importorskip("mpmath")
+    cases = [(2, Fraction(3, 2)), (3, Fraction(1, 2)), (1, Fraction(2))]
+    cases += [(n, p) for p in P_GENERAL + [Fraction(7, 5)] for n in (1, 2, 5)]
     with mpmath.workdps(40):
-        for n, p in [(2, Fraction(3, 2)), (3, Fraction(1, 2)), (1, Fraction(2))]:
-            pf = mpmath.mpf(p.numerator) / p.denominator
-            density_norm = mpmath.beta(pf, pf)
-            integral = mpmath.quad(
-                lambda x: (2 * x - 1) ** (2 * n)
-                * x ** (pf - 1) * (1 - x) ** (pf - 1),
-                [0, 0.5, 1])
-            expected = integral / density_norm
-            got = even_moment(n, p)
-            assert abs(float(got) - float(expected)) < 1e-25
+        for n, p in cases:
+            expected = quadrature_even_moment(mpmath, n, p)
+            for got in (even_moment(n, p), lhs_master(n, [1], p)):
+                assert abs(as_mpf(mpmath, got) - expected) < 1e-25
+
+
+@pytest.mark.parametrize("p", P_GENERAL + [Fraction(7, 5)], ids=str)
+def test_two_variable_moment_quadrature_oracle(p):
+    # odd moments vanish, so E[(aU + bV)^(2n)] is a binomial sum over the
+    # even moments of one variable, here taken from quadrature
+    mpmath = pytest.importorskip("mpmath")
+    a, b = Fraction(1, 2), Fraction(2)
+    with mpmath.workdps(40):
+        for n in (1, 3):
+            q = [mpmath.mpf(1)] + [quadrature_even_moment(mpmath, i, p)
+                                   for i in range(1, n + 1)]
+            expected = mpmath.fsum(
+                as_mpf(mpmath, binomial(2 * n, 2 * i) * a ** (2 * i)
+                       * b ** (2 * n - 2 * i)) * q[i] * q[n - i]
+                for i in range(n + 1))
+            for side in (lhs_master, rhs_master):
+                got = as_mpf(mpmath, side(n, (a, b), p))
+                assert abs(got - expected) < 1e-25 * expected
 
 
 def test_even_moment_validation():
     with pytest.raises(ValueError):
         even_moment(0, 1)
-    with pytest.raises(ValueError):
-        even_moment(2, "1/3")
+    assert even_moment(2, "1/3") == PiRational(Fraction(27, 55))
     with pytest.raises(ValueError):
         even_moment(2, 0)
 
@@ -176,17 +223,14 @@ def test_rhs_master_permutation_invariance():
 
 
 def test_zero_padding_shrinks_dimension():
-    # dropping a slot (weight 0 in the raw expansion) equals the smaller-k sum
+    # a slot of weight 0 contributes the factor 1 (0^0 = 1), so it drops out
     c1, c2 = Fraction(1, 2), Fraction(2, 3)
     for n in (1, 2, 3):
-        for p in P_GRID:
-            p_half = HalfInt.of(p)
-            padded = _lhs_raw(n, (c1, c2, Fraction(0)), p_half)
-            plain = _lhs_raw(n, (c1, c2), p_half)
-            # one extra B(p,p) factor comes from the dropped slot's j=0 term
-            assert padded == plain * beta_half(p_half, p_half)
-            assert (padded / beta_half(p_half, p_half) ** 3
-                    == lhs_master(n, (c1, c2), p))
+        for p in P_GRID + P_GENERAL:
+            assert _lhs(n, (c1, c2, Fraction(0)), p) == _lhs(n, (c1, c2), p)
+            assert _rhs(n, (c1, Fraction(0), c2), p) == _rhs(n, (c1, c2), p)
+            assert PiRational(_lhs(n, (c1, c2), p)) == lhs_master(
+                n, (c1, c2), p)
 
 
 def test_moment_walk_correspondence_small():
@@ -219,22 +263,87 @@ def literal_rhs_raw(n, coeffs, p):
     return acc / 2 ** ((p.doubled - 1) * len(coeffs))
 
 
+LITERAL_VECTORS = [(Fraction(1, 2),), (Fraction(1), Fraction(1)),
+                   (Fraction(1, 2), Fraction(1, 3)),
+                   (Fraction(2), Fraction(1, 3), Fraction(7, 5))]
+
+
 def test_expansions_match_literal_composition_sums():
-    vectors = [(Fraction(1, 2),), (Fraction(1), Fraction(1)),
-               (Fraction(1, 2), Fraction(1, 3)),
-               (Fraction(2), Fraction(1, 3), Fraction(7, 5))]
     for n in range(1, 5):
         for p in map(HalfInt.of, P_GRID):
-            for coeffs in vectors + [(Fraction(1, 2), Fraction(0),
-                                      Fraction(1, 3))]:
-                assert _lhs_raw(n, coeffs, p) == literal_lhs_raw(n, coeffs, p)
-                assert _rhs_raw(n, coeffs, p) == literal_rhs_raw(n, coeffs, p)
-            for coeffs in vectors:
+            for coeffs in LITERAL_VECTORS:
                 norm = beta_half(p, p) ** len(coeffs)
-                assert lhs_master(n, coeffs, p) == literal_lhs_raw(
-                    n, coeffs, p) / norm
-                assert rhs_master(n, coeffs, p) == literal_rhs_raw(
-                    n, coeffs, p) / norm
+                assert (lhs_master(n, coeffs, p.as_fraction())
+                        == literal_lhs_raw(n, coeffs, p) / norm)
+                assert (rhs_master(n, coeffs, p.as_fraction())
+                        == literal_rhs_raw(n, coeffs, p) / norm)
+
+
+def literal_lhs(n, coeffs, p):
+    """Raw expansion over the weak compositions of 2n, with the moments
+    E[X^j] = (p)_j / (2p)_j written as Pochhammer quotients."""
+    total = sum(coeffs, Fraction(0))
+    acc = Fraction(0)
+    for comp in weak_compositions(2 * n, len(coeffs) + 1):
+        term = Fraction(multinomial(2 * n, comp)) * total ** comp[0]
+        for c, j in zip(coeffs, comp[1:]):
+            term *= (-2 * c) ** j * pochhammer(p, j) / pochhammer(2 * p, j)
+        acc += term
+    return acc
+
+
+def literal_rhs(n, coeffs, p):
+    """Even expansion over the weak compositions of n, with the moments
+    E[U^(2i)] = (1/2)_i / (p + 1/2)_i written as Pochhammer quotients."""
+    acc = Fraction(0)
+    for comp in weak_compositions(n, len(coeffs)):
+        term = Fraction(multinomial(2 * n, [2 * i for i in comp]))
+        for c, i in zip(coeffs, comp):
+            term *= (c ** (2 * i) * pochhammer(Fraction(1, 2), i)
+                     / pochhammer(p + Fraction(1, 2), i))
+        acc += term
+    return acc
+
+
+@pytest.mark.parametrize("p", P_GENERAL, ids=str)
+def test_expansions_match_literal_sums_at_general_p(p):
+    for n in range(1, 5):
+        for coeffs in LITERAL_VECTORS:
+            assert lhs_master(n, coeffs, p) == PiRational(
+                literal_lhs(n, coeffs, p))
+            assert rhs_master(n, coeffs, p) == PiRational(
+                literal_rhs(n, coeffs, p))
+
+
+@given(st.integers(min_value=1, max_value=20),
+       st.integers(min_value=1, max_value=20),
+       st.lists(st.fractions(min_value="1/20", max_value=20,
+                             max_denominator=20).filter(lambda c: c > 0),
+                min_size=1, max_size=4),
+       st.integers(min_value=1, max_value=5))
+@settings(max_examples=60, deadline=None)
+def test_master_identity_at_random_rational_p(num, den, coeffs, n):
+    assert verify_master(n, coeffs, Fraction(num, den)).verified
+
+
+@pytest.mark.parametrize("patched, kept", [("_raw_moments", "rhs"),
+                                           ("_even_moments", "lhs")])
+def test_each_side_reads_only_its_own_moments(monkeypatch, patched, kept):
+    # perturbing one side's moment sequence must move that side alone and
+    # break the identity; a side derived from the other would follow it
+    p, coeffs = Fraction(1, 3), (Fraction(1), Fraction(2))
+    before = verify_master(3, coeffs, p)
+    real = getattr(moments, patched)
+
+    def perturbed(p, count):
+        seq = real(p, count)
+        seq[1] += Fraction(1, 10 ** 6)
+        return seq
+
+    monkeypatch.setattr(moments, patched, perturbed)
+    after = verify_master(3, coeffs, p)
+    assert not after.verified
+    assert getattr(after, kept) == getattr(before, kept)
 
 
 def test_verify_equal_coeff_form():
