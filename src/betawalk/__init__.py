@@ -17,7 +17,6 @@ from importlib import import_module
 # submodule -> the names it exports at package level
 _EXPORTS = {
     "catalog": ("CATALOG", "CatalogEntry", "entries", "run_entry"),
-    "compositions": ("count_weak_compositions", "weak_compositions"),
     "exact": ("HalfInt", "PiRational", "as_fraction", "beta_half", "binomial",
               "factorial", "gamma_half", "multinomial", "pochhammer"),
     "moments": ("CoefficientVector", "IdentityReport", "even_moment",

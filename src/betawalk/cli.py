@@ -4,7 +4,7 @@ Data records go to standard output (one per line; plain, JSON-lines, or
 CSV), all human-readable decoration (banners, timing) goes to standard
 error, so the tool composes in pipelines.  Exit codes: 0 success,
 1 exact-identity violation or oracle mismatch, 2 usage error,
-3 statistical-tolerance failure.
+3 statistical-tolerance failure, or a float check that doubles cannot decide.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class Record(NamedTuple):
 
     parameters: dict
     payload: object
-    status: str  # "ok" | "violated"
+    status: str  # "ok" | "violated" | "inconclusive"
     row: dict
 
 
@@ -230,16 +230,18 @@ def _cmd_verify_master(args) -> Output:
             row = dict(params)
             if args.mode == "exact":
                 rep = verify_master(n, cs, p)
-                ok = rep.verified
-                row.update(lhs=rep.lhs, rhs=rep.rhs, verified=_bool(ok))
+                status = _status(rep.verified)
+                row.update(lhs=rep.lhs, rhs=rep.rhs,
+                           verified=_bool(rep.verified))
             else:
                 rep = verify_master_float(n, cs, p, tolerance=args.tolerance)
-                ok = rep.passed
+                status = ("inconclusive" if rep.inconclusive
+                          else _status(rep.passed))
                 row.update(lhs=rep.lhs, rhs=rep.rhs, abs_diff=rep.abs_diff,
                            rel_diff=rep.rel_diff,
                            condition_number=rep.condition_number,
-                           tolerance=rep.tolerance, passed=_bool(ok))
-            records.append(Record(params, rep, _status(ok), row))
+                           tolerance=rep.tolerance, passed=_bool(rep.passed))
+            records.append(Record(params, rep, status, row))
     _note(f"# verify master: {time.perf_counter() - started:.3f}s, "
           f"threads={threads}")
     return out, records
@@ -615,9 +617,10 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
         return EXIT_USAGE
     for record in records:
         out.emit(record)
-    if any(record.status == "violated" for record in records):
+    statuses = {record.status for record in records}
+    if "violated" in statuses:
         return EXIT_STATISTICAL if args.command == "simulate" else EXIT_VIOLATED
-    return EXIT_OK
+    return EXIT_STATISTICAL if "inconclusive" in statuses else EXIT_OK
 
 
 def entry_point() -> None:

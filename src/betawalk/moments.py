@@ -256,7 +256,7 @@ def verify_equal_coeff_form(n: int, k: int, p) -> IdentityReport:
     reported as stated, unnormalized (weight 1, times B(p,p)^k, so they
     carry their powers of pi), which needs a half-integer p.  On top of
     that the full check must scale by exactly c^(2n) for c in
-    {1/4, 1, 7/3}.
+    {1/4, 1, 7/3}; the weight-1 check is the base call itself.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
@@ -265,7 +265,7 @@ def verify_equal_coeff_form(n: int, k: int, p) -> IdentityReport:
     start = time.perf_counter()
     base = verify_master(n, (Fraction(1),) * k, p)
     verified = base.verified
-    for c in (Fraction(1, 4), Fraction(1), Fraction(7, 3)):
+    for c in (Fraction(1, 4), Fraction(7, 3)):
         rep = verify_master(n, (c,) * k, p)
         scale = PiRational(c ** (2 * n))
         verified = (verified and rep.verified

@@ -1,11 +1,13 @@
 """Floating-point checks of the master identity in doubles.
 
 The exact engine takes every rational shape p > 0.  Here, for a real p > 0
-given as a double (``--mode float``), the two moment expansions are
-evaluated in doubles through log-gamma, with exact compensated summation
-(math.fsum) and a cancellation diagnostic: the raw expansion alternates, so
-its sum loses roughly log10(condition number) digits and the pass criterion
-scales the tolerance accordingly.
+given as a double (``--mode float``), the two moment expansions are the same
+two series products as in ``moments``, evaluated in doubles: each series
+holds the moments E[Y^0..Y^2n] of one variable, and the moments of a sum of
+independent variables are their binomial convolution, summed with
+math.fsum.  The raw expansion alternates, so its sum loses roughly
+log10(condition number) digits; the verdict scales the tolerance
+accordingly, and where the scaled tolerance reaches 1 it is inconclusive.
 
 Also here: partial-sum diagnostics for the central-binomial ratio series
 (three normalization variants, since the stated form of that series
@@ -15,11 +17,11 @@ diverges -- see ``evaluate_series``).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .compositions import count_weak_compositions, weak_compositions
 from .exact import binomial
 from .render import SERIES_VARIANTS
 
@@ -27,29 +29,21 @@ __all__ = [
     "FloatVerification",
     "SeriesEvaluation",
     "SERIES_VARIANTS",
-    "FLOAT_TERM_BUDGET",
-    "log_beta",
     "verify_master_float",
     "evaluate_series",
 ]
-
-
-# Both expansions are summed term by term, one term per weak composition
-# (about 5 microseconds and one list slot each), so the count is capped.
-FLOAT_TERM_BUDGET = 1_000_000
-
-
-def log_beta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
 @dataclass(frozen=True)
 class FloatVerification:
     """Two-sided float evaluation with a cancellation-aware verdict.
 
-    ``passed`` holds iff rel_diff <= tolerance * max(1, condition_number);
-    the condition number is sum(|terms|)/|sum| on the worse side, so an
-    ill-conditioned alternating sum is not reported as a false failure.
+    The condition number is max(1, mass / rhs), where mass is the raw
+    expansion summed with every sign made positive and rhs, a sum of
+    positive terms, is accurate to a few ulps.  ``passed`` holds iff
+    tolerance * condition_number < 1 and rel_diff <= tolerance *
+    condition_number; at tolerance * condition_number >= 1 doubles cannot
+    decide and the check is ``inconclusive`` (and not passed).
     """
 
     lhs: float
@@ -59,6 +53,10 @@ class FloatVerification:
     condition_number: float
     tolerance: float
     passed: bool
+
+    @property
+    def inconclusive(self) -> bool:
+        return self.tolerance * self.condition_number >= 1
 
     def to_json_obj(self) -> dict:
         return {
@@ -72,17 +70,38 @@ class FloatVerification:
         }
 
 
-def _log_multinomial(n: int, parts: Sequence[int]) -> float:
-    return math.lgamma(n + 1) - sum(math.lgamma(p + 1) for p in parts)
+def _ratio_moments(a: float, b: float, count: int) -> list[float]:
+    """(a)_j / (b)_j for j = 0..count-1, each from the last by one ratio."""
+    seq = [1.0]
+    for j in range(count - 1):
+        seq.append(seq[-1] * (a + j) / (b + j))
+    return seq
+
+
+def _moment_product(factors: Sequence[Sequence[float]]) -> list[float]:
+    """Moments of a sum of independent variables from each one's moments.
+
+    Each factor lists E[Y^0..Y^D] of one variable; the product's moments are
+    P_d = sum_i C(d, i) P_i F_{d-i}.  The binomial weights, in place of the
+    exponential generating function's 1/j!, keep every value a moment, so
+    it stays inside the double range whenever the answer does.
+    """
+    product = factors[0]
+    for factor in factors[1:]:
+        product = [math.fsum(math.comb(d, i) * product[i] * factor[d - i]
+                             for i in range(d + 1))
+                   for d in range(len(product))]
+    return product
 
 
 def verify_master_float(n: int, coeffs: Sequence[float], p: float,
                         tolerance: float = 1e-10) -> FloatVerification:
     """Evaluate both moment expansions in doubles and compare.
 
-    Valid for any real p > 0 and positive weights.  A failed comparison is
-    a report, not an exception; more than ``FLOAT_TERM_BUDGET`` terms, or a
-    term or sum beyond the double range, raises ValueError.
+    Valid for any real p > 0 and positive weights.  A failed or
+    inconclusive comparison is a report, not an exception; a side beyond
+    the double range (overflow, or an rhs below the smallest normal double)
+    raises ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -91,56 +110,33 @@ def verify_master_float(n: int, coeffs: Sequence[float], p: float,
     coeffs = [float(c) for c in coeffs]
     if not coeffs or any(not c > 0 for c in coeffs):
         raise ValueError("coefficients must be positive")
-    k = len(coeffs)
-    two_n = 2 * n
-    required = (count_weak_compositions(two_n, k + 1)
-                + count_weak_compositions(n, k))
-    if required > FLOAT_TERM_BUDGET:
-        raise ValueError(f"float evaluation at n={n}, k={k} needs {required} "
-                         f"terms (budget is {FLOAT_TERM_BUDGET})")
+    degrees = range(2 * n + 1)
     try:
-        log_bpp = log_beta(p, p)
         c_total = math.fsum(coeffs)
-        log_slot = [math.log(2 * c) for c in coeffs]
-        log_b_raw = [log_beta(j + p, p) for j in range(two_n + 1)]
-        lhs_terms = []
-        for comp in weak_compositions(two_n, k + 1):
-            log_t = (_log_multinomial(two_n, comp)
-                     + comp[0] * math.log(c_total) - k * log_bpp)
-            sign = 1.0
-            for s in range(k):
-                j = comp[s + 1]
-                log_t += j * log_slot[s] + log_b_raw[j]
-                if j & 1:
-                    sign = -sign
-            lhs_terms.append(sign * math.exp(log_t))
-        lhs = math.fsum(lhs_terms)
-        lhs_mass = math.fsum(abs(t) for t in lhs_terms)
-
-        log_c = [math.log(c) for c in coeffs]
-        log_b_even = [log_beta(i + 0.5, p) for i in range(n + 1)]
-        scale = k * ((2 * p - 1) * math.log(2.0) + log_bpp)
-        rhs_terms = []
-        for comp in weak_compositions(n, k):
-            log_t = _log_multinomial(two_n, [2 * i for i in comp]) - scale
-            for s, i in enumerate(comp):
-                log_t += 2 * i * log_c[s] + log_b_even[i]
-            rhs_terms.append(math.exp(log_t))
-        rhs = math.fsum(rhs_terms)
-        rhs_mass = math.fsum(rhs_terms)
+        head = [c_total ** j for j in degrees]
+        m = _ratio_moments(p, 2 * p, 2 * n + 1)
+        mu = _ratio_moments(0.5, p + 0.5, n + 1)
+        # the raw side, then its absolute mass: every sign made positive
+        lhs, mass = (_moment_product(
+            [head] + [[(w * c) ** j * m[j] for j in degrees] for c in coeffs]
+        )[-1] for w in (-2, 2))
+        rhs = _moment_product(
+            [[0.0 if j & 1 else c ** j * mu[j // 2] for j in degrees]
+             for c in coeffs])[-1]
+        if not all(map(math.isfinite, (lhs, mass, rhs))):
+            raise OverflowError
     except (OverflowError, ValueError):  # fsum's ValueError is inf - inf
         raise ValueError(f"float evaluation at n={n} exceeds the double "
                          "range (overflow)") from None
+    if rhs < sys.float_info.min:
+        raise ValueError(f"float evaluation at n={n} exceeds the double "
+                         "range (underflow)")
 
     abs_diff = abs(lhs - rhs)
-    denom = max(abs(lhs), abs(rhs))
-    rel_diff = abs_diff / denom if denom > 0 else (0.0 if abs_diff == 0 else math.inf)
-    condition = 1.0
-    if lhs != 0:
-        condition = max(condition, lhs_mass / abs(lhs))
-    if rhs != 0:
-        condition = max(condition, rhs_mass / abs(rhs))
-    passed = rel_diff <= tolerance * max(1.0, condition)
+    rel_diff = abs_diff / max(abs(lhs), rhs)
+    condition = max(1.0, mass / rhs)
+    scaled = tolerance * condition
+    passed = scaled < 1 and rel_diff <= scaled
     return FloatVerification(lhs, rhs, abs_diff, rel_diff, condition,
                              tolerance, passed)
 

@@ -16,9 +16,10 @@ from betawalk.catalog import (
     verify_two_dim_remark,
     verify_vandermonde,
 )
-from betawalk.compositions import weak_compositions
 from betawalk.exact import PiRational, binomial, multinomial
 from betawalk.walks import closed_form_2d, return_probability
+
+from compositions import weak_compositions
 
 
 def test_convolution():

@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -142,9 +143,10 @@ def test_verify_master_float_mode(capsys):
 
 def test_verify_master_float_overflow_is_a_usage_error(capsys):
     # 40..80 overflows at n=45: the records for smaller n are not printed;
-    # 1e308,1e308 overflows the weight sum, 1e308 makes an inf - inf
+    # 1e308,1e308 overflows the weight sum, 1e308 its powers; the sides at
+    # 1e-200 (about 1e-800) underflow to 0
     for n, coeffs in (("200", "1000"), ("40..80", "1000"),
-                      ("2", "1e308,1e308"), ("2", "1e308")):
+                      ("2", "1e308,1e308"), ("2", "1e308"), ("2", "1e-200")):
         code, out, err = run_cli(capsys, "verify", "master", "--n", n,
                                  "--coeffs", coeffs, "--p", "1/2",
                                  "--mode", "float")
@@ -154,16 +156,48 @@ def test_verify_master_float_overflow_is_a_usage_error(capsys):
         assert err.count("\n") == 1
 
 
-def test_verify_master_float_over_term_budget_is_a_usage_error(capsys):
-    # C(72, 4) + C(37, 3) terms, just over the budget: refused before
-    # enumerating (chosen so that a missing check costs seconds, not memory)
-    code, out, err = run_cli(capsys, "verify", "master", "--n", "34",
-                             "--coeffs", "1,1,1,1", "--p", "0.7",
-                             "--mode", "float")
-    assert code == 2
-    assert out == ""
-    assert "needs 1036560 terms (budget is 1000000)" in err
-    assert err.count("\n") == 1
+def test_verify_master_float_cancellation_is_inconclusive(capsys):
+    # the raw side's lhs comes out near 1e27 against a true 2.78e20
+    code, out, _ = run_cli(capsys, "verify", "master", "--n", "25",
+                           "--coeffs", "1,1,1", "--p", "0.7", "--mode", "float")
+    assert code == 3
+    assert "passed=false" in out and "passed=true" not in out
+    code, out, _ = run_cli(capsys, "verify", "master", "--n", "25",
+                           "--coeffs", "1,1,1", "--p", "0.7", "--mode", "float",
+                           "--format", "json")
+    record = json.loads(out)
+    assert code == 3
+    assert record["status"] == "inconclusive"
+    assert record["payload"]["passed"] is False
+
+
+def test_verify_master_float_large_case_is_quick_and_inconclusive(capsys):
+    # C(88, 8) + C(47, 7) terms summed one by one; two series products here
+    started = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", "master", "--n", "40",
+                           "--coeffs", "1,1,1,1,1,1,1,1", "--p", "0.7",
+                           "--mode", "float")
+    assert time.perf_counter() - started < 1.0
+    assert code == 3
+    assert "passed=false" in out
+
+
+def test_verify_master_float_violation_outranks_inconclusive(capsys,
+                                                            monkeypatch):
+    from betawalk import numeric
+    violated = numeric.FloatVerification(1.0, 2.0, 1.0, 0.5, 1.0, 1e-10, False)
+    inconclusive = numeric.FloatVerification(1.0, 2.0, 1.0, 0.5, 1e11, 1e-10,
+                                             False)
+    argv = ("verify", "master", "--coeffs", "1", "--p", "0.7", "--mode",
+            "float", "--format", "json", "--n")
+    monkeypatch.setattr(numeric, "verify_master_float",
+                        lambda n, *_, **__: (violated if n == 1
+                                             else inconclusive))
+    code, out, _ = run_cli(capsys, *argv, "1..2")
+    assert [json.loads(line)["status"] for line in out.splitlines()] == [
+        "violated", "inconclusive"]
+    assert code == 1
+    assert run_cli(capsys, *argv, "2")[0] == 3
 
 
 @pytest.mark.parametrize("argv", [

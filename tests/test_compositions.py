@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from betawalk.compositions import count_weak_compositions, weak_compositions
+from compositions import count_weak_compositions, weak_compositions
 
 
 def brute_compositions(total, parts):

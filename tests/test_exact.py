@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betawalk.compositions import weak_compositions
 from betawalk.exact import (
     HalfInt,
     PiRational,
@@ -18,6 +17,8 @@ from betawalk.exact import (
     pochhammer,
     set_factorial_cache_limit,
 )
+
+from compositions import weak_compositions
 
 
 def test_factorial_values():

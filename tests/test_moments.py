@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betawalk import moments
-from betawalk.compositions import weak_compositions
 from betawalk.exact import (
     HalfInt,
     PiRational,
@@ -26,6 +25,8 @@ from betawalk.moments import (
     verify_master,
 )
 from betawalk.walks import brute_force_return, return_probability
+
+from compositions import weak_compositions
 
 P_GRID = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
 # shapes off the half-integers: B(p, p) is no rational multiple of a power
@@ -355,6 +356,18 @@ def test_verify_equal_coeff_form():
     scale = PiRational(Fraction(3 ** 2))
     assert (lhs_master(1, [1] * 3, "1/2")
             == lhs_master(1, [Fraction(1, 3)] * 3, "1/2") * scale)
+
+
+def test_verify_equal_coeff_form_checks_each_weight_once(monkeypatch):
+    weights = []
+
+    def counting(n, coeffs, p):
+        weights.append(coeffs[0])
+        return verify_master(n, coeffs, p)
+
+    monkeypatch.setattr(moments, "verify_master", counting)
+    assert verify_equal_coeff_form(2, 3, "1/2").verified
+    assert weights == [1, Fraction(1, 4), Fraction(7, 3)]
 
 
 def test_coefficient_vector_validation():

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from betawalk.compositions import weak_compositions
 from betawalk.exact import binomial
 from betawalk.walks import (
     PathBudgetError,
@@ -19,6 +18,8 @@ from betawalk.walks import (
     simulate_beta_moment,
     simulate_walk,
 )
+
+from compositions import weak_compositions
 
 
 def product_space_oracle(dim, half_steps):
