@@ -7,7 +7,8 @@ holds the moments E[Y^0..Y^2n] of one variable, and the moments of a sum of
 independent variables are their binomial convolution, summed with
 math.fsum.  The raw expansion alternates, so its sum loses roughly
 log10(condition number) digits; the verdict scales the tolerance
-accordingly, and where the scaled tolerance reaches 1 it is inconclusive.
+accordingly.  Where the scaled tolerance reaches 1, or the difference lies
+within the rounding error of the doubles, the check is inconclusive.
 
 Also here: partial-sum diagnostics for the central-binomial ratio series
 (three normalization variants, since the stated form of that series
@@ -40,10 +41,15 @@ class FloatVerification:
 
     The condition number is max(1, mass / rhs), where mass is the raw
     expansion summed with every sign made positive and rhs, a sum of
-    positive terms, is accurate to a few ulps.  ``passed`` holds iff
-    tolerance * condition_number < 1 and rel_diff <= tolerance *
-    condition_number; at tolerance * condition_number >= 1 doubles cannot
-    decide and the check is ``inconclusive`` (and not passed).
+    positive terms, is accurate to a few ulps.  ``rounding_bound`` is
+    gamma = 16 (n + k) 2^-53, a first-order bound on rel_diff / cond that
+    rounding alone can produce: each moment sequence adds four roundings
+    per degree and each convolution level four more per term.  With
+    level = max(tolerance, gamma) * condition_number, ``passed`` holds iff
+    level < 1 and rel_diff <= tolerance * condition_number; a record not
+    passed is ``inconclusive`` when level >= 1 (doubles cannot decide) or
+    rel_diff <= level (the difference may be rounding), and violated only
+    when rel_diff > level.
     """
 
     lhs: float
@@ -53,10 +59,13 @@ class FloatVerification:
     condition_number: float
     tolerance: float
     passed: bool
+    rounding_bound: float
 
     @property
     def inconclusive(self) -> bool:
-        return self.tolerance * self.condition_number >= 1
+        level = max(self.tolerance, self.rounding_bound) \
+            * self.condition_number
+        return not self.passed and (level >= 1 or self.rel_diff <= level)
 
     def to_json_obj(self) -> dict:
         return {
@@ -135,10 +144,11 @@ def verify_master_float(n: int, coeffs: Sequence[float], p: float,
     abs_diff = abs(lhs - rhs)
     rel_diff = abs_diff / max(abs(lhs), rhs)
     condition = max(1.0, mass / rhs)
-    scaled = tolerance * condition
-    passed = scaled < 1 and rel_diff <= scaled
+    rounding = 16 * (n + len(coeffs)) * 2.0 ** -53
+    passed = (max(tolerance, rounding) * condition < 1
+              and rel_diff <= tolerance * condition)
     return FloatVerification(lhs, rhs, abs_diff, rel_diff, condition,
-                             tolerance, passed)
+                             tolerance, passed, rounding)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,13 @@ positive and negative steps on every axis, so with i_j round trips on axis j,
                                   of (2n)! / (i_1!^2 ... i_k!^2)
 
 computed here as an exact rational.  Two independent oracles back it up:
-exhaustive enumeration of every step sequence, and seeded Monte Carlo
-(walk paths, and sampling the matching arcsine-beta moment).  Only the
-Monte Carlo functions use numpy, and they import it when they run, so the
-exact functions load neither numpy nor a thread pool.
+exhaustive enumeration of every step sequence, and seeded Monte Carlo.  The
+walk sampler draws no path: it draws each walk's per-axis step counts,
+Multinomial(2n; 1/k, .., 1/k), and the plus steps on each axis,
+Binomial(count, 1/2), and the walk is home when every axis balances.  The
+beta sampler draws the matching arcsine-beta moment.  Only the Monte Carlo
+functions use numpy, and they import it when they run, so the exact
+functions load neither numpy nor a thread pool.
 """
 
 from __future__ import annotations
@@ -283,7 +286,16 @@ def _run_workers(fn, workers: int) -> list:
 
 def simulate_walk(spec: WalkSpec, trials: int, seed: int,
                   workers: int = 1) -> SimulationResult:
-    """Estimate the return probability from independent simulated walks."""
+    """Estimate the return probability from independent simulated walks.
+
+    Each trial costs O(dim) binomial draws, whatever the walk length: the
+    axis counts come one axis at a time by the chain rule,
+    c_a ~ Binomial(left, 1/(dim - a)) on the steps still unassigned, and
+    the plus steps on an axis as Binomial(c_a, 1/2).  A trial already
+    unbalanced on an earlier axis is dropped and draws nothing more; its
+    indicator is 0 whatever the later draws, so the law of ``hits`` is the
+    same.
+    """
     import numpy as np
 
     if trials < 1:
@@ -299,15 +311,12 @@ def simulate_walk(spec: WalkSpec, trials: int, seed: int,
         hits = 0
         while remaining:
             m = min(remaining, _CHUNK)
-            draws = rng.integers(0, 2 * dim, size=(m, steps), dtype=np.uint8)
-            sign = np.where(draws & 1, -1, 1).astype(np.int8)
-            axis = draws >> 1
-            at_origin = np.ones(m, dtype=bool)
-            for a in range(dim):
-                disp = np.where(axis == a, sign, 0).sum(axis=1,
-                                                        dtype=np.int64)
-                at_origin &= disp == 0
-            hits += int(np.count_nonzero(at_origin))
+            left = np.full(m, steps)  # steps not yet assigned to an axis
+            for a in range(dim - 1):
+                count = rng.binomial(left, 1.0 / (dim - a))
+                balanced = 2 * rng.binomial(count, 0.5) == count
+                left = (left - count)[balanced]
+            hits += int(np.count_nonzero(2 * rng.binomial(left, 0.5) == left))
             remaining -= m
         return hits
 
@@ -347,11 +356,18 @@ def simulate_beta_moment(dim: int, half_steps: int, trials: int, seed: int,
         squares: list[float] = []
         while remaining:
             m = min(remaining, _CHUNK)
-            uniforms = rng.random((m, dim))
-            variates = -np.cos(np.pi * uniforms)
-            sample = (variates.sum(axis=1) / dim) ** power
+            # -cos(pi U) in place: the same operations in the same order,
+            # so the same values, in one buffer
+            variates = rng.random((m, dim))
+            np.multiply(variates, np.pi, out=variates)
+            np.cos(variates, out=variates)
+            np.negative(variates, out=variates)
+            sample = variates.sum(axis=1)
+            sample /= dim
+            sample **= power
             sums.append(float(sample.sum()))
-            squares.append(float((sample * sample).sum()))
+            sample *= sample
+            squares.append(float(sample.sum()))
             remaining -= m
         return sums, squares
 

@@ -185,9 +185,10 @@ def test_verify_master_float_large_case_is_quick_and_inconclusive(capsys):
 def test_verify_master_float_violation_outranks_inconclusive(capsys,
                                                             monkeypatch):
     from betawalk import numeric
-    violated = numeric.FloatVerification(1.0, 2.0, 1.0, 0.5, 1.0, 1e-10, False)
+    violated = numeric.FloatVerification(1.0, 2.0, 1.0, 0.5, 1.0, 1e-10, False,
+                                         1e-15)
     inconclusive = numeric.FloatVerification(1.0, 2.0, 1.0, 0.5, 1e11, 1e-10,
-                                             False)
+                                             False, 1e-15)
     argv = ("verify", "master", "--coeffs", "1", "--p", "0.7", "--mode",
             "float", "--format", "json", "--n")
     monkeypatch.setattr(numeric, "verify_master_float",
@@ -198,6 +199,21 @@ def test_verify_master_float_violation_outranks_inconclusive(capsys,
         "violated", "inconclusive"]
     assert code == 1
     assert run_cli(capsys, *argv, "2")[0] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    # the rounding noise, 16 (n + k) 2^-53 * cond, reaches 1 at cond 3.75e24
+    ["--n", "25", "--coeffs", "1,1,1", "--tolerance", "1e-30"],
+    # relDiff / cond stays below 1.3e-17, inside the rounding noise
+    ["--n", "1..4", "--coeffs", "1,2,3", "--tolerance", "0"],
+])
+def test_verify_master_float_below_rounding_is_inconclusive(capsys, argv):
+    code, out, _ = run_cli(capsys, "verify", "master", *argv, "--p", "0.7",
+                           "--mode", "float", "--format", "json")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == 3
+    assert records and all(r["status"] == "inconclusive" for r in records)
+    assert not any(r["payload"]["passed"] for r in records)
 
 
 @pytest.mark.parametrize("argv", [
@@ -280,12 +296,20 @@ def test_simulate_beta(capsys):
 
 
 def test_simulate_statistical_failure_exit_code(capsys):
-    # two trials, both returning: estimate 1, stdError 0, |z| = inf
-    code, out, _ = run_cli(capsys, "simulate", "walk", "--dim", "1",
-                           "--n", "1", "--trials", "2", "--seed", "0",
-                           "--threads", "1")
-    assert code == 3
-    assert "z=inf" in out
+    # two trials of a return probability 1/2: an estimate of 0 or 1 has
+    # stdError 0 and |z| = inf (exit 3), an estimate of 1/2 has z = 0
+    # (exit 0); which seeds give which depends on the stream, so scan
+    argv = ("simulate", "walk", "--dim", "1", "--n", "1", "--trials", "2",
+            "--threads", "1", "--seed")
+    runs = {}
+    for seed in range(64):
+        code, out, _ = run_cli(capsys, *argv, str(seed))
+        z = out.split("z=")[1].split()[0]
+        runs.setdefault(z in ("inf", "-inf"), (code, z))
+        if len(runs) == 2:
+            break
+    assert runs[True][0] == 3
+    assert runs[False] == (0, "0.0")
 
 
 def test_simulate_usage_errors(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -110,6 +111,35 @@ def test_float_verdict_is_honest_against_the_exact_value(p_hundredths,
         exact = float(lhs_master(n, coeffs, Fraction(p_text)))
         assert abs(fv.lhs - exact) <= scaled * exact
         assert abs(fv.rhs - exact) <= scaled * exact
+
+
+def test_verify_master_float_rounding_floor():
+    fv = verify_master_float(1, [1.0, 2.0, 3.0], 0.7, tolerance=0.0)
+    assert fv.rounding_bound == 16 * (1 + 3) * 2.0 ** -53
+    assert 0 < fv.rel_diff <= fv.rounding_bound * fv.condition_number
+    assert fv.inconclusive and not fv.passed
+    # above the rounding floor the tolerance decides, as before
+    assert verify_master_float(1, [1.0, 2.0, 3.0], 0.7).passed
+    # a difference beyond tolerance and floor is a violation
+    fv = dataclasses.replace(fv, rel_diff=1e-10)
+    assert not fv.inconclusive and not fv.passed
+
+
+@settings(max_examples=60, deadline=None)
+@given(p_hundredths=st.integers(5, 550),
+       weights=st.lists(st.integers(1, 70), min_size=1, max_size=6),
+       n=st.integers(1, 40))
+def test_float_verdict_at_zero_tolerance_never_violated(p_hundredths,
+                                                         weights, n):
+    # the identity holds for the doubles as given, so at any tolerance a
+    # record is passed or inconclusive, never violated
+    coeffs = [w / 10 for w in weights]
+    try:
+        fv = verify_master_float(n, coeffs, p_hundredths / 100,
+                                 tolerance=0.0)
+    except ValueError:  # beyond the double range
+        return
+    assert fv.passed or fv.inconclusive
 
 
 def test_verify_master_float_validation():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,38 @@ def test_simulate_walk_determinism_and_fields():
     assert first.exact_reference == Fraction(1, 2)
     assert abs(first.z_score) < 4
     assert first.seed == 42 and first.workers == 3
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("dim, n", [(1, 5), (2, 100), (4, 50), (6, 3)])
+def test_simulate_walk_agrees_with_exact(dim, n, workers):
+    result = simulate_walk(WalkSpec(dim, n), 200_000, seed=dim * 1000 + n,
+                           workers=workers)
+    assert result.exact_reference == return_probability(dim, n)
+    assert abs(result.z_score) < 4
+
+
+def _peak_traced_bytes(fn) -> int:
+    fn()  # load numpy and warm every lazy table first
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_walk_chunk_memory_does_not_grow_with_steps():
+    # per-axis counts and signs only: no array has a dimension of 2n
+    peak = _peak_traced_bytes(
+        lambda: simulate_walk(WalkSpec(3, 100), 1 << 17, seed=1))
+    assert peak < 16 * 2 ** 20
+
+
+def test_simulate_beta_chunk_works_in_one_buffer():
+    peak = _peak_traced_bytes(
+        lambda: simulate_beta_moment(3, 10, 1 << 17, seed=1))
+    assert peak < 8 * 2 ** 20
 
 
 def test_simulate_walk_different_seed_differs():
