@@ -8,7 +8,9 @@ positive and negative steps on every axis, so with i_j round trips on axis j,
                                   of (2n)! / (i_1!^2 ... i_k!^2)
 
 computed here as an exact rational.  Two independent oracles back it up:
-exhaustive enumeration of every step sequence, and seeded Monte Carlo.  The
+an exhaustive count of every step sequence, and seeded Monte Carlo.  The
+count enumerates each sequence of n steps once, tallies where it ends, and
+pairs every first half ending at v with every second half ending at -v.  The
 walk sampler draws no path: it draws each walk's per-axis step counts,
 Multinomial(2n; 1/k, .., 1/k), and the plus steps on each axis,
 Binomial(count, 1/2), and the walk is home when every axis balances.  The
@@ -20,8 +22,11 @@ functions load neither numpy nor a thread pool.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from operator import neg
 from typing import Optional
 
 from .exact import binomial
@@ -193,63 +198,29 @@ def closed_form_2d(n: int) -> Fraction:
 
 def brute_force_return(dim: int, half_steps: int,
                        budget: int = DEFAULT_PATH_BUDGET) -> PathCount:
-    """Count closed paths by walking every one of the (2k)^2n sequences.
+    """Count closed paths over all (2k)^2n step sequences, half by half.
 
-    Each path is a base-(2k) digit string (digit d: axis d//2, direction
-    +1 for even d, -1 for odd) advanced odometer-style, so the per-axis
-    displacement is updated incrementally instead of being recomputed.
+    A path of 2n steps is a first half of n steps followed by a second
+    half of n steps, and it is closed exactly when the two halves'
+    displacement vectors cancel.  So each of the (2k)^n half sequences is
+    walked once (digit d: axis d//2, direction +1 for even d, -1 for odd),
+    N(v) counts the halves that end at v, and the closed paths number
+    sum_v N(v) N(-v).  ``budget`` bounds the full paths covered, (2k)^2n,
+    not the halves walked.
     """
     if dim < 1 or half_steps < 1:
         raise ValueError("dim and half_steps must be >= 1")
-    steps = 2 * half_steps
-    base = 2 * dim
-    total = base ** steps
+    total = (2 * dim) ** (2 * half_steps)
     if total > budget:
         raise PathBudgetError(total, budget)
 
-    digits = [0] * steps
-    disp = [0] * dim
-    disp[0] = steps  # all-zero digit string: every step is +1 along axis 0
-    zero_axes = dim - 1
-    hits = 0
-    for _ in range(total - 1):
-        if zero_axes == dim:
-            hits += 1
-        # odometer advance, displacement maintained per digit change
-        i = 0
-        while True:
-            d = digits[i]
-            axis = d >> 1
-            old = disp[axis]
-            new = old - 1 if d & 1 == 0 else old + 1  # undo step d
-            disp[axis] = new
-            if old == 0:
-                zero_axes -= 1
-            elif new == 0:
-                zero_axes += 1
-            d += 1
-            if d == base:
-                digits[i] = 0
-                old = disp[0]
-                disp[0] = old + 1  # apply step 0: +1 along axis 0
-                if old == 0:
-                    zero_axes -= 1
-                elif old == -1:
-                    zero_axes += 1
-                i += 1
-            else:
-                digits[i] = d
-                axis = d >> 1
-                old = disp[axis]
-                new = old + 1 if d & 1 == 0 else old - 1  # apply step d
-                disp[axis] = new
-                if old == 0:
-                    zero_axes -= 1
-                elif new == 0:
-                    zero_axes += 1
-                break
-    if zero_axes == dim:  # last path: all digits base-1
-        hits += 1
+    ends: Counter[tuple[int, ...]] = Counter()
+    for half in product(range(2 * dim), repeat=half_steps):
+        disp = [0] * dim
+        for d in half:
+            disp[d >> 1] += 1 if d & 1 == 0 else -1
+        ends[tuple(disp)] += 1
+    hits = sum(c * ends[tuple(map(neg, v))] for v, c in ends.items())
     return PathCount(hits, total)
 
 

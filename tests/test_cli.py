@@ -94,6 +94,26 @@ def test_oracle_budget_exceeded(capsys):
     assert str(6 ** 20) in err
 
 
+def test_oracle_budget_counts_full_paths(capsys):
+    # dim 2, 4 steps: 4^4 = 256 full paths, though only 16 halves are walked
+    code, out, _ = run_cli(capsys, "oracle", "--dim", "2", "--steps", "4",
+                           "--budget", "256")
+    assert code == 0
+    assert out == "36/256 match\n"
+
+    code, out, err = run_cli(capsys, "oracle", "--dim", "2", "--steps", "4",
+                             "--budget", "255")
+    assert code == 2
+    assert out == ""
+    assert "enumeration needs a budget of 256 paths (budget is 255)" in err
+
+
+def test_oracle_at_the_default_budget(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "--dim", "3", "--steps", "8")
+    assert code == 0
+    assert out.split() == ["44730/1679616", "match"]
+
+
 def test_verify_master_exact(capsys):
     code, out, _ = run_cli(capsys, "verify", "master", "--n", "1..4",
                            "--coeffs", "1/3,1/3,1/3", "--p", "1/2")

@@ -7,6 +7,7 @@ import pytest
 
 from betawalk.exact import binomial
 from betawalk.walks import (
+    DEFAULT_PATH_BUDGET,
     PathBudgetError,
     PathCount,
     WalkSpec,
@@ -100,10 +101,33 @@ def test_brute_force_examples():
     assert brute_force_return(3, 2) == PathCount(90, 1296)
 
 
+def _cases_within(budget):
+    """Every (dim, n) whose (2 dim)^(2n) full paths fit in budget."""
+    return [(dim, n) for dim in range(1, math.isqrt(budget) // 2 + 1)
+            for n in itertools.takewhile(
+                lambda n: (2 * dim) ** (2 * n) <= budget, itertools.count(1))]
+
+
 def test_brute_force_matches_product_space_oracle():
-    for dim, half in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]:
+    cases = _cases_within(65536)
+    assert len(cases) == 145 and max(cases) == (128, 1)
+    for dim, half in cases:
         expected = product_space_oracle(dim, half)
-        assert brute_force_return(dim, half).count == expected
+        assert brute_force_return(dim, half).count == expected, (dim, half)
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_brute_force_at_the_budget_edge(dim):
+    n = max(n for d, n in _cases_within(DEFAULT_PATH_BUDGET) if d == dim)
+    assert brute_force_return(dim, n) == path_count(dim, n)
+    with pytest.raises(PathBudgetError):
+        brute_force_return(dim, n + 1)
+
+
+def test_brute_force_wide_dimension():
+    # 2000 half sequences of 1000-axis displacements, 4e6 full paths
+    assert (brute_force_return(1000, 1, budget=4_000_000)
+            == path_count(1000, 1))
 
 
 def test_brute_force_agrees_with_closed_sum():
