@@ -3,8 +3,12 @@
 Data records go to standard output (one per line; plain, JSON-lines, or
 CSV), all human-readable decoration (banners, timing) goes to standard
 error, so the tool composes in pipelines.  Exit codes: 0 success,
-1 exact-identity violation or oracle mismatch, 2 usage error,
-3 statistical-tolerance failure, or a float check that doubles cannot decide.
+1 exact-identity violation or oracle mismatch, 2 usage error (a bad
+argument, or an input the library rejects: a path budget too small, a
+float result beyond the double range, an exact value too long to print),
+3 statistical-tolerance failure, or a float check that doubles cannot
+decide, 70 internal error (any other exception, reported as one
+``betawalk: internal error: ...`` line).
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from typing import Iterable, NamedTuple, Optional
 # Handlers import their library layers, and the emitter its serializer, when
 # they run, so a command loads only what it uses: without cached bytecode each
 # module loaded is compiled from source at every start.
-from .render import DEFAULT_PATH_BUDGET, SERIES_VARIANTS, decimal15, fraction_str
+from .render import (DEFAULT_PATH_BUDGET, SERIES_VARIANTS, InputError,
+                     decimal15, fraction_str)
 
 Z_LIMIT = 4.0
 
@@ -30,6 +35,7 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 EXIT_STATISTICAL = 3
+EXIT_INTERNAL = 70  # EX_SOFTWARE in sysexits.h
 
 
 class UsageError(ValueError):
@@ -356,11 +362,8 @@ def _cmd_oracle(args) -> Output:
     if args.steps < 1 or args.steps % 2:
         raise UsageError("oracle needs a positive even --steps")
     half = args.steps // 2
-    from .walks import PathBudgetError, brute_force_return, return_probability
-    try:
-        pc = brute_force_return(args.dim, half, budget=args.budget)
-    except PathBudgetError as exc:
-        raise UsageError(str(exc)) from None
+    from .walks import brute_force_return, return_probability
+    pc = brute_force_return(args.dim, half, budget=args.budget)
     expected = return_probability(args.dim, half)
     matches = pc.probability == expected
     out = Emitter(args.format, "oracle",
@@ -612,9 +615,13 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
     args = parser.parse_args(argv if argv is None else list(argv))
     try:
         out, records = args.handler(args)
-    except ValueError as exc:  # UsageError and the library's own rejections
+    except (UsageError, InputError) as exc:
         print(f"betawalk: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a fault of the program, not of the input
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"betawalk: internal error: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
     for record in records:
         out.emit(record)
     statuses = {record.status for record in records}

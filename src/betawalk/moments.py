@@ -43,6 +43,7 @@ from .exact import (
     beta_half,
     factorial,
 )
+from .render import InputError
 
 __all__ = [
     "CoefficientVector",
@@ -71,9 +72,9 @@ class CoefficientVector:
     def __post_init__(self) -> None:
         cs = tuple(as_fraction(c) for c in self.coeffs)
         if not cs:
-            raise ValueError("at least one coefficient is required")
+            raise InputError("at least one coefficient is required")
         if any(c <= 0 for c in cs):
-            raise ValueError("coefficients must be strictly positive")
+            raise InputError("coefficients must be strictly positive")
         object.__setattr__(self, "coeffs", cs)
         object.__setattr__(self, "total", sum(cs, Fraction(0)))
 
@@ -126,7 +127,7 @@ def _shape(p) -> Fraction:
     """The beta shape as an exact rational; any p > 0 is accepted."""
     p = as_fraction(p)
     if not p > 0:
-        raise ValueError("p must be > 0")
+        raise InputError("p must be > 0")
     return p
 
 
@@ -151,7 +152,7 @@ def _even_moments(p: Fraction, count: int) -> list[Fraction]:
 def even_moment(n: int, p) -> PiRational:
     """E[U^(2n)] = (1/2)_n / (p + 1/2)_n, exactly (sqrt(pi) exponent 0)."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InputError("n must be >= 1")
     return PiRational(_even_moments(_shape(p), n + 1)[n])
 
 
@@ -206,14 +207,14 @@ def _rhs(n: int, coeffs: Sequence[Fraction], p: Fraction) -> Fraction:
 def lhs_master(n: int, coeffs, p) -> PiRational:
     """E[(sum c_i U_i)^(2n)] by the raw (alternating) expansion."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InputError("n must be >= 1")
     return PiRational(_lhs(n, CoefficientVector.of(coeffs).coeffs, _shape(p)))
 
 
 def rhs_master(n: int, coeffs, p) -> PiRational:
     """E[(sum c_i U_i)^(2n)] by the even-moment expansion."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InputError("n must be >= 1")
     return PiRational(_rhs(n, CoefficientVector.of(coeffs).coeffs, _shape(p)))
 
 
@@ -259,7 +260,7 @@ def verify_equal_coeff_form(n: int, k: int, p) -> IdentityReport:
     {1/4, 1, 7/3}; the weight-1 check is the base call itself.
     """
     if n < 1 or k < 1:
-        raise ValueError("n and k must be >= 1")
+        raise InputError("n and k must be >= 1")
     half = HalfInt.of(p)
     p = half.as_fraction()
     start = time.perf_counter()

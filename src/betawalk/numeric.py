@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import binomial
-from .render import SERIES_VARIANTS
+from .render import SERIES_VARIANTS, InputError
 
 __all__ = [
     "FloatVerification",
@@ -110,15 +110,15 @@ def verify_master_float(n: int, coeffs: Sequence[float], p: float,
     Valid for any real p > 0 and positive weights.  A failed or
     inconclusive comparison is a report, not an exception; a side beyond
     the double range (overflow, or an rhs below the smallest normal double)
-    raises ValueError.
+    raises InputError.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InputError("n must be >= 1")
     if not p > 0:
-        raise ValueError("p must be > 0")
+        raise InputError("p must be > 0")
     coeffs = [float(c) for c in coeffs]
     if not coeffs or any(not c > 0 for c in coeffs):
-        raise ValueError("coefficients must be positive")
+        raise InputError("coefficients must be positive")
     degrees = range(2 * n + 1)
     try:
         c_total = math.fsum(coeffs)
@@ -135,10 +135,10 @@ def verify_master_float(n: int, coeffs: Sequence[float], p: float,
         if not all(map(math.isfinite, (lhs, mass, rhs))):
             raise OverflowError
     except (OverflowError, ValueError):  # fsum's ValueError is inf - inf
-        raise ValueError(f"float evaluation at n={n} exceeds the double "
+        raise InputError(f"float evaluation at n={n} exceeds the double "
                          "range (overflow)") from None
     if rhs < sys.float_info.min:
-        raise ValueError(f"float evaluation at n={n} exceeds the double "
+        raise InputError(f"float evaluation at n={n} exceeds the double "
                          "range (underflow)")
 
     abs_diff = abs(lhs - rhs)
@@ -216,7 +216,7 @@ def _ratio_divisor(variant: str, k: int) -> int:
         return k + 1
     if variant == "over-k-factorial-squared":
         return (k + 1) * (k + 1)
-    raise ValueError(f"unknown series variant {variant!r}; "
+    raise InputError(f"unknown series variant {variant!r}; "
                      f"expected one of {SERIES_VARIANTS}")
 
 
@@ -232,9 +232,9 @@ def evaluate_series(n: int, variant: str, max_terms: int = 10 ** 6,
     converged=False; it never raises.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise InputError("n must be >= 0")
     if max_terms < 1:
-        raise ValueError("max_terms must be >= 1")
+        raise InputError("max_terms must be >= 1")
     _ratio_divisor(variant, 0)  # validate the name eagerly
 
     terms: list[float] = []

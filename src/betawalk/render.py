@@ -1,9 +1,10 @@
 """Leaf helpers shared by the CLI and the library.
 
-Serialization of exact rationals and 15-digit decimals, and the two values
-the CLI parser shows as defaults or choices.  This module imports nothing
-from the package, so the parser is built without loading a library layer;
-``walks`` and ``numeric`` re-export the constants under their old names.
+Serialization of exact rationals and 15-digit decimals, the two values
+the CLI parser shows as defaults or choices, and the error the library
+raises for an input it rejects.  This module imports nothing from the
+package, so the parser is built without loading a library layer; ``walks``
+and ``numeric`` re-export the constants under their old names.
 """
 
 from __future__ import annotations
@@ -16,9 +17,27 @@ DEFAULT_PATH_BUDGET = 10_000_000
 SERIES_VARIANTS = ("printed", "over-k-factorial", "over-k-factorial-squared")
 
 
+class InputError(ValueError):
+    """An input the library documents as out of its range.
+
+    ``moments``, ``numeric`` and ``walks`` raise it for a bad argument, a
+    path budget that is too small and a float result beyond the double
+    range; ``fraction_str`` for an exact value too long to print.  The CLI
+    reports it as a usage error; any other exception is an internal fault.
+    """
+
+
 def fraction_str(value: Fraction) -> str:
-    """Canonical "numerator/denominator" form, denominator always present."""
-    return f"{value.numerator}/{value.denominator}"
+    """Canonical "numerator/denominator" form, denominator always present.
+
+    A part longer than Python's int-to-str limit
+    (``sys.get_int_max_str_digits()``) raises InputError with Python's
+    message: the value is exact but too long to print.
+    """
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def decimal15(value) -> str:

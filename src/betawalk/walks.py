@@ -13,8 +13,11 @@ count enumerates each sequence of n steps once, tallies where it ends, and
 pairs every first half ending at v with every second half ending at -v.  The
 walk sampler draws no path: it draws each walk's per-axis step counts,
 Multinomial(2n; 1/k, .., 1/k), and the plus steps on each axis,
-Binomial(count, 1/2), and the walk is home when every axis balances.  The
-beta sampler draws the matching arcsine-beta moment.  Only the Monte Carlo
+Binomial(count, 1/2), and the walk is home when every axis balances.  A
+Binomial(c, 1/2) draw with c <= 64 is a fair-coin count, the ones among c
+bits of one raw 64-bit Philox word; a draw call in which some c exceeds 64
+uses numpy's binomial instead, which is constant time per draw.  The beta
+sampler draws the matching arcsine-beta moment.  Only the Monte Carlo
 functions use numpy, and they import it when they run, so the exact
 functions load neither numpy nor a thread pool.
 """
@@ -30,7 +33,7 @@ from operator import neg
 from typing import Optional
 
 from .exact import binomial
-from .render import DEFAULT_PATH_BUDGET, decimal15, fraction_str
+from .render import DEFAULT_PATH_BUDGET, InputError, decimal15, fraction_str
 
 __all__ = [
     "WalkSpec",
@@ -51,7 +54,7 @@ __all__ = [
 _CHUNK = 1 << 17  # simulation draw block; fixed so chunked sums are stable
 
 
-class PathBudgetError(ValueError):
+class PathBudgetError(InputError):
     """Exhaustive enumeration would exceed the path budget."""
 
     def __init__(self, required: int, budget: int):
@@ -72,9 +75,9 @@ class WalkSpec:
 
     def __post_init__(self) -> None:
         if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
+            raise InputError("dimension must be >= 1")
         if self.half_steps < 1:
-            raise ValueError("half_steps must be >= 1")
+            raise InputError("half_steps must be >= 1")
 
     @property
     def step_probability(self) -> Fraction:
@@ -150,7 +153,7 @@ def path_count(dim: int, half_steps: int) -> PathCount:
     which is O(dim * n^2) instead of one term per composition.
     """
     if dim < 1 or half_steps < 1:
-        raise ValueError("dim and half_steps must be >= 1")
+        raise InputError("dim and half_steps must be >= 1")
     n = half_steps
     t = [1] * (n + 1)
     if dim > 1:  # T_1 needs no table; building it would cost O(n^2) bigints
@@ -170,23 +173,23 @@ def return_probability(dim: int, half_steps: int) -> Fraction:
 def return_probability_odd(dim: int, steps: int) -> Fraction:
     """After an odd number of steps the walk cannot be at the origin."""
     if steps < 1 or steps % 2 == 0:
-        raise ValueError("steps must be a positive odd integer")
+        raise InputError("steps must be a positive odd integer")
     if dim < 1:
-        raise ValueError("dim must be >= 1")
+        raise InputError("dim must be >= 1")
     return Fraction(0)
 
 
 def closed_form_1d(n: int) -> Fraction:
     """C(2n, n) / 4^n."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InputError("n must be >= 1")
     return Fraction(binomial(2 * n, n), 4 ** n)
 
 
 def closed_form_2d(n: int) -> Fraction:
     """C(2n, n)^2 / 4^(2n), the planar reduction via Vandermonde."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InputError("n must be >= 1")
     central = binomial(2 * n, n)
     return Fraction(central * central, 4 ** (2 * n))
 
@@ -209,7 +212,7 @@ def brute_force_return(dim: int, half_steps: int,
     not the halves walked.
     """
     if dim < 1 or half_steps < 1:
-        raise ValueError("dim and half_steps must be >= 1")
+        raise InputError("dim and half_steps must be >= 1")
     total = (2 * dim) ** (2 * half_steps)
     if total > budget:
         raise PathBudgetError(total, budget)
@@ -246,6 +249,38 @@ def _worker_counts(trials: int, workers: int) -> list[int]:
     return [len(range(i, trials, workers)) for i in range(workers)]
 
 
+def _fair_coin_counts(rng, counts):
+    """Binomial(c, 1/2) for each c in ``counts``: heads among c fair coins.
+
+    The coins are the top c bits of one raw 64-bit word per draw (a shift
+    by 64 leaves 0, so c = 0 counts nothing).  A call in which some c
+    exceeds 64 draws numpy's binomial instead of several words per draw.
+    """
+    import numpy as np
+
+    if counts.size and int(counts.max()) > 64:
+        return rng.binomial(counts, 0.5)
+    words = rng.bit_generator.random_raw(counts.size)
+    words >>= (64 - counts).astype(np.uint64)
+    return np.bitwise_count(words)
+
+
+def _power_by_squaring(base, exponent: int, out):
+    """Write base ** exponent into ``out`` by square-and-multiply.
+
+    ``base`` is squared in place; ``out`` starts at 1, and 1 * x is exact,
+    so exponent 2 gives x * x bit for bit.
+    """
+    out.fill(1.0)
+    while exponent:
+        if exponent & 1:
+            out *= base
+        exponent >>= 1
+        if exponent:
+            base *= base
+    return out
+
+
 def _run_workers(fn, workers: int) -> list:
     if workers == 1:
         return [fn(0)]
@@ -265,14 +300,17 @@ def simulate_walk(spec: WalkSpec, trials: int, seed: int,
     the plus steps on an axis as Binomial(c_a, 1/2).  A trial already
     unbalanced on an earlier axis is dropped and draws nothing more; its
     indicator is 0 whatever the later draws, so the law of ``hits`` is the
-    same.
+    same.  Every Binomial(c, 1/2) -- the plus steps, and the axis count
+    when two axes are left -- counts the ones among c bits of one raw
+    64-bit word; a draw call with some c above 64 (a long walk) uses
+    numpy's binomial for that call.
     """
     import numpy as np
 
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InputError("trials must be >= 1")
     if workers < 1:
-        raise ValueError("workers must be >= 1")
+        raise InputError("workers must be >= 1")
     dim, steps = spec.dimension, 2 * spec.half_steps
     counts = _worker_counts(trials, workers)
 
@@ -284,10 +322,12 @@ def simulate_walk(spec: WalkSpec, trials: int, seed: int,
             m = min(remaining, _CHUNK)
             left = np.full(m, steps)  # steps not yet assigned to an axis
             for a in range(dim - 1):
-                count = rng.binomial(left, 1.0 / (dim - a))
-                balanced = 2 * rng.binomial(count, 0.5) == count
+                count = (_fair_coin_counts(rng, left) if dim - a == 2
+                         else rng.binomial(left, 1.0 / (dim - a)))
+                balanced = 2 * _fair_coin_counts(rng, count) == count
                 left = (left - count)[balanced]
-            hits += int(np.count_nonzero(2 * rng.binomial(left, 0.5) == left))
+            hits += int(np.count_nonzero(
+                2 * _fair_coin_counts(rng, left) == left))
             remaining -= m
         return hits
 
@@ -306,17 +346,18 @@ def simulate_beta_moment(dim: int, half_steps: int, trials: int, seed: int,
 
     Each variate is V = -cos(pi W) with W uniform on (0, 1) -- the exact
     inverse CDF of the centered arcsine law, one uniform and one cosine per
-    draw.  The estimate averages ((V_1+..+V_k)/k)^(2n); chunk sums merge
-    through math.fsum, which is exact compensated summation.
+    draw.  The estimate averages ((V_1+..+V_k)/k)^(2n), the power taken by
+    repeated squaring; chunk sums merge through math.fsum, which is exact
+    compensated summation.
     """
     import numpy as np
 
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InputError("trials must be >= 1")
     if workers < 1:
-        raise ValueError("workers must be >= 1")
+        raise InputError("workers must be >= 1")
     if dim < 1 or half_steps < 1:
-        raise ValueError("dim and half_steps must be >= 1")
+        raise InputError("dim and half_steps must be >= 1")
     power = 2 * half_steps
     counts = _worker_counts(trials, workers)
 
@@ -335,7 +376,9 @@ def simulate_beta_moment(dim: int, half_steps: int, trials: int, seed: int,
             np.negative(variates, out=variates)
             sample = variates.sum(axis=1)
             sample /= dim
-            sample **= power
+            # the consumed variate block holds the power
+            sample = _power_by_squaring(sample, power,
+                                        variates.reshape(-1)[:m])
             sums.append(float(sample.sum()))
             sample *= sample
             squares.append(float(sample.sum()))

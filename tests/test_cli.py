@@ -492,6 +492,75 @@ def test_threads_below_one_is_a_usage_error(capsys, monkeypatch):
             assert "--threads" in err
 
 
+def test_internal_fault_exits_70_with_one_line(capsys, monkeypatch):
+    from betawalk import walks
+
+    # a ValueError the library did not raise on purpose is not a usage error
+    def fault(dim, half_steps):
+        raise ValueError("math domain error\nsecond line")
+
+    monkeypatch.setattr(walks, "path_count", fault)
+    code, out, err = run_cli(capsys, "compute", "path-count",
+                             "--dim", "2", "--steps", "4")
+    assert code == 70
+    assert out == ""
+    assert err == ("betawalk: internal error: ValueError: math domain error "
+                   "second line\n")
+
+    monkeypatch.setattr(walks, "return_probability",
+                        lambda dim, half_steps: 1 // 0)
+    code, out, err = run_cli(capsys, "compute", "return-prob",
+                             "--dim", "2", "--steps", "4")
+    assert code == 70
+    assert out == ""
+    assert err == ("betawalk: internal error: ZeroDivisionError: "
+                   "integer division or modulo by zero\n")
+
+
+def test_rejected_inputs_keep_exit_2_and_their_message(capsys):
+    from betawalk.render import InputError
+    from betawalk.walks import PathBudgetError
+
+    assert issubclass(PathBudgetError, InputError)
+    # each of these passes the CLI's own checks and is rejected by the
+    # library with an InputError
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for argv, message in (
+            (["oracle", "--dim", "2", "--steps", "4", "--budget", "255"],
+             "enumeration needs a budget of 256 paths (budget is 255)"),
+            (["verify", "master", "--n", "200", "--coeffs", "1000",
+              "--p", "1/2", "--mode", "float"],
+             "float evaluation at n=200 exceeds the double range "
+             "(overflow)"),
+            (["verify", "master", "--n", "60", "--coeffs", "1/1000",
+              "--p", "1/2", "--mode", "float"],
+             "float evaluation at n=60 exceeds the double range "
+             "(underflow)"),
+            (["compute", "path-count", "--dim", "1", "--steps", "15000"],
+             "Exceeds the limit (4300 digits) for integer string "
+             "conversion"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith(f"betawalk: error: {message}"), argv
+            assert err.count("\n") == 1, argv
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_cli_checks_keep_exit_2_and_their_message(capsys):
+    # the CLI rejects these as UsageError before the library is called
+    for argv, message in (
+        (["verify", "master", "--n", "2", "--coeffs", "0", "--p", "1/2"],
+         "coefficients must be positive"),
+        (["compute", "moment", "--n", "0", "--p", "1/2"], "n must be >= 1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"betawalk: error: {message}\n")
+
+
 def test_closed_stdout_pipe_ends_without_traceback(tmp_path):
     # the JSON catalog run writes more than a pipe buffer holds, so the
     # process is still writing when the reader goes away

@@ -142,3 +142,21 @@ def test_exact_commands_do_not_load_numpy():
     assert report["import"] == []
     assert report["exact"] == []
     assert "numpy" in report["simulate"]
+
+
+POOL_LOADED = """
+import contextlib, io, json, sys
+from betawalk import cli
+
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    for kind in ("walk", "beta"):
+        assert cli.main(["simulate", kind, "--dim", "3", "--n", "10",
+                         "--trials", "1000", "--seed", "1",
+                         "--threads", "1"]) == 0, kind
+print(json.dumps("concurrent.futures" in sys.modules))
+"""
+
+
+def test_single_worker_simulations_load_no_thread_pool():
+    assert run_fresh(POOL_LOADED) is False

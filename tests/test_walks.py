@@ -3,9 +3,11 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from betawalk.exact import binomial
+from betawalk.render import InputError
 from betawalk.walks import (
     DEFAULT_PATH_BUDGET,
     PathBudgetError,
@@ -19,6 +21,9 @@ from betawalk.walks import (
     return_probability_odd,
     simulate_beta_moment,
     simulate_walk,
+    _fair_coin_counts,
+    _power_by_squaring,
+    _worker_rng,
 )
 
 from compositions import weak_compositions
@@ -162,8 +167,11 @@ def test_walk_spec_validation():
         WalkSpec(0, 1)
     with pytest.raises(ValueError):
         WalkSpec(1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as excinfo:
         PathCount(5, 4)
+    # the CLI builds a PathCount only from computed counts, so a broken
+    # invariant is a fault of the program, not a rejected input
+    assert not isinstance(excinfo.value, InputError)
 
 
 def test_simulate_walk_determinism_and_fields():
@@ -182,8 +190,11 @@ def test_simulate_walk_determinism_and_fields():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("dim, n", [(1, 5), (2, 100), (4, 50), (6, 3)])
+@pytest.mark.parametrize("dim, n", [(1, 5), (2, 100), (4, 50), (6, 3),
+                                    (3, 10), (2, 40)])
 def test_simulate_walk_agrees_with_exact(dim, n, workers):
+    # (2, 40): the 80-step axis split takes numpy's binomial, the plus
+    # steps (Binomial(80, 1/2) tops 64 with odds 7e-9) take coin counts
     result = simulate_walk(WalkSpec(dim, n), 200_000, seed=dim * 1000 + n,
                            workers=workers)
     assert result.exact_reference == return_probability(dim, n)
@@ -207,10 +218,74 @@ def test_simulate_walk_chunk_memory_does_not_grow_with_steps():
     assert peak < 16 * 2 ** 20
 
 
+def test_simulate_walk_chunk_draws_no_word_or_step_matrix():
+    # one raw word per coin count: no (trials x words) or (trials x 2n) array
+    peak = _peak_traced_bytes(
+        lambda: simulate_walk(WalkSpec(3, 10), 1 << 17, seed=1))
+    assert peak < 8 * 2 ** 20
+
+
 def test_simulate_beta_chunk_works_in_one_buffer():
     peak = _peak_traced_bytes(
         lambda: simulate_beta_moment(3, 10, 1 << 17, seed=1))
     assert peak < 8 * 2 ** 20
+
+
+def _twin_streams(seed=2024):
+    return _worker_rng(seed, 0), _worker_rng(seed, 0)
+
+
+@pytest.mark.parametrize("c", [0, 1, 2, 63, 64])
+def test_fair_coin_count_has_the_binomial_law(c):
+    draws = 200_000
+    counts = _fair_coin_counts(_worker_rng(c, 0), np.full(draws, c))
+    if c == 0:
+        assert not counts.any()
+        return
+    observed = np.bincount(counts, minlength=c + 1)
+    expected = [draws * math.comb(c, k) / 2 ** c for k in range(c + 1)]
+    # pool each tail until its expected count reaches 5
+    lo, hi = 0, c
+    while sum(expected[:lo + 1]) < 5:
+        lo += 1
+    while sum(expected[hi:]) < 5:
+        hi -= 1
+    pairs = ([(observed[:lo + 1].sum(), sum(expected[:lo + 1]))]
+             + [(observed[k], expected[k]) for k in range(lo + 1, hi)]
+             + [(observed[hi:].sum(), sum(expected[hi:]))])
+    chi2 = sum((o - e) ** 2 / e for o, e in pairs)
+    df = len(pairs) - 1
+    assert chi2 < df + 6 * math.sqrt(2 * df), (c, chi2, df)
+
+
+@pytest.mark.parametrize("c", [1, 2, 63, 64])
+def test_fair_coin_count_is_the_top_bits_of_one_word(c):
+    rng, twin = _twin_streams()
+    words = twin.bit_generator.random_raw(1000)
+    expected = [bin(int(w) >> (64 - c)).count("1") for w in words]
+    assert _fair_coin_counts(rng, np.full(1000, c)).tolist() == expected
+    # both streams stand at the same place afterwards
+    assert rng.random() == twin.random()
+
+
+def test_fair_coin_count_above_64_is_numpys_binomial():
+    rng, twin = _twin_streams()
+    counts = np.array([65, 3, 0, 64])
+    assert (_fair_coin_counts(rng, counts).tolist()
+            == twin.binomial(counts, 0.5).tolist())
+    assert rng.random() == twin.random()
+
+
+def test_power_by_squaring_matches_numpy_power():
+    x = -np.cos(np.pi * _worker_rng(5, 0).random((1 << 14, 3))).mean(axis=1)
+    square = _power_by_squaring(x.copy(), 2, np.empty_like(x))
+    assert np.array_equal(square, x * x)
+    for power in range(2, 201, 2):
+        got = _power_by_squaring(x.copy(), power, np.empty_like(x))
+        ulps = np.abs(got - np.power(x, power)) / np.spacing(
+            np.abs(np.power(x, power)))
+        # power - 1 roundings of a product tree, plus one of libm's pow
+        assert ulps.max() <= power, power
 
 
 def test_simulate_walk_different_seed_differs():
