@@ -18,15 +18,15 @@ from importlib import import_module
 _EXPORTS = {
     "catalog": ("CATALOG", "CatalogEntry", "entries", "run_entry"),
     "exact": ("HalfInt", "PiRational", "as_fraction", "beta_half", "binomial",
-              "factorial", "gamma_half", "multinomial", "pochhammer"),
+              "factorial", "gamma_half"),
     "moments": ("CoefficientVector", "IdentityReport", "even_moment",
-                "lhs_master", "odd_moment", "rhs_master",
-                "verify_equal_coeff_form", "verify_master"),
+                "lhs_master", "rhs_master", "verify_equal_coeff_form",
+                "verify_master"),
     "numeric": ("FloatVerification", "SeriesEvaluation", "evaluate_series",
                 "verify_master_float"),
     "walks": ("PathBudgetError", "PathCount", "SimulationResult", "WalkSpec",
-              "brute_force_return", "closed_form_1d", "closed_form_2d",
-              "path_count", "return_probability", "return_probability_odd",
+              "brute_force_return", "closed_form_2d", "path_count",
+              "path_count_odd", "return_probability", "return_probability_odd",
               "simulate_beta_moment", "simulate_walk"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

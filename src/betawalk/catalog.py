@@ -10,9 +10,8 @@ substituted; reports and the CLI flag every correction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .exact import HalfInt, PiRational, beta_half, binomial, factorial, gamma_half
 from .moments import UPPER_LIMIT_NOTE, IdentityReport, _series_coefficient, rhs_master
@@ -34,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """One named identity with its verifier and declared range.
 
     Entries whose variant is "corrected" always carry the stated form's

@@ -4,8 +4,9 @@ Data records go to standard output (one per line; plain, JSON-lines, or
 CSV), all human-readable decoration (banners, timing) goes to standard
 error, so the tool composes in pipelines.  Exit codes: 0 success,
 1 exact-identity violation or oracle mismatch, 2 usage error (a bad
-argument, or an input the library rejects: a path budget too small, a
-float result beyond the double range, an exact value too long to print),
+argument, or an input the library rejects: a path or work budget too small,
+a walk length beyond int64, a float result beyond the double range, an
+exact value too long to print),
 3 statistical-tolerance failure, or a float check that doubles cannot
 decide, 70 internal error (any other exception, reported as one
 ``betawalk: internal error: ...`` line).
@@ -308,7 +309,7 @@ def _cmd_compute(args) -> Output:
         if args.dim < 1:
             raise UsageError("dim must be >= 1")
         half, odd = _even_steps(args)
-        from .walks import (PathCount, path_count, return_probability,
+        from .walks import (path_count, path_count_odd, return_probability,
                             return_probability_odd)
         params = {"dim": args.dim, "steps": args.steps}
         if args.what == "return-prob":
@@ -321,18 +322,16 @@ def _cmd_compute(args) -> Output:
                           "{probability} {decimal}")
             return out, [Record(params, payload, "ok",
                                 dict(params, **payload))]
-        if odd:  # no closed path of odd length exists
-            pc = PathCount(0, (2 * args.dim) ** args.steps)
-        else:
-            pc = path_count(args.dim, half)
+        pc = (path_count_odd(args.dim, args.steps) if odd
+              else path_count(args.dim, half))
+        payload = pc.to_json_obj()  # every integer is rendered here
         out = Emitter(args.format, "compute path-count",
                       ["dim", "steps", "count", "total_paths", "probability",
                        "decimal"],
                       "{count}/{total_paths} {decimal}")
-        return out, [Record(params, pc, "ok", dict(
-            params, count=pc.count, total_paths=pc.total_paths,
-            probability=fraction_str(pc.probability),
-            decimal=decimal15(pc.probability)))]
+        return out, [Record(params, payload, "ok", dict(
+            params, count=payload["count"], total_paths=payload["totalPaths"],
+            probability=payload["probability"], decimal=payload["decimal"]))]
 
     # moment
     if args.n is None or args.p is None:

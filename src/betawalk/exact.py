@@ -10,10 +10,9 @@ has the exact shape q * pi^(e/2) with q rational and e an integer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import NamedTuple, Union
 
 RationalLike = Union[int, Fraction, str]
 
@@ -22,10 +21,7 @@ __all__ = [
     "PiRational",
     "as_fraction",
     "factorial",
-    "set_factorial_cache_limit",
     "binomial",
-    "multinomial",
-    "pochhammer",
     "gamma_half",
     "beta_half",
 ]
@@ -48,20 +44,11 @@ def as_fraction(value: RationalLike) -> Fraction:
 
 # grown by unlocked appends: every exact computation runs on one thread
 _fact_table: list[int] = [1, 1]
-_fact_cap = 100_000  # max table entries; larger arguments fall through
-
-
-def set_factorial_cache_limit(entries: int) -> None:
-    """Bound the factorial memo table (entries, not bytes)."""
-    global _fact_cap
-    if entries < 1:
-        raise ValueError("cache limit must be at least 1")
-    _fact_cap = entries
-    del _fact_table[entries:]
+_fact_cap = 100_000  # max table entries; larger arguments use math.factorial
 
 
 def factorial(n: int) -> int:
-    """n! exactly, memoized up to the configured table cap."""
+    """n! exactly, memoized below the table cap."""
     if n < 0:
         raise ValueError("factorial of a negative integer")
     if n >= _fact_cap:
@@ -85,40 +72,16 @@ def binomial(n: int, k: int) -> int:
     return factorial(n) // (factorial(k) * factorial(n - k))
 
 
-def multinomial(n: int, parts: Sequence[int]) -> int:
-    """n! / (parts[0]! * parts[1]! * ...) for a composition of n."""
-    total = 0
-    for p in parts:
-        if p < 0:
-            raise ValueError("multinomial parts must be non-negative")
-        total += p
-    if total != n:
-        raise ValueError(f"parts sum to {total}, expected {n}")
-    result = factorial(n)
-    for p in parts:
-        result //= factorial(p)
-    return result
-
-
-def pochhammer(a: RationalLike, m: int) -> Fraction:
-    """Rising factorial a(a+1)...(a+m-1); 1 when m = 0."""
-    if m < 0:
-        raise ValueError("pochhammer requires m >= 0")
-    a = as_fraction(a)
-    result = Fraction(1)
-    for i in range(m):
-        result *= a + i
-    return result
-
-
 # ---------------------------------------------------------------------------
 # half-integers
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class HalfInt:
-    """A number m/2 for integer m, stored as the doubled value m."""
+class HalfInt(NamedTuple):
+    """A number m/2 for integer m, stored as the doubled value m.
+
+    Ordered, compared and hashed as the one-field tuple (m,).
+    """
 
     doubled: int
 
@@ -151,6 +114,11 @@ class HalfInt:
 
     __radd__ = __add__
 
+    def __mul__(self, other):  # defined, so a tuple repeat never applies
+        return NotImplemented
+
+    __rmul__ = __mul__
+
     def __str__(self) -> str:
         return str(self.as_fraction())
 
@@ -160,8 +128,12 @@ class HalfInt:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PiRational:
+class _PiRationalFields(NamedTuple):
+    coeff: Fraction
+    sqrt_pi_pow: int = 0
+
+
+class PiRational(_PiRationalFields):
     """An exact value coeff * pi^(sqrt_pi_pow / 2).
 
     The exponent is kept in units of sqrt(pi) because Gamma(1/2) = sqrt(pi)
@@ -171,14 +143,12 @@ class PiRational:
     would leave the exact closure and raises.
     """
 
-    coeff: Fraction
-    sqrt_pi_pow: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.coeff, Fraction):
-            object.__setattr__(self, "coeff", as_fraction(self.coeff))
-        if self.coeff == 0 and self.sqrt_pi_pow != 0:
-            object.__setattr__(self, "sqrt_pi_pow", 0)
+    def __new__(cls, coeff: RationalLike, sqrt_pi_pow: int = 0):
+        if not isinstance(coeff, Fraction):
+            coeff = as_fraction(coeff)
+        return tuple.__new__(cls, (coeff, sqrt_pi_pow if coeff else 0))
 
     @classmethod
     def of(cls, value: Union["PiRational", RationalLike]) -> "PiRational":

@@ -31,9 +31,8 @@ is a pure function.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .exact import (
     HalfInt,
@@ -49,7 +48,6 @@ __all__ = [
     "CoefficientVector",
     "IdentityReport",
     "even_moment",
-    "odd_moment",
     "lhs_master",
     "rhs_master",
     "verify_master",
@@ -62,21 +60,26 @@ UPPER_LIMIT_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class CoefficientVector:
-    """Strictly positive rational weights c_1..c_k with their cached sum."""
-
+class _CoefficientFields(NamedTuple):
     coeffs: tuple[Fraction, ...]
-    total: Fraction = field(init=False)
+    total: Fraction
 
-    def __post_init__(self) -> None:
-        cs = tuple(as_fraction(c) for c in self.coeffs)
+
+class CoefficientVector(_CoefficientFields):
+    """Strictly positive rational weights c_1..c_k with their cached sum.
+
+    Built from the weights alone; ``len`` counts the weights.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs: Iterable[RationalLike]):
+        cs = tuple(as_fraction(c) for c in coeffs)
         if not cs:
             raise InputError("at least one coefficient is required")
         if any(c <= 0 for c in cs):
             raise InputError("coefficients must be strictly positive")
-        object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "total", sum(cs, Fraction(0)))
+        return tuple.__new__(cls, (cs, sum(cs, Fraction(0))))
 
     @classmethod
     def of(cls, values: Union["CoefficientVector", Iterable[RationalLike]]
@@ -89,8 +92,7 @@ class CoefficientVector:
         return len(self.coeffs)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of one exact identity check.
 
     In exact mode ``verified`` holds iff lhs and rhs are identical
@@ -154,11 +156,6 @@ def even_moment(n: int, p) -> PiRational:
     if n < 1:
         raise InputError("n must be >= 1")
     return PiRational(_even_moments(_shape(p), n + 1)[n])
-
-
-def odd_moment(n: int, p) -> PiRational:
-    """E[U^(2n+1)]: identically zero, the centered density is symmetric."""
-    return PiRational.ZERO
 
 
 # ---------------------------------------------------------------------------

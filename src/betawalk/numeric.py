@@ -19,11 +19,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .exact import binomial
 from .render import SERIES_VARIANTS, InputError
 
 __all__ = [
@@ -35,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FloatVerification:
+class FloatVerification(NamedTuple):
     """Two-sided float evaluation with a cancellation-aware verdict.
 
     The condition number is max(1, mass / rhs), where mass is the raw
@@ -167,8 +164,7 @@ _CONVERGE_WINDOW = 8   # trailing terms that must be nonincreasing
 _DIVERGE_WINDOW = 16   # consecutive term increases before giving up
 
 
-@dataclass(frozen=True)
-class SeriesEvaluation:
+class SeriesEvaluation(NamedTuple):
     """Partial-sum record for one series variant.
 
     ``converged`` requires the last two terms below the cutoff and a
@@ -290,7 +286,7 @@ def evaluate_series(n: int, variant: str, max_terms: int = 10 ** 6,
     if not converged and not diverged and len(terms) >= _DIVERGE_WINDOW:
         diverged = increases >= _DIVERGE_WINDOW
 
-    target = Fraction(binomial(2 * n, n) ** 2, 4 ** (2 * n))
+    target = Fraction(math.comb(2 * n, n) ** 2, 4 ** (2 * n))
     return SeriesEvaluation(
         variant_name=variant,
         partial_sums=tuple(partials),

@@ -1,10 +1,10 @@
 """Leaf helpers shared by the CLI and the library.
 
-Serialization of exact rationals and 15-digit decimals, the two values
-the CLI parser shows as defaults or choices, and the error the library
-raises for an input it rejects.  This module imports nothing from the
-package, so the parser is built without loading a library layer; ``walks``
-and ``numeric`` re-export the constants under their old names.
+Serialization of exact integers and rationals and 15-digit decimals, the
+two values the CLI parser shows as defaults or choices, and the error the
+library raises for an input it rejects.  This module imports nothing from
+the package, so the parser is built without loading a library layer;
+``walks`` and ``numeric`` re-export the constants under their old names.
 """
 
 from __future__ import annotations
@@ -21,23 +21,30 @@ class InputError(ValueError):
     """An input the library documents as out of its range.
 
     ``moments``, ``numeric`` and ``walks`` raise it for a bad argument, a
-    path budget that is too small and a float result beyond the double
-    range; ``fraction_str`` for an exact value too long to print.  The CLI
+    path or work budget that is too small, a walk length beyond int64 and
+    a float result beyond the double range; ``int_str`` and
+    ``fraction_str`` for an exact value too long to print.  The CLI
     reports it as a usage error; any other exception is an internal fault.
     """
 
 
-def fraction_str(value: Fraction) -> str:
-    """Canonical "numerator/denominator" form, denominator always present.
+def int_str(value: int) -> str:
+    """Decimal digits of an integer.
 
-    A part longer than Python's int-to-str limit
+    An integer longer than Python's int-to-str limit
     (``sys.get_int_max_str_digits()``) raises InputError with Python's
     message: the value is exact but too long to print.
     """
     try:
-        return f"{value.numerator}/{value.denominator}"
+        return str(value)
     except ValueError as exc:
         raise InputError(str(exc)) from None
+
+
+def fraction_str(value: Fraction) -> str:
+    """Canonical "numerator/denominator" form, denominator always present;
+    each part is rendered by ``int_str``."""
+    return f"{int_str(value.numerator)}/{int_str(value.denominator)}"
 
 
 def decimal15(value) -> str:

@@ -7,7 +7,10 @@ positive and negative steps on every axis, so with i_j round trips on axis j,
     P(at origin after 2n steps) = (2k)^-2n * sum over i_1+..+i_k = n
                                   of (2n)! / (i_1!^2 ... i_k!^2)
 
-computed here as an exact rational.  Two independent oracles back it up:
+computed here as an exact rational, with binomials from math.comb (so the
+walk commands never load ``exact``); a count whose estimated work exceeds
+``COUNT_WORK_BUDGET`` is refused before it starts.  Two independent oracles
+back it up:
 an exhaustive count of every step sequence, and seeded Monte Carlo.  The
 count enumerates each sequence of n steps once, tallies where it ends, and
 pairs every first half ending at v with every second half ending at -v.  The
@@ -26,14 +29,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import neg
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .exact import binomial
-from .render import DEFAULT_PATH_BUDGET, InputError, decimal15, fraction_str
+from .render import (DEFAULT_PATH_BUDGET, InputError, decimal15, fraction_str,
+                     int_str)
 
 __all__ = [
     "WalkSpec",
@@ -41,17 +43,21 @@ __all__ = [
     "SimulationResult",
     "PathBudgetError",
     "DEFAULT_PATH_BUDGET",
+    "COUNT_WORK_BUDGET",
     "return_probability",
     "return_probability_odd",
-    "closed_form_1d",
     "closed_form_2d",
     "path_count",
+    "path_count_odd",
     "brute_force_return",
     "simulate_walk",
     "simulate_beta_moment",
 ]
 
 _CHUNK = 1 << 17  # simulation draw block; fixed so chunked sums are stable
+_INT64_MAX = (1 << 63) - 1  # the samplers count steps in int64
+# path_count's default bound on _count_work: about 4 s on a 2-vCPU machine
+COUNT_WORK_BUDGET = 50_000_000
 
 
 class PathBudgetError(InputError):
@@ -66,34 +72,42 @@ class PathBudgetError(InputError):
         )
 
 
-@dataclass(frozen=True)
-class WalkSpec:
-    """Walk on Z^dimension, observed after 2*half_steps steps."""
-
+class _WalkSpecFields(NamedTuple):
     dimension: int
     half_steps: int
 
-    def __post_init__(self) -> None:
-        if self.dimension < 1:
+
+class WalkSpec(_WalkSpecFields):
+    """Walk on Z^dimension, observed after 2*half_steps steps."""
+
+    __slots__ = ()
+
+    def __new__(cls, dimension: int, half_steps: int):
+        if dimension < 1:
             raise InputError("dimension must be >= 1")
-        if self.half_steps < 1:
+        if half_steps < 1:
             raise InputError("half_steps must be >= 1")
+        return tuple.__new__(cls, (dimension, half_steps))
 
     @property
     def step_probability(self) -> Fraction:
         return Fraction(1, 2 * self.dimension)
 
 
-@dataclass(frozen=True)
-class PathCount:
-    """Closed-path count out of all (2k)^2n step sequences."""
-
+class _PathCountFields(NamedTuple):
     count: int
     total_paths: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.count <= self.total_paths:
+
+class PathCount(_PathCountFields):
+    """Closed-path count out of all (2k)^2n step sequences."""
+
+    __slots__ = ()
+
+    def __new__(cls, count: int, total_paths: int):
+        if not 0 <= count <= total_paths:
             raise ValueError("count must lie in [0, total_paths]")
+        return tuple.__new__(cls, (count, total_paths))
 
     @property
     def probability(self) -> Fraction:
@@ -101,15 +115,14 @@ class PathCount:
 
     def to_json_obj(self) -> dict:
         return {
-            "count": str(self.count),
-            "totalPaths": str(self.total_paths),
+            "count": int_str(self.count),
+            "totalPaths": int_str(self.total_paths),
             "probability": fraction_str(self.probability),
             "decimal": decimal15(self.probability),
         }
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(NamedTuple):
     """Monte Carlo estimate with its exact reference and z-score.
 
     ``hits`` is the origin-return count for walk simulations and None for
@@ -145,24 +158,54 @@ class SimulationResult:
 # ---------------------------------------------------------------------------
 
 
+def _limbs(dim: int, steps: int) -> int:
+    """64-bit words of (2 dim)^steps, which bounds every integer of a count:
+    it has steps * ceil(log2(2 dim)) bits at most."""
+    return steps * (2 * dim - 1).bit_length() // 64 + 1
+
+
+def _count_work(dim: int, half_steps: int) -> int:
+    """Estimated bigint work of ``path_count``, in 64-bit limb operations.
+
+    The closing products are charged limbs^2; each of the
+    dim * (n+1)(n+2)/2 entries of the squared-binomial table and of the
+    folds (none at dim 1) is a multiply-add, charged limbs plus 16 for the
+    interpreter's cost per term.
+    """
+    n = half_steps
+    limbs = _limbs(dim, 2 * n)
+    terms = 0 if dim == 1 else dim * (n + 1) * (n + 2) // 2
+    return limbs * limbs + terms * (limbs + 16)
+
+
+def _check_work(what: str, work: int) -> None:
+    if work > COUNT_WORK_BUDGET:
+        raise InputError(f"{what} needs about {work} limb operations "
+                         f"(budget is {COUNT_WORK_BUDGET})")
+
+
 def path_count(dim: int, half_steps: int) -> PathCount:
     """Closed-path count C(2n, n) * T_dim(n), in integers.
 
     T_k(m) = sum over i_1+..+i_k = m of (m! / (i_1! ... i_k!))^2 folds in
     one axis at a time: T_1 = 1 and T_j(m) = sum_i C(m, i)^2 T_(j-1)(m - i),
-    which is O(dim * n^2) instead of one term per composition.
+    which is O(dim * n^2) instead of one term per composition.  A count
+    whose ``_count_work`` exceeds ``COUNT_WORK_BUDGET`` raises InputError
+    before any work starts.
     """
     if dim < 1 or half_steps < 1:
         raise InputError("dim and half_steps must be >= 1")
     n = half_steps
+    _check_work(f"path count at dim={dim}, half_steps={n}",
+                _count_work(dim, n))
     t = [1] * (n + 1)
     if dim > 1:  # T_1 needs no table; building it would cost O(n^2) bigints
-        squares = [[binomial(m, i) ** 2 for i in range(m + 1)]
+        squares = [[math.comb(m, i) ** 2 for i in range(m + 1)]
                    for m in range(n + 1)]
         for _ in range(dim - 1):
             t = [sum(squares[m][i] * t[m - i] for i in range(m + 1))
                  for m in range(n + 1)]
-    return PathCount(binomial(2 * n, n) * t[n], (2 * dim) ** (2 * n))
+    return PathCount(math.comb(2 * n, n) * t[n], (2 * dim) ** (2 * n))
 
 
 def return_probability(dim: int, half_steps: int) -> Fraction:
@@ -179,18 +222,20 @@ def return_probability_odd(dim: int, steps: int) -> Fraction:
     return Fraction(0)
 
 
-def closed_form_1d(n: int) -> Fraction:
-    """C(2n, n) / 4^n."""
-    if n < 1:
-        raise InputError("n must be >= 1")
-    return Fraction(binomial(2 * n, n), 4 ** n)
+def path_count_odd(dim: int, steps: int) -> PathCount:
+    """No closed path has odd length: 0 out of (2 dim)^steps, whose
+    limbs^2 is held to ``COUNT_WORK_BUDGET`` as in ``path_count``."""
+    return_probability_odd(dim, steps)
+    _check_work(f"path total at dim={dim}, steps={steps}",
+                _limbs(dim, steps) ** 2)
+    return PathCount(0, (2 * dim) ** steps)
 
 
 def closed_form_2d(n: int) -> Fraction:
     """C(2n, n)^2 / 4^(2n), the planar reduction via Vandermonde."""
     if n < 1:
         raise InputError("n must be >= 1")
-    central = binomial(2 * n, n)
+    central = math.comb(2 * n, n)
     return Fraction(central * central, 4 ** (2 * n))
 
 
@@ -303,7 +348,8 @@ def simulate_walk(spec: WalkSpec, trials: int, seed: int,
     same.  Every Binomial(c, 1/2) -- the plus steps, and the axis count
     when two axes are left -- counts the ones among c bits of one raw
     64-bit word; a draw call with some c above 64 (a long walk) uses
-    numpy's binomial for that call.
+    numpy's binomial for that call.  The exact reference comes first, so
+    a count over its work budget fails before anything is drawn.
     """
     import numpy as np
 
@@ -312,6 +358,9 @@ def simulate_walk(spec: WalkSpec, trials: int, seed: int,
     if workers < 1:
         raise InputError("workers must be >= 1")
     dim, steps = spec.dimension, 2 * spec.half_steps
+    if steps > _INT64_MAX:
+        raise InputError(f"the walk length 2n must be at most {_INT64_MAX}")
+    reference = return_probability(dim, spec.half_steps)
     counts = _worker_counts(trials, workers)
 
     def run(worker_index: int) -> int:
@@ -334,7 +383,6 @@ def simulate_walk(spec: WalkSpec, trials: int, seed: int,
     hits = sum(_run_workers(run, workers))
     estimate = hits / trials
     std_error = math.sqrt(estimate * (1.0 - estimate) / trials)
-    reference = return_probability(spec.dimension, spec.half_steps)
     z_score = _z_score(estimate, std_error, reference)
     return SimulationResult(trials, hits, estimate, std_error, reference,
                             z_score, seed, workers)
@@ -348,7 +396,8 @@ def simulate_beta_moment(dim: int, half_steps: int, trials: int, seed: int,
     inverse CDF of the centered arcsine law, one uniform and one cosine per
     draw.  The estimate averages ((V_1+..+V_k)/k)^(2n), the power taken by
     repeated squaring; chunk sums merge through math.fsum, which is exact
-    compensated summation.
+    compensated summation.  As in ``simulate_walk``, the exact reference
+    comes before any draw.
     """
     import numpy as np
 
@@ -358,6 +407,7 @@ def simulate_beta_moment(dim: int, half_steps: int, trials: int, seed: int,
         raise InputError("workers must be >= 1")
     if dim < 1 or half_steps < 1:
         raise InputError("dim and half_steps must be >= 1")
+    reference = return_probability(dim, half_steps)
     power = 2 * half_steps
     counts = _worker_counts(trials, workers)
 
@@ -395,7 +445,6 @@ def simulate_beta_moment(dim: int, half_steps: int, trials: int, seed: int,
         std_error = math.sqrt(variance / trials)
     else:
         std_error = 0.0
-    reference = return_probability(dim, half_steps)
     z_score = _z_score(estimate, std_error, reference)
     return SimulationResult(trials, None, estimate, std_error, reference,
                             z_score, seed, workers)

@@ -11,15 +11,20 @@ stays constant no matter how large the index set is.
 The streams feed the tests' literal-sum oracles: the program evaluates the
 master expansions, path counts and catalog remark sums as power-series
 coefficients instead, so no composition is enumerated outside the tests.
+The literal terms of those sums, the multinomial coefficient and the rising
+factorial, live here too; the program computes neither.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from fractions import Fraction
+from typing import Iterator, Sequence
 
 __all__ = [
     "count_weak_compositions",
+    "multinomial",
+    "pochhammer",
     "weak_compositions",
 ]
 
@@ -86,3 +91,25 @@ def _advance(current: list[int], last: int) -> bool:
     current[j] = 0
     current[j + 1] += 1
     return True
+
+
+def multinomial(n: int, parts: Sequence[int]) -> int:
+    """n! / (parts[0]! * parts[1]! * ...) for a composition of n."""
+    if any(p < 0 for p in parts):
+        raise ValueError("multinomial parts must be non-negative")
+    if sum(parts) != n:
+        raise ValueError(f"parts sum to {sum(parts)}, expected {n}")
+    result = math.factorial(n)
+    for p in parts:
+        result //= math.factorial(p)
+    return result
+
+
+def pochhammer(a, m: int) -> Fraction:
+    """Rising factorial a(a+1)...(a+m-1); 1 when m = 0."""
+    if m < 0:
+        raise ValueError("pochhammer requires m >= 0")
+    result = Fraction(1)
+    for i in range(m):
+        result *= Fraction(a) + i
+    return result

@@ -16,10 +16,10 @@ from betawalk.catalog import (
     verify_two_dim_remark,
     verify_vandermonde,
 )
-from betawalk.exact import PiRational, binomial, multinomial
+from betawalk.exact import PiRational, binomial
 from betawalk.walks import closed_form_2d, return_probability
 
-from compositions import weak_compositions
+from compositions import multinomial, weak_compositions
 
 
 def test_convolution():

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import signal
@@ -372,7 +371,7 @@ def test_catalog_status_follows_record_role(capsys, monkeypatch):
 
     def broken(n):
         report = real(n)
-        return dataclasses.replace(report, verified=False) if n == 3 else report
+        return report._replace(verified=False) if n == 3 else report
 
     monkeypatch.setattr(catalog, "verify_duplication", broken)
     code, out, _ = run_cli(capsys, "catalog", "verify", "duplication",
@@ -548,6 +547,60 @@ def test_rejected_inputs_keep_exit_2_and_their_message(capsys):
             assert err.count("\n") == 1, argv
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_odd_path_count_too_long_to_print_exits_2(capsys, fmt):
+    # the 4516-digit total is rendered in the handler in every format
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run_cli(capsys, "compute", "path-count", "--dim",
+                                 "1", "--steps", "15001", "--allow-odd",
+                                 "--format", fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (2, "")
+    assert err.startswith("betawalk: error: Exceeds the limit (4300 digits) "
+                          "for integer string conversion")
+    assert err.count("\n") == 1
+
+
+def test_odd_path_count_prints_every_format(capsys):
+    code, out, _ = run_cli(capsys, "compute", "path-count", "--dim", "2",
+                           "--steps", "3", "--allow-odd", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["payload"] == {
+        "count": "0", "totalPaths": "64", "probability": "0/1",
+        "decimal": "0"}
+    code, out, _ = run_cli(capsys, "compute", "path-count", "--dim", "2",
+                           "--steps", "3", "--allow-odd", "--format", "csv")
+    assert out.splitlines()[1] == "2,3,0,64,0/1,0"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "walk", "--dim", "1", "--n", "10000000000000000000",
+      "--trials", "10", "--threads", "1"],
+     "the walk length 2n must be at most 9223372036854775807"),
+    (["compute", "return-prob", "--dim", "2", "--steps", "4000"],
+     "path count at dim=2, half_steps=2000 needs about"),
+    (["compute", "path-count", "--dim", "1", "--steps", "4000000"],
+     "path count at dim=1, half_steps=2000000 needs about"),
+    (["simulate", "beta", "--dim", "2", "--n", "2000", "--trials", "10",
+      "--threads", "1"],
+     "path count at dim=2, half_steps=2000 needs about"),
+    (["compute", "path-count", "--dim", "1", "--steps", "100000000001",
+      "--allow-odd"],
+     "path total at dim=1, steps=100000000001 needs about"),
+])
+def test_inputs_beyond_a_library_bound_exit_2_at_once(capsys, argv, message):
+    # each is refused before any work starts
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert err.startswith(f"betawalk: error: {message}")
+    assert err.count("\n") == 1
 
 
 def test_cli_checks_keep_exit_2_and_their_message(capsys):

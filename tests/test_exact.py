@@ -13,12 +13,10 @@ from betawalk.exact import (
     binomial,
     factorial,
     gamma_half,
-    multinomial,
-    pochhammer,
-    set_factorial_cache_limit,
 )
+from betawalk import exact
 
-from compositions import weak_compositions
+from compositions import multinomial, pochhammer, weak_compositions
 
 
 def test_factorial_values():
@@ -27,15 +25,14 @@ def test_factorial_values():
     assert factorial(12) == 479001600
 
 
-def test_factorial_matches_math_beyond_cap():
-    set_factorial_cache_limit(10)
-    try:
-        assert factorial(40) == math.factorial(40)
-        assert factorial(9) == math.factorial(9)
-        with pytest.raises(ValueError):
-            factorial(-1)
-    finally:
-        set_factorial_cache_limit(100_000)
+def test_factorial_matches_math_beyond_cap(monkeypatch):
+    monkeypatch.setattr(exact, "_fact_cap", 10)
+    monkeypatch.setattr(exact, "_fact_table", [1, 1])
+    assert factorial(40) == math.factorial(40)
+    assert factorial(9) == math.factorial(9)
+    assert exact._fact_table == [math.factorial(m) for m in range(10)]
+    with pytest.raises(ValueError):
+        factorial(-1)
 
 
 def test_binomial_values():

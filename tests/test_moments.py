@@ -10,8 +10,6 @@ from betawalk.exact import (
     PiRational,
     beta_half,
     binomial,
-    multinomial,
-    pochhammer,
 )
 from betawalk.moments import (
     CoefficientVector,
@@ -19,14 +17,13 @@ from betawalk.moments import (
     _rhs,
     even_moment,
     lhs_master,
-    odd_moment,
     rhs_master,
     verify_equal_coeff_form,
     verify_master,
 )
 from betawalk.walks import brute_force_return, return_probability
 
-from compositions import weak_compositions
+from compositions import multinomial, pochhammer, weak_compositions
 
 P_GRID = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
 # shapes off the half-integers: B(p, p) is no rational multiple of a power
@@ -125,12 +122,6 @@ def test_even_moment_validation():
     assert even_moment(2, "1/3") == PiRational(Fraction(27, 55))
     with pytest.raises(ValueError):
         even_moment(2, 0)
-
-
-def test_odd_moment_is_exact_zero():
-    assert odd_moment(0, "1/2") == PiRational.ZERO
-    assert odd_moment(3, 1) == PiRational.ZERO
-    assert odd_moment(5, "3/2") == PiRational.ZERO
 
 
 def test_lhs_master_literal_three_term_sum():

@@ -96,7 +96,7 @@ print(json.dumps(report))
 def test_public_names_resolve_to_their_submodule_objects():
     report = run_fresh(PUBLIC_NAMES, json.dumps(LAYERS))
     assert report["import"] == ["betawalk"]
-    assert len(report["all"]) == len(set(report["all"])) == 37
+    assert len(report["all"]) == len(set(report["all"])) == 34
     assert set(report["all"]) <= set(report["dir"])
     assert set(LAYERS) <= set(report["dir"])
     # each exported name is the very object its one home module exports
@@ -160,3 +160,40 @@ print(json.dumps("concurrent.futures" in sys.modules))
 
 def test_single_worker_simulations_load_no_thread_pool():
     assert run_fresh(POOL_LOADED) is False
+
+
+STDLIB_LOADED = """
+import contextlib, io, json, sys
+from betawalk import cli
+
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    assert cli.main(json.loads(sys.argv[1])) == 0
+print(json.dumps(sorted(m for m in ("dataclasses", "inspect", "betawalk.exact")
+                        if m in sys.modules)))
+"""
+
+EXACT_MASTER = ["verify", "master", "--n", "1..6", "--coeffs", "1,2,3",
+                "--p", "1/2", "--threads", "1"]
+PATH_COUNT = ["compute", "path-count", "--dim", "3", "--steps", "4"]
+ORACLE = ["oracle", "--dim", "2", "--steps", "4"]
+FLOAT_MASTER = ["verify", "master", "--n", "2", "--coeffs", "1.5,2",
+                "--p", "0.7", "--mode", "float", "--threads", "1"]
+CATALOG_ALL = ["catalog", "verify", "all"]
+
+
+def stdlib_loaded_after(argv):
+    return run_fresh(STDLIB_LOADED, json.dumps(argv))
+
+
+def test_library_commands_load_no_dataclasses_or_inspect():
+    # the records are NamedTuples; of these modules only numpy, in a
+    # simulation, still loads inspect
+    assert stdlib_loaded_after(EXACT_MASTER) == ["betawalk.exact"]
+    assert stdlib_loaded_after(CATALOG_ALL) == ["betawalk.exact"]
+
+
+def test_walk_and_float_commands_load_no_exact_layer():
+    # walks and numeric take binomials from math.comb
+    for argv in (PATH_COUNT, ORACLE, FLOAT_MASTER):
+        assert stdlib_loaded_after(argv) == [], argv

@@ -1,27 +1,32 @@
 import itertools
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from betawalk import walks
 from betawalk.exact import binomial
 from betawalk.render import InputError
 from betawalk.walks import (
+    COUNT_WORK_BUDGET,
     DEFAULT_PATH_BUDGET,
     PathBudgetError,
     PathCount,
     WalkSpec,
     brute_force_return,
-    closed_form_1d,
     closed_form_2d,
     path_count,
+    path_count_odd,
     return_probability,
     return_probability_odd,
     simulate_beta_moment,
     simulate_walk,
+    _count_work,
     _fair_coin_counts,
+    _limbs,
     _power_by_squaring,
     _worker_rng,
 )
@@ -29,16 +34,26 @@ from betawalk.walks import (
 from compositions import weak_compositions
 
 
+def closed_form_1d(n):
+    """C(2n, n) / 4^n."""
+    return Fraction(math.comb(2 * n, n), 4 ** n)
+
+
 def product_space_oracle(dim, half_steps):
-    """Second independent enumerator: decode tuples, sum displacements."""
-    hits = 0
-    for path in itertools.product(range(2 * dim), repeat=2 * half_steps):
-        disp = [0] * dim
-        for step in path:
-            disp[step // 2] += 1 if step % 2 == 0 else -1
-        if all(d == 0 for d in disp):
-            hits += 1
-    return hits
+    """Second independent enumerator: decode every full path, sum its steps.
+
+    Path number r, written in base 2k, lists its 2n steps as digits (digit
+    d: axis d//2, +1 for even d, -1 for odd); every path is decoded at
+    once, one digit position at a time.
+    """
+    base = 2 * dim
+    paths = np.arange(base ** (2 * half_steps))
+    rows = np.arange(paths.size)
+    disp = np.zeros((paths.size, dim), dtype=np.int8)  # |disp| <= 2n <= 16
+    for _ in range(2 * half_steps):
+        paths, digit = np.divmod(paths, base)
+        disp[rows, digit // 2] += (1 - 2 * (digit % 2)).astype(np.int8)
+    return int(np.count_nonzero(~disp.any(axis=1)))
 
 
 def test_return_probability_examples():
@@ -100,6 +115,51 @@ def test_path_count_matches_literal_composition_sum():
             assert pc.total_paths == (2 * dim) ** (2 * n)
 
 
+def test_path_count_budget_at_its_edge(monkeypatch):
+    for dim, n in [(1, 40), (2, 12), (5, 8), (30, 3)]:
+        work = _count_work(dim, n)
+        monkeypatch.setattr(walks, "COUNT_WORK_BUDGET", work)
+        assert path_count(dim, n).count == literal_path_count(dim, n)
+        monkeypatch.setattr(walks, "COUNT_WORK_BUDGET", work - 1)
+        with pytest.raises(InputError) as info:
+            path_count(dim, n)
+        assert str(info.value) == (
+            f"path count at dim={dim}, half_steps={n} needs about {work} "
+            f"limb operations (budget is {work - 1})")
+
+
+def test_default_count_budget_admits_the_known_runs():
+    # the goldens, the benchmark commands and the largest named runs
+    for dim, n in [(2, 5), (3, 2), (4, 8), (6, 10), (3, 10), (6, 25),
+                   (5, 30), (6, 30), (3, 400), (20, 200), (1, 7500)]:
+        assert _count_work(dim, n) <= COUNT_WORK_BUDGET, (dim, n)
+    # the largest admitted two-dimensional count, the slowest per unit
+    assert _count_work(2, 847) <= COUNT_WORK_BUDGET < _count_work(2, 848)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 848), (2, 2000), (1, 2_000_000),
+                                    (10 ** 6, 1), (1, 10 ** 400)])
+def test_default_count_budget_refuses_at_once(dim, n):
+    start = time.perf_counter()
+    with pytest.raises(InputError):
+        path_count(dim, n)
+    with pytest.raises(InputError):
+        return_probability(dim, n)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_odd_path_count_and_its_budget(monkeypatch):
+    assert path_count_odd(2, 3) == PathCount(0, 64)
+    steps = 12_001
+    monkeypatch.setattr(walks, "COUNT_WORK_BUDGET", _limbs(1, steps) ** 2)
+    assert path_count_odd(1, steps).total_paths == 2 ** steps
+    monkeypatch.setattr(walks, "COUNT_WORK_BUDGET", _limbs(1, steps) ** 2 - 1)
+    with pytest.raises(InputError):
+        path_count_odd(1, steps)
+    with pytest.raises(InputError):
+        path_count_odd(1, 4)
+
+
 def test_brute_force_examples():
     assert brute_force_return(1, 2) == PathCount(6, 16)
     assert brute_force_return(2, 2) == PathCount(36, 256)
@@ -111,6 +171,18 @@ def _cases_within(budget):
     return [(dim, n) for dim in range(1, math.isqrt(budget) // 2 + 1)
             for n in itertools.takewhile(
                 lambda n: (2 * dim) ** (2 * n) <= budget, itertools.count(1))]
+
+
+def test_product_space_oracle_decodes_like_a_loop():
+    # the tuple-by-tuple loop the vectorized decode replaced, on small cases
+    for dim, half in [(1, 1), (1, 4), (2, 2), (3, 2), (8, 1)]:
+        hits = 0
+        for path in itertools.product(range(2 * dim), repeat=2 * half):
+            disp = [0] * dim
+            for step in path:
+                disp[step // 2] += 1 if step % 2 == 0 else -1
+            hits += not any(disp)
+        assert product_space_oracle(dim, half) == hits, (dim, half)
 
 
 def test_brute_force_matches_product_space_oracle():
@@ -286,6 +358,27 @@ def test_power_by_squaring_matches_numpy_power():
             np.abs(np.power(x, power)))
         # power - 1 roundings of a product tree, plus one of libm's pow
         assert ulps.max() <= power, power
+
+
+def test_simulate_walk_rejects_a_walk_length_beyond_int64():
+    with pytest.raises(InputError, match="at most 9223372036854775807"):
+        simulate_walk(WalkSpec(1, 2 ** 62), 10, seed=1)
+    with pytest.raises(InputError, match="at most 9223372036854775807"):
+        simulate_walk(WalkSpec(1, 10 ** 19), 10, seed=1)
+
+
+def test_simulations_over_the_count_budget_draw_nothing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(walks, "_worker_rng", no_draws)
+    # 2n = 2^63 - 2 fits int64, but its exact reference is over budget
+    with pytest.raises(InputError, match="limb operations"):
+        simulate_walk(WalkSpec(1, 2 ** 62 - 1), 10, seed=1)
+    with pytest.raises(InputError, match="limb operations"):
+        simulate_walk(WalkSpec(2, 2000), 10, seed=1)
+    with pytest.raises(InputError, match="limb operations"):
+        simulate_beta_moment(2, 2000, 10, seed=1)
 
 
 def test_simulate_walk_different_seed_differs():
