@@ -16,12 +16,11 @@ from importlib import import_module
 
 # submodule -> the names it exports at package level
 _EXPORTS = {
-    "catalog": ("CATALOG", "CatalogEntry", "entries", "run_entry"),
-    "exact": ("HalfInt", "PiRational", "as_fraction", "beta_half", "binomial",
-              "factorial", "gamma_half"),
-    "moments": ("CoefficientVector", "IdentityReport", "even_moment",
-                "lhs_master", "rhs_master", "verify_equal_coeff_form",
-                "verify_master"),
+    "catalog": ("CATALOG", "CatalogEntry", "entries"),
+    "exact": ("PiRational", "as_fraction", "beta_half", "factorial",
+              "gamma_half"),
+    "moments": ("IdentityReport", "even_moment", "lhs_master", "rhs_master",
+                "verify_equal_coeff_form", "verify_master"),
     "numeric": ("FloatVerification", "SeriesEvaluation", "evaluate_series",
                 "verify_master_float"),
     "walks": ("PathBudgetError", "PathCount", "SimulationResult", "WalkSpec",

@@ -11,9 +11,10 @@ substituted; reports and the CLI flag every correction.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .exact import HalfInt, PiRational, beta_half, binomial, factorial, gamma_half
+from .exact import PiRational, as_fraction, beta_half, factorial, gamma_half
 from .moments import UPPER_LIMIT_NOTE, IdentityReport, _series_coefficient, rhs_master
 from .walks import closed_form_2d, return_probability
 
@@ -21,7 +22,6 @@ __all__ = [
     "CatalogEntry",
     "CATALOG",
     "entries",
-    "run_entry",
     "verify_convolution",
     "verify_alternating",
     "verify_one_dim_general_p",
@@ -77,27 +77,27 @@ _CONVOLUTION_ERRATUM = (
 def verify_convolution(n: int) -> IdentityReport:
     if n < 1:
         raise ValueError("n must be >= 1")
-    corrected = sum(binomial(2 * j, j) * binomial(2 * n - 2 * j, n - j)
+    corrected = sum(comb(2 * j, j) * comb(2 * n - 2 * j, n - j)
                     for j in range(n + 1))
-    printed = corrected - binomial(2 * n, n)  # lower index 1
+    printed = corrected - comb(2 * n, n)  # lower index 1
     return _report(
         "convolution",
         {"n": n, "printedSum": printed},
-        PiRational.of(corrected),
-        PiRational.of(4 ** n),
+        PiRational(corrected),
+        PiRational(4 ** n),
         notes=(_CONVOLUTION_ERRATUM,),
     )
 
 
 def _convolution_counterexample() -> IdentityReport:
     n = 1
-    printed = sum(binomial(2 * j, j) * binomial(2 * n - 2 * j, n - j)
+    printed = sum(comb(2 * j, j) * comb(2 * n - 2 * j, n - j)
                   for j in range(1, n + 1))
     return _report(
         "convolution",
         {"n": n},
-        PiRational.of(printed),
-        PiRational.of(4 ** n),
+        PiRational(printed),
+        PiRational(4 ** n),
         notes=(_CONVOLUTION_ERRATUM,),
         variant="printed",
     )
@@ -109,7 +109,7 @@ def _convolution_counterexample() -> IdentityReport:
 
 
 def _alternating_sum(n: int, upper: int) -> Fraction:
-    return sum((-1) ** j * binomial(2 * n, j) * Fraction(binomial(2 * j, j), 2 ** j)
+    return sum((-1) ** j * comb(2 * n, j) * Fraction(comb(2 * j, j), 2 ** j)
                for j in range(upper + 1))
 
 
@@ -120,7 +120,7 @@ def verify_alternating(n: int) -> IdentityReport:
         "alternating",
         {"n": n, "printedSum": _alternating_sum(n, n)},
         PiRational(_alternating_sum(n, 2 * n)),
-        PiRational(Fraction(binomial(2 * n, n), 4 ** n)),
+        PiRational(Fraction(comb(2 * n, n), 4 ** n)),
         notes=(UPPER_LIMIT_NOTE,),
     )
 
@@ -131,7 +131,7 @@ def _alternating_counterexample() -> IdentityReport:
         "alternating",
         {"n": n},
         PiRational(_alternating_sum(n, n)),
-        PiRational(Fraction(binomial(2 * n, n), 4 ** n)),
+        PiRational(Fraction(comb(2 * n, n), 4 ** n)),
         notes=(UPPER_LIMIT_NOTE,),
         variant="printed",
     )
@@ -143,28 +143,26 @@ def _alternating_counterexample() -> IdentityReport:
 # ---------------------------------------------------------------------------
 
 
-def _one_dim_sum(n: int, p: HalfInt, upper: int) -> PiRational:
-    acc = PiRational.ZERO
+def _one_dim_sides(n: int, p: Fraction, upper: int
+                   ) -> tuple[PiRational, PiRational]:
+    lhs = PiRational.ZERO
     for j in range(upper + 1):
-        term = beta_half(HalfInt(2 * j + p.doubled), p)
-        acc = acc + term * Fraction((-2) ** j * binomial(2 * n, j))
-    return acc
+        lhs = lhs + beta_half(j + p, p) * ((-2) ** j * comb(2 * n, j))
+    return lhs, beta_half(n + Fraction(1, 2), p) / 2 ** (2 * p - 1)
 
 
 def verify_one_dim_general_p(n: int, p) -> IdentityReport:
     if n < 1:
         raise ValueError("n must be >= 1")
-    p = HalfInt.of(p)
-    lhs = _one_dim_sum(n, p, 2 * n)
-    rhs = beta_half(HalfInt(2 * n + 1), p) / Fraction(2 ** (p.doubled - 1))
+    p = as_fraction(p)
+    lhs, rhs = _one_dim_sides(n, p, 2 * n)
     return _report("one-dim-general-p", {"n": n, "p": p}, lhs, rhs,
                    notes=(UPPER_LIMIT_NOTE,))
 
 
 def _one_dim_counterexample() -> IdentityReport:
-    n, p = 1, HalfInt.of("1/2")
-    lhs = _one_dim_sum(n, p, n)
-    rhs = beta_half(HalfInt(2 * n + 1), p) / Fraction(2 ** (p.doubled - 1))
+    n, p = 1, Fraction(1, 2)
+    lhs, rhs = _one_dim_sides(n, p, n)
     return _report("one-dim-general-p", {"n": n, "p": p}, lhs, rhs,
                    notes=(UPPER_LIMIT_NOTE,), variant="printed")
 
@@ -182,7 +180,7 @@ def _one_dim_counterexample() -> IdentityReport:
 def _k_dim_sum(n: int, k: int, slot_coeff: Fraction) -> PiRational:
     two_n = 2 * n
     exp_series = [Fraction(1, factorial(j)) for j in range(two_n + 1)]
-    slot = [slot_coeff ** j * binomial(2 * j, j) / factorial(j)
+    slot = [slot_coeff ** j * comb(2 * j, j) / factorial(j)
             for j in range(two_n + 1)]
     return PiRational(factorial(two_n)
                       * _series_coefficient([exp_series] + [slot] * k, two_n))
@@ -276,9 +274,9 @@ def _k_dim_counterexample() -> IdentityReport:
 def verify_vandermonde(n: int) -> IdentityReport:
     if n < 1:
         raise ValueError("n must be >= 1")
-    lhs = sum(binomial(n, j) * binomial(n, n - j) for j in range(n + 1))
+    lhs = sum(comb(n, j) * comb(n, n - j) for j in range(n + 1))
     return _report("vandermonde", {"n": n},
-                   PiRational.of(lhs), PiRational.of(binomial(2 * n, n)))
+                   PiRational(lhs), PiRational(comb(2 * n, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +287,8 @@ def verify_vandermonde(n: int) -> IdentityReport:
 def verify_duplication(n: int) -> IdentityReport:
     if n < 0:
         raise ValueError("n must be >= 0")
-    lhs = gamma_half(HalfInt(2 * n + 1)) / gamma_half(HalfInt(1))
-    rhs = PiRational(Fraction(binomial(2 * n, n) * factorial(n), 4 ** n))
+    lhs = gamma_half(n + Fraction(1, 2)) / gamma_half(Fraction(1, 2))
+    rhs = PiRational(Fraction(comb(2 * n, n) * factorial(n), 4 ** n))
     return _report("duplication", {"n": n}, lhs, rhs, variant="printed")
 
 
@@ -381,9 +379,3 @@ _register(CatalogEntry(
 def entries() -> list[CatalogEntry]:
     return list(CATALOG.values())
 
-
-def run_entry(name: str) -> Iterator[IdentityReport]:
-    """Run one entry's corrected-variant verification over its full range."""
-    if name not in CATALOG:
-        raise KeyError(f"unknown catalog entry {name!r}")
-    return CATALOG[name].run()

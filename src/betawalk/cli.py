@@ -27,8 +27,8 @@ from typing import Iterable, NamedTuple, Optional
 # Handlers import their library layers, and the emitter its serializer, when
 # they run, so a command loads only what it uses: without cached bytecode each
 # module loaded is compiled from source at every start.
-from .render import (DEFAULT_PATH_BUDGET, SERIES_VARIANTS, InputError,
-                     decimal15, fraction_str)
+from .render import (DEFAULT_PATH_BUDGET, MAX_WORKERS, SERIES_VARIANTS,
+                     InputError, decimal15, fraction_str)
 
 Z_LIMIT = 4.0
 
@@ -79,7 +79,8 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _threads(args) -> int:
-    """--threads, else BETAWALK_THREADS, else the logical CPU count."""
+    """--threads, else BETAWALK_THREADS, else the logical CPU count (at
+    most MAX_WORKERS)."""
     if args.threads is not None:
         if args.threads < 1:
             raise UsageError("--threads must be >= 1")
@@ -93,7 +94,7 @@ def _threads(args) -> int:
         if value < 1:
             raise UsageError("BETAWALK_THREADS must be >= 1")
         return value
-    return os.cpu_count() or 1
+    return min(os.cpu_count() or 1, MAX_WORKERS)
 
 
 def _bool(value: bool) -> str:

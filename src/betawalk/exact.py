@@ -14,14 +14,14 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Union
 
+from .render import InputError
+
 RationalLike = Union[int, Fraction, str]
 
 __all__ = [
-    "HalfInt",
     "PiRational",
     "as_fraction",
     "factorial",
-    "binomial",
     "gamma_half",
     "beta_half",
 ]
@@ -63,66 +63,6 @@ def factorial(n: int) -> int:
     return table[n]
 
 
-def binomial(n: int, k: int) -> int:
-    """C(n, k); zero when k lies outside [0, n]."""
-    if n < 0:
-        raise ValueError("binomial requires n >= 0")
-    if k < 0 or k > n:
-        return 0
-    return factorial(n) // (factorial(k) * factorial(n - k))
-
-
-# ---------------------------------------------------------------------------
-# half-integers
-# ---------------------------------------------------------------------------
-
-
-class HalfInt(NamedTuple):
-    """A number m/2 for integer m, stored as the doubled value m.
-
-    Ordered, compared and hashed as the one-field tuple (m,).
-    """
-
-    doubled: int
-
-    @classmethod
-    def of(cls, value: Union["HalfInt", RationalLike]) -> "HalfInt":
-        """Accept a HalfInt, an int, a Fraction, or an "a/b" string.
-
-        Rejects values that are not integer multiples of 1/2.
-        """
-        if isinstance(value, HalfInt):
-            return value
-        frac = as_fraction(value)
-        if frac.denominator not in (1, 2):
-            raise ValueError(f"{frac} is not a half-integer")
-        return cls(frac.numerator * (2 // frac.denominator))
-
-    @property
-    def is_integer(self) -> bool:
-        return self.doubled % 2 == 0
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.doubled, 2)
-
-    def __add__(self, other: Union["HalfInt", int]) -> "HalfInt":
-        if isinstance(other, HalfInt):
-            return HalfInt(self.doubled + other.doubled)
-        if isinstance(other, int):
-            return HalfInt(self.doubled + 2 * other)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __mul__(self, other):  # defined, so a tuple repeat never applies
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        return str(self.as_fraction())
-
-
 # ---------------------------------------------------------------------------
 # rational multiples of integer powers of sqrt(pi)
 # ---------------------------------------------------------------------------
@@ -149,12 +89,6 @@ class PiRational(_PiRationalFields):
         if not isinstance(coeff, Fraction):
             coeff = as_fraction(coeff)
         return tuple.__new__(cls, (coeff, sqrt_pi_pow if coeff else 0))
-
-    @classmethod
-    def of(cls, value: Union["PiRational", RationalLike]) -> "PiRational":
-        if isinstance(value, PiRational):
-            return value
-        return cls(as_fraction(value))
 
     @property
     def is_zero(self) -> bool:
@@ -238,24 +172,26 @@ PiRational.ONE = PiRational(Fraction(1))
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=4096)
-def gamma_half(a: HalfInt) -> PiRational:
-    """Gamma(a) for a positive half-integer a, exactly.
+@lru_cache(maxsize=4096, typed=True)
+def gamma_half(a: RationalLike) -> PiRational:
+    """Gamma(a) for a positive half-integer a, such as n or n + 1/2, exactly.
 
     Integer a = m gives (m-1)!; half-odd a = n + 1/2 gives
-    (2n)!/(4^n n!) * sqrt(pi) by the duplication formula.
+    (2n)!/(4^n n!) * sqrt(pi) by the duplication formula.  Any other
+    argument raises InputError.  The cache is typed, so a float never
+    hits the entry of an equal rational.
     """
-    if a.doubled <= 0:
-        raise ValueError(f"gamma requires a positive argument, got {a}")
-    if a.is_integer:
-        return PiRational(Fraction(factorial(a.doubled // 2 - 1)))
-    n = (a.doubled - 1) // 2
+    a = as_fraction(a)
+    if a <= 0 or a.denominator > 2:
+        raise InputError(f"gamma needs a positive half-integer, got {a}")
+    if a.denominator == 1:
+        return PiRational(factorial(a.numerator - 1))
+    n = a.numerator // 2
     return PiRational(Fraction(factorial(2 * n), 4 ** n * factorial(n)), 1)
 
 
-@lru_cache(maxsize=4096)
-def beta_half(a: HalfInt, b: HalfInt) -> PiRational:
+@lru_cache(maxsize=4096, typed=True)
+def beta_half(a: RationalLike, b: RationalLike) -> PiRational:
     """B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b) for positive half-integers."""
-    if a.doubled <= 0 or b.doubled <= 0:
-        raise ValueError(f"beta requires positive arguments, got ({a}, {b})")
+    a, b = as_fraction(a), as_fraction(b)
     return gamma_half(a) * gamma_half(b) / gamma_half(a + b)

@@ -32,20 +32,13 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
-from .exact import (
-    HalfInt,
-    PiRational,
-    RationalLike,
-    as_fraction,
-    beta_half,
-    factorial,
-)
-from .render import InputError
+from .exact import PiRational, as_fraction, beta_half, factorial
+from .render import InputError, check_work
 
 __all__ = [
-    "CoefficientVector",
+    "MOMENT_WORK_BUDGET",
     "IdentityReport",
     "even_moment",
     "lhs_master",
@@ -54,42 +47,13 @@ __all__ = [
     "verify_equal_coeff_form",
 ]
 
+# the bound on a record's estimated _work: about 4 s on a 2-vCPU machine
+MOMENT_WORK_BUDGET = 16_000_000
+
 UPPER_LIMIT_NOTE = (
     "one-variable reduction is summed to 2n; the commonly stated upper "
     "limit n fails (n=1, p=1/2 gives -1 instead of 1/2)"
 )
-
-
-class _CoefficientFields(NamedTuple):
-    coeffs: tuple[Fraction, ...]
-    total: Fraction
-
-
-class CoefficientVector(_CoefficientFields):
-    """Strictly positive rational weights c_1..c_k with their cached sum.
-
-    Built from the weights alone; ``len`` counts the weights.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, coeffs: Iterable[RationalLike]):
-        cs = tuple(as_fraction(c) for c in coeffs)
-        if not cs:
-            raise InputError("at least one coefficient is required")
-        if any(c <= 0 for c in cs):
-            raise InputError("coefficients must be strictly positive")
-        return tuple.__new__(cls, (cs, sum(cs, Fraction(0))))
-
-    @classmethod
-    def of(cls, values: Union["CoefficientVector", Iterable[RationalLike]]
-           ) -> "CoefficientVector":
-        if isinstance(values, CoefficientVector):
-            return values
-        return cls(tuple(values))
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
 
 
 class IdentityReport(NamedTuple):
@@ -152,10 +116,56 @@ def _even_moments(p: Fraction, count: int) -> list[Fraction]:
 
 
 def even_moment(n: int, p) -> PiRational:
-    """E[U^(2n)] = (1/2)_n / (p + 1/2)_n, exactly (sqrt(pi) exponent 0)."""
+    """E[U^(2n)] = (1/2)_n / (p + 1/2)_n, exactly (sqrt(pi) exponent 0).
+
+    Its n ratio steps are charged as n multiply-adds by ``_work``; over
+    ``MOMENT_WORK_BUDGET`` it raises InputError before the first.
+    """
     if n < 1:
         raise InputError("n must be >= 1")
-    return PiRational(_even_moments(_shape(p), n + 1)[n])
+    p = _shape(p)
+    check_work(f"even moment at n={n}", _work(n, n, _bits(p)),
+               MOMENT_WORK_BUDGET)
+    return PiRational(_even_moments(p, n + 1)[n])
+
+
+# ---------------------------------------------------------------------------
+# work budget
+# ---------------------------------------------------------------------------
+
+
+def _bits(value: Fraction) -> int:
+    return value.numerator.bit_length() + value.denominator.bit_length()
+
+
+def _work(n: int, terms: int, bits_per_degree: int) -> int:
+    """Estimated cost of ``terms`` rational multiply-adds, in 64-bit limb
+    operations.
+
+    The operands are coefficients of degree up to 2n, whose numerator and
+    denominator together have at most n * (bits_per_degree + the bits of
+    2n) bits: at p = 1/2 with weights 1, 2 that is 8.5-9 bits per degree of
+    2n, and the largest coefficient has 8-9.  A multiply-add is charged its
+    limbs plus 24 for the interpreter's cost per term; a 2-vCPU machine
+    does 2-7 million of these a second.
+    """
+    limbs = n * (bits_per_degree + (2 * n).bit_length()) // 64 + 1
+    return terms * (limbs + 24)
+
+
+def _master_work(n: int, coeffs: Sequence[Fraction], p: Fraction) -> int:
+    """Estimated cost of both expansions of one master record.
+
+    The raw side makes k products of series of 2n + 1 terms,
+    (2n+1)(2n+2)/2 multiply-adds each; the even side builds k series of
+    n + 1 terms and multiplies them, under k (n+1)(n+2)/2.  A degree adds
+    the bits of the largest weight or of their sum, and of p twice (the
+    two Pochhammer symbols of a moment).
+    """
+    k = len(coeffs)
+    terms = k * ((2 * n + 1) * (2 * n + 2) + (n + 1) * (n + 2)) // 2
+    per_degree = max(map(_bits, (*coeffs, sum(coeffs)))) + 2 * _bits(p)
+    return _work(n, terms, per_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -201,27 +211,38 @@ def _rhs(n: int, coeffs: Sequence[Fraction], p: Fraction) -> Fraction:
     return factorial(2 * n) * _series_coefficient(factors, n)
 
 
-def lhs_master(n: int, coeffs, p) -> PiRational:
-    """E[(sum c_i U_i)^(2n)] by the raw (alternating) expansion."""
+def _weights(coeffs) -> tuple[Fraction, ...]:
+    """The weights c_1..c_k as exact rationals, each strictly positive."""
+    cs = tuple(map(as_fraction, coeffs))
+    if not cs:
+        raise InputError("at least one coefficient is required")
+    if any(c <= 0 for c in cs):
+        raise InputError("coefficients must be strictly positive")
+    return cs
+
+
+def _record(n: int, coeffs, p) -> tuple[tuple[Fraction, ...], Fraction]:
+    """The checked weights and shape of one master record.
+
+    A record whose ``_master_work`` exceeds ``MOMENT_WORK_BUDGET`` raises
+    InputError before any arithmetic.
+    """
     if n < 1:
         raise InputError("n must be >= 1")
-    return PiRational(_lhs(n, CoefficientVector.of(coeffs).coeffs, _shape(p)))
+    cs, p = _weights(coeffs), _shape(p)
+    check_work(f"master record at n={n}, k={len(cs)}",
+               _master_work(n, cs, p), MOMENT_WORK_BUDGET)
+    return cs, p
+
+
+def lhs_master(n: int, coeffs, p) -> PiRational:
+    """E[(sum c_i U_i)^(2n)] by the raw (alternating) expansion."""
+    return PiRational(_lhs(n, *_record(n, coeffs, p)))
 
 
 def rhs_master(n: int, coeffs, p) -> PiRational:
     """E[(sum c_i U_i)^(2n)] by the even-moment expansion."""
-    if n < 1:
-        raise InputError("n must be >= 1")
-    return PiRational(_rhs(n, CoefficientVector.of(coeffs).coeffs, _shape(p)))
-
-
-def _master_parameters(n: int, c: CoefficientVector, p: Fraction) -> dict:
-    return {
-        "n": str(n),
-        "k": str(len(c)),
-        "p": str(p),
-        "coeffs": ",".join(str(x) for x in c.coeffs),
-    }
+    return PiRational(_rhs(n, *_record(n, coeffs, p)))
 
 
 def verify_master(n: int, coeffs, p) -> IdentityReport:
@@ -230,21 +251,24 @@ def verify_master(n: int, coeffs, p) -> IdentityReport:
     A failed comparison is reported, never raised.  The floating-point
     check for arbitrary real p > 0 is ``numeric.verify_master_float``.
     """
-    c = CoefficientVector.of(coeffs)
-    p = _shape(p)
+    cs, p = _record(n, coeffs, p)
     start = time.perf_counter()
-    lhs = lhs_master(n, c, p)
-    rhs = rhs_master(n, c, p)
+    lhs = lhs_master(n, cs, p)
+    rhs = rhs_master(n, cs, p)
     elapsed = time.perf_counter() - start
     return IdentityReport(
         identity_name="master",
-        parameters=_master_parameters(n, c, p),
+        parameters={"n": str(n), "k": str(len(cs)), "p": str(p),
+                    "coeffs": ",".join(str(x) for x in cs)},
         lhs=lhs,
         rhs=rhs,
         verified=lhs == rhs,
         mode="exact",
         elapsed=elapsed,
     )
+
+
+_SCALES = (Fraction(1, 4), Fraction(7, 3))
 
 
 def verify_equal_coeff_form(n: int, k: int, p) -> IdentityReport:
@@ -254,22 +278,25 @@ def verify_equal_coeff_form(n: int, k: int, p) -> IdentityReport:
     reported as stated, unnormalized (weight 1, times B(p,p)^k, so they
     carry their powers of pi), which needs a half-integer p.  On top of
     that the full check must scale by exactly c^(2n) for c in
-    {1/4, 1, 7/3}; the weight-1 check is the base call itself.
+    {1/4, 1, 7/3}; the weight-1 check is the base call itself.  The three
+    checks' ``_master_work`` together must fit ``MOMENT_WORK_BUDGET``.
     """
     if n < 1 or k < 1:
         raise InputError("n and k must be >= 1")
-    half = HalfInt.of(p)
-    p = half.as_fraction()
+    p = _shape(p)
+    norm = beta_half(p, p) ** k  # InputError unless p is a half-integer
+    check_work(f"equal-coeff record at n={n}, k={k}",
+               sum(_master_work(n, (c,) * k, p) for c in (1, *_SCALES)),
+               MOMENT_WORK_BUDGET)
     start = time.perf_counter()
     base = verify_master(n, (Fraction(1),) * k, p)
     verified = base.verified
-    for c in (Fraction(1, 4), Fraction(7, 3)):
+    for c in _SCALES:
         rep = verify_master(n, (c,) * k, p)
         scale = PiRational(c ** (2 * n))
         verified = (verified and rep.verified
                     and rep.lhs == base.lhs * scale
                     and rep.rhs == base.rhs * scale)
-    norm = beta_half(half, half) ** k
     elapsed = time.perf_counter() - start
     return IdentityReport(
         identity_name="equal-coeff",

@@ -1,8 +1,9 @@
 """Leaf helpers shared by the CLI and the library.
 
 Serialization of exact integers and rationals and 15-digit decimals, the
-two values the CLI parser shows as defaults or choices, and the error the
-library raises for an input it rejects.  This module imports nothing from
+values the CLI parser shows as defaults or choices, and the error the
+library raises for an input it rejects, with the check that raises it for
+work over a budget.  This module imports nothing from
 the package, so the parser is built without loading a library layer;
 ``walks`` and ``numeric`` re-export the constants under their old names.
 """
@@ -15,6 +16,8 @@ from fractions import Fraction
 DEFAULT_PATH_BUDGET = 10_000_000
 # normalizations accepted by numeric.evaluate_series and series --variant
 SERIES_VARIANTS = ("printed", "over-k-factorial", "over-k-factorial-squared")
+# the most workers a simulation takes, and the cap on the CLI's default count
+MAX_WORKERS = 1024
 
 
 class InputError(ValueError):
@@ -26,6 +29,18 @@ class InputError(ValueError):
     ``fraction_str`` for an exact value too long to print.  The CLI
     reports it as a usage error; any other exception is an internal fault.
     """
+
+
+def check_work(what: str, work: int, budget: int,
+               unit: str = "limb operations") -> None:
+    """Refuse a computation whose estimated ``work`` exceeds ``budget``.
+
+    Called before the computation starts; the InputError names ``what``,
+    the estimate and the budget.
+    """
+    if work > budget:
+        raise InputError(f"{what} needs about {work} {unit} "
+                         f"(budget is {budget})")
 
 
 def int_str(value: int) -> str:

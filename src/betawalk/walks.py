@@ -20,22 +20,25 @@ Binomial(count, 1/2), and the walk is home when every axis balances.  A
 Binomial(c, 1/2) draw with c <= 64 is a fair-coin count, the ones among c
 bits of one raw 64-bit Philox word; a draw call in which some c exceeds 64
 uses numpy's binomial instead, which is constant time per draw.  The beta
-sampler draws the matching arcsine-beta moment.  Only the Monte Carlo
-functions use numpy, and they import it when they run, so the exact
-functions load neither numpy nor a thread pool.
+sampler draws the matching arcsine-beta moment.  Both samplers refuse
+more than ``SIMULATION_WORK_BUDGET`` draws or ``MAX_WORKERS`` workers
+before they start.  Only the Monte Carlo functions use numpy, and they
+import it when they run, so the exact functions load neither numpy nor a
+thread pool.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from fractions import Fraction
 from itertools import product
 from operator import neg
 from typing import NamedTuple, Optional
 
-from .render import (DEFAULT_PATH_BUDGET, InputError, decimal15, fraction_str,
-                     int_str)
+from .render import (DEFAULT_PATH_BUDGET, MAX_WORKERS, InputError, check_work,
+                     decimal15, fraction_str, int_str)
 
 __all__ = [
     "WalkSpec",
@@ -44,6 +47,8 @@ __all__ = [
     "PathBudgetError",
     "DEFAULT_PATH_BUDGET",
     "COUNT_WORK_BUDGET",
+    "SIMULATION_WORK_BUDGET",
+    "MAX_WORKERS",
     "return_probability",
     "return_probability_odd",
     "closed_form_2d",
@@ -58,6 +63,9 @@ _CHUNK = 1 << 17  # simulation draw block; fixed so chunked sums are stable
 _INT64_MAX = (1 << 63) - 1  # the samplers count steps in int64
 # path_count's default bound on _count_work: about 4 s on a 2-vCPU machine
 COUNT_WORK_BUDGET = 50_000_000
+# a simulation's bound on trials * dim, one draw per trial and axis: 40-70 ns
+# each at one worker on a 2-vCPU machine, so 10-20 s
+SIMULATION_WORK_BUDGET = 250_000_000
 
 
 class PathBudgetError(InputError):
@@ -88,10 +96,6 @@ class WalkSpec(_WalkSpecFields):
         if half_steps < 1:
             raise InputError("half_steps must be >= 1")
         return tuple.__new__(cls, (dimension, half_steps))
-
-    @property
-    def step_probability(self) -> Fraction:
-        return Fraction(1, 2 * self.dimension)
 
 
 class _PathCountFields(NamedTuple):
@@ -178,12 +182,6 @@ def _count_work(dim: int, half_steps: int) -> int:
     return limbs * limbs + terms * (limbs + 16)
 
 
-def _check_work(what: str, work: int) -> None:
-    if work > COUNT_WORK_BUDGET:
-        raise InputError(f"{what} needs about {work} limb operations "
-                         f"(budget is {COUNT_WORK_BUDGET})")
-
-
 def path_count(dim: int, half_steps: int) -> PathCount:
     """Closed-path count C(2n, n) * T_dim(n), in integers.
 
@@ -196,8 +194,8 @@ def path_count(dim: int, half_steps: int) -> PathCount:
     if dim < 1 or half_steps < 1:
         raise InputError("dim and half_steps must be >= 1")
     n = half_steps
-    _check_work(f"path count at dim={dim}, half_steps={n}",
-                _count_work(dim, n))
+    check_work(f"path count at dim={dim}, half_steps={n}",
+               _count_work(dim, n), COUNT_WORK_BUDGET)
     t = [1] * (n + 1)
     if dim > 1:  # T_1 needs no table; building it would cost O(n^2) bigints
         squares = [[math.comb(m, i) ** 2 for i in range(m + 1)]
@@ -226,8 +224,8 @@ def path_count_odd(dim: int, steps: int) -> PathCount:
     """No closed path has odd length: 0 out of (2 dim)^steps, whose
     limbs^2 is held to ``COUNT_WORK_BUDGET`` as in ``path_count``."""
     return_probability_odd(dim, steps)
-    _check_work(f"path total at dim={dim}, steps={steps}",
-                _limbs(dim, steps) ** 2)
+    check_work(f"path total at dim={dim}, steps={steps}",
+               _limbs(dim, steps) ** 2, COUNT_WORK_BUDGET)
     return PathCount(0, (2 * dim) ** steps)
 
 
@@ -326,12 +324,32 @@ def _power_by_squaring(base, exponent: int, out):
     return out
 
 
+def _check_simulation(trials: int, dim: int, workers: int) -> None:
+    """Refuse, before the exact reference and any draw, a trial count whose
+    trials * dim exceeds ``SIMULATION_WORK_BUDGET`` and a worker count
+    outside 1..``MAX_WORKERS``."""
+    if trials < 1:
+        raise InputError("trials must be >= 1")
+    if workers < 1:
+        raise InputError("workers must be >= 1")
+    if workers > MAX_WORKERS:
+        raise InputError(f"workers must be at most {MAX_WORKERS}")
+    check_work(f"simulation of {trials} trials at dim={dim}", trials * dim,
+               SIMULATION_WORK_BUDGET, "draws")
+
+
 def _run_workers(fn, workers: int) -> list:
+    """[fn(0), .., fn(workers - 1)] on at most one thread per CPU.
+
+    Each worker draws from its own stream, so the pool size does not
+    change any result.
+    """
     if workers == 1:
         return [fn(0)]
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    threads = min(workers, os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(workers)))
 
 
@@ -348,19 +366,17 @@ def simulate_walk(spec: WalkSpec, trials: int, seed: int,
     same.  Every Binomial(c, 1/2) -- the plus steps, and the axis count
     when two axes are left -- counts the ones among c bits of one raw
     64-bit word; a draw call with some c above 64 (a long walk) uses
-    numpy's binomial for that call.  The exact reference comes first, so
-    a count over its work budget fails before anything is drawn.
+    numpy's binomial for that call.  The trial and worker counts are
+    checked first, then the exact reference is computed, so a count over
+    its work budget fails before anything is drawn.
     """
-    import numpy as np
-
-    if trials < 1:
-        raise InputError("trials must be >= 1")
-    if workers < 1:
-        raise InputError("workers must be >= 1")
     dim, steps = spec.dimension, 2 * spec.half_steps
+    _check_simulation(trials, dim, workers)
     if steps > _INT64_MAX:
         raise InputError(f"the walk length 2n must be at most {_INT64_MAX}")
     reference = return_probability(dim, spec.half_steps)
+    import numpy as np
+
     counts = _worker_counts(trials, workers)
 
     def run(worker_index: int) -> int:
@@ -396,18 +412,15 @@ def simulate_beta_moment(dim: int, half_steps: int, trials: int, seed: int,
     inverse CDF of the centered arcsine law, one uniform and one cosine per
     draw.  The estimate averages ((V_1+..+V_k)/k)^(2n), the power taken by
     repeated squaring; chunk sums merge through math.fsum, which is exact
-    compensated summation.  As in ``simulate_walk``, the exact reference
-    comes before any draw.
+    compensated summation.  As in ``simulate_walk``, the counts are
+    checked and the exact reference computed before any draw.
     """
-    import numpy as np
-
-    if trials < 1:
-        raise InputError("trials must be >= 1")
-    if workers < 1:
-        raise InputError("workers must be >= 1")
     if dim < 1 or half_steps < 1:
         raise InputError("dim and half_steps must be >= 1")
+    _check_simulation(trials, dim, workers)
     reference = return_probability(dim, half_steps)
+    import numpy as np
+
     power = 2 * half_steps
     counts = _worker_counts(trials, workers)
 

@@ -5,11 +5,12 @@ lines and timings.
 """
 
 import json
+import math
 import time
 from fractions import Fraction
 
-from betawalk.catalog import CATALOG, run_entry
-from betawalk.exact import PiRational, binomial
+from betawalk.catalog import CATALOG
+from betawalk.exact import PiRational
 from betawalk.moments import rhs_master, verify_master
 from betawalk.numeric import evaluate_series, verify_master_float
 from betawalk.walks import (
@@ -64,9 +65,9 @@ def test_criterion_2_moment_walk_correspondence():
             moment = rhs_master(n, (Fraction(1, k),) * k, "1/2")
             assert moment == PiRational(return_probability(k, n)), (k, n)
     for n in range(1, 21):
-        assert return_probability(1, n) == Fraction(binomial(2 * n, n),
+        assert return_probability(1, n) == Fraction(math.comb(2 * n, n),
                                                     4 ** n)
-        assert return_probability(2, n) == Fraction(binomial(2 * n, n) ** 2,
+        assert return_probability(2, n) == Fraction(math.comb(2 * n, n) ** 2,
                                                     4 ** (2 * n))
     assert return_probability(3, 2) == Fraction(5, 72)
     elapsed = time.perf_counter() - started
@@ -92,7 +93,7 @@ def test_criterion_4_identity_catalog():
     started = time.perf_counter()
     total = 0
     for name in CATALOG:
-        reports = list(run_entry(name))
+        reports = list(CATALOG[name].run())
         assert all(r.verified for r in reports), name
         total += len(reports)
 

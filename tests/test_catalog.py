@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,6 @@ from betawalk.catalog import (
     CATALOG,
     _k_dim_sum,
     entries,
-    run_entry,
     verify_alternating,
     verify_convolution,
     verify_duplication,
@@ -16,7 +16,7 @@ from betawalk.catalog import (
     verify_two_dim_remark,
     verify_vandermonde,
 )
-from betawalk.exact import PiRational, binomial
+from betawalk.exact import PiRational
 from betawalk.walks import closed_form_2d, return_probability
 
 from compositions import multinomial, weak_compositions
@@ -126,7 +126,7 @@ def literal_k_dim_sum(n, k, slot_coeff):
     for comp in weak_compositions(2 * n, k + 1):
         term = Fraction(multinomial(2 * n, comp))
         for j in comp[1:]:
-            term *= slot_coeff ** j * binomial(2 * j, j)
+            term *= slot_coeff ** j * math.comb(2 * j, j)
         acc += term
     return acc
 
@@ -146,7 +146,7 @@ def test_vandermonde():
     rep = verify_vandermonde(10)
     assert rep.verified
     assert rep.lhs == PiRational(Fraction(184756))
-    assert rep.rhs == PiRational(Fraction(binomial(20, 10)))
+    assert rep.rhs == PiRational(Fraction(math.comb(20, 10)))
 
 
 def test_duplication():
@@ -167,7 +167,7 @@ def test_declared_ranges_all_pass():
         "duplication": 101,
     }
     for name, count in expected_counts.items():
-        reports = list(run_entry(name))
+        reports = list(CATALOG[name].run())
         assert len(reports) == count, name
         assert all(r.verified for r in reports), name
 
@@ -185,5 +185,6 @@ def test_corrected_entries_carry_counterexamples():
 
 
 def test_unknown_entry():
+    assert "no-such" not in CATALOG
     with pytest.raises(KeyError):
-        run_entry("no-such")
+        CATALOG["no-such"]

@@ -11,6 +11,7 @@ import pytest
 
 from betawalk import catalog
 from betawalk.cli import main
+from betawalk.render import MAX_WORKERS
 
 
 def run_cli(capsys, *argv):
@@ -469,6 +470,22 @@ def test_env_var_overrides_threads(capsys, monkeypatch):
     assert code == 2
 
 
+def test_thread_counts_above_the_worker_maximum(capsys, monkeypatch):
+    # the default is capped; an explicit count above it is refused by the
+    # simulation before its exact reference, so no pool is ever started
+    monkeypatch.delenv("BETAWALK_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5000)
+    code, out, _ = run_cli(capsys, "verify", "master", "--n", "1", "--coeffs",
+                           "1", "--p", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["parameters"]["threads"] == MAX_WORKERS == 1024
+    monkeypatch.setenv("BETAWALK_THREADS", "5000")
+    code, out, err = run_cli(capsys, "simulate", "walk", "--dim", "1", "--n",
+                             "1", "--trials", "100")
+    assert (code, out, err) == (
+        2, "", "betawalk: error: workers must be at most 1024\n")
+
+
 def test_usage_error_goes_to_argparse(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "master", "--n", "1", "--coeffs", "1",
@@ -592,6 +609,19 @@ def test_odd_path_count_prints_every_format(capsys):
     (["compute", "path-count", "--dim", "1", "--steps", "100000000001",
       "--allow-odd"],
      "path total at dim=1, steps=100000000001 needs about"),
+    (["verify", "master", "--n", "1000", "--coeffs", "1,2", "--p", "1/2",
+      "--threads", "1"],
+     "master record at n=1000, k=2 needs about"),
+    (["verify", "equal-coeff", "--n", "1000", "--k", "2", "--p", "1/2"],
+     "equal-coeff record at n=1000, k=2 needs about"),
+    (["compute", "moment", "--n", "10000000", "--p", "7/5"],
+     "even moment at n=10000000 needs about"),
+    (["simulate", "walk", "--dim", "1", "--n", "1", "--trials",
+      "1000000000000", "--threads", "1"],
+     "simulation of 1000000000000 trials at dim=1 needs about"),
+    (["simulate", "beta", "--dim", "1", "--n", "1", "--trials", "10",
+      "--threads", "5000"],
+     "workers must be at most 1024"),
 ])
 def test_inputs_beyond_a_library_bound_exit_2_at_once(capsys, argv, message):
     # each is refused before any work starts

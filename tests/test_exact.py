@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -6,15 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betawalk.exact import (
-    HalfInt,
     PiRational,
     as_fraction,
     beta_half,
-    binomial,
     factorial,
     gamma_half,
 )
 from betawalk import exact
+from betawalk.render import InputError
 
 from compositions import multinomial, pochhammer, weak_compositions
 
@@ -35,13 +35,6 @@ def test_factorial_matches_math_beyond_cap(monkeypatch):
         factorial(-1)
 
 
-def test_binomial_values():
-    assert binomial(4, 2) == 6
-    assert binomial(6, 3) == 20
-    assert binomial(3, 5) == 0
-    assert binomial(3, -1) == 0
-
-
 def test_multinomial_values():
     assert multinomial(2, (1, 1)) == 2
     assert multinomial(6, (2, 2, 2)) == 90
@@ -60,7 +53,7 @@ def test_multinomial_equals_binomial_chain():
                 product, prefix = 1, 0
                 for part in comp:
                     prefix += part
-                    product *= binomial(prefix, part)
+                    product *= math.comb(prefix, part)
                 assert multinomial(n, comp) == product
 
 
@@ -70,54 +63,72 @@ def test_pochhammer_values():
     assert pochhammer(2, 4) == 120
 
 
-def test_half_int_parsing():
-    assert HalfInt.of("3/2").doubled == 3
-    assert HalfInt.of(2).doubled == 4
-    assert HalfInt.of(Fraction(5, 2)).doubled == 5
-    with pytest.raises(ValueError):
-        HalfInt.of("1/3")
-    assert str(HalfInt.of("3/2")) == "3/2"
-    assert (HalfInt.of("1/2") + 1).doubled == 3
-    assert (HalfInt.of("1/2") + HalfInt.of("1/2")).doubled == 2
-    assert HalfInt.of("1/2").as_fraction() == Fraction(1, 2)
-    assert not HalfInt.of("1/2").is_integer
-    assert HalfInt.of(3).is_integer
+HALF_INTEGERS = [Fraction(d, 2) for d in range(1, 41)]  # every one <= 20
+# SHA-256 of the str() of gamma_half over HALF_INTEGERS, and of beta_half
+# over every pair of them, one value a line, pinned from the implementation
+# that took its arguments as doubled integers
+GAMMA_DIGEST = "0d4ba2538a2c388d1b6fa7b19c4de053de18fbda76e127263e2de04f08e21375"
+BETA_DIGEST = "115169b2b93bf70e43e5df2bbb3948985d09042a1f5b3471f163c36088447027"
+
+
+def _digest(values) -> str:
+    return hashlib.sha256("\n".join(map(str, values)).encode()).hexdigest()
+
+
+def test_half_integer_arguments_in_every_form():
+    # a Fraction, an "a/b" string, and an int where the value is integral
+    def forms(a):
+        return [a, str(a)] + ([int(a)] if a.denominator == 1 else [])
+
+    for a in HALF_INTEGERS:
+        assert len({gamma_half(x) for x in forms(a)}) == 1, a
+    assert _digest(gamma_half(str(a)) for a in HALF_INTEGERS) == GAMMA_DIGEST
+    assert _digest(beta_half(a, b) for a in HALF_INTEGERS
+                   for b in HALF_INTEGERS) == BETA_DIGEST
+    assert _digest(beta_half(str(a), str(b)) for a in HALF_INTEGERS
+                   for b in HALF_INTEGERS) == BETA_DIGEST
+    assert beta_half(2, "1/2") == beta_half(Fraction(2), Fraction(1, 2))
 
 
 def test_gamma_half_values():
-    assert gamma_half(HalfInt.of("1/2")) == PiRational(Fraction(1), 1)
-    assert gamma_half(HalfInt.of("5/2")) == PiRational(Fraction(3, 4), 1)
-    assert gamma_half(HalfInt.of(4)) == PiRational(Fraction(6))
+    assert gamma_half(Fraction(1, 2)) == PiRational(Fraction(1), 1)
+    assert gamma_half("5/2") == PiRational(Fraction(3, 4), 1)
+    assert gamma_half(4) == PiRational(Fraction(6))
+    for bad in (0, Fraction(-3, 2), Fraction(1, 3), "5/4"):
+        with pytest.raises(InputError):
+            gamma_half(bad)
     with pytest.raises(ValueError):
-        gamma_half(HalfInt(0))
-    with pytest.raises(ValueError):
-        gamma_half(HalfInt(-3))
+        gamma_half(0)
+    with pytest.raises(TypeError):
+        gamma_half(0.5)
 
 
 def test_beta_half_values():
-    half = HalfInt.of("1/2")
+    half = Fraction(1, 2)
     assert beta_half(half, half) == PiRational(Fraction(1), 2)
-    assert beta_half(HalfInt.of("3/2"), half) == PiRational(Fraction(1, 2), 2)
-    assert beta_half(HalfInt.of(2), HalfInt.of(1)) == PiRational(Fraction(1, 2))
+    assert beta_half("3/2", half) == PiRational(Fraction(1, 2), 2)
+    assert beta_half(2, 1) == PiRational(Fraction(1, 2))
     with pytest.raises(ValueError):
-        beta_half(HalfInt(0), half)
+        beta_half(0, half)
+    with pytest.raises(InputError):
+        beta_half(Fraction(1, 3), half)
 
 
 def test_duplication_invariant():
-    root = gamma_half(HalfInt(1))
+    root = gamma_half(Fraction(1, 2))
     for n in range(101):
-        ratio = gamma_half(HalfInt(2 * n + 1)) / root
+        ratio = gamma_half(n + Fraction(1, 2)) / root
         assert ratio.sqrt_pi_pow == 0
-        assert ratio.coeff == Fraction(binomial(2 * n, n) * factorial(n), 4 ** n)
+        assert ratio.coeff == Fraction(math.comb(2 * n, n) * factorial(n),
+                                       4 ** n)
 
 
 def test_beta_symmetry_and_recurrence():
-    values = [HalfInt(d) for d in range(1, 41)]  # every half-integer <= 20
-    for a in values:
-        for b in values:
+    for a in HALF_INTEGERS:
+        for b in HALF_INTEGERS:
             assert beta_half(a, b) == beta_half(b, a)
             lhs = beta_half(a + 1, b)
-            rhs = beta_half(a, b) * a.as_fraction() / (a + b).as_fraction()
+            rhs = beta_half(a, b) * a / (a + b)
             assert lhs == rhs
 
 

@@ -1,3 +1,5 @@
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -5,15 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betawalk import moments
-from betawalk.exact import (
-    HalfInt,
-    PiRational,
-    beta_half,
-    binomial,
-)
+from betawalk.exact import PiRational, beta_half
 from betawalk.moments import (
-    CoefficientVector,
+    MOMENT_WORK_BUDGET,
+    _bits,
     _lhs,
+    _master_work,
     _rhs,
     even_moment,
     lhs_master,
@@ -21,6 +20,7 @@ from betawalk.moments import (
     verify_equal_coeff_form,
     verify_master,
 )
+from betawalk.render import InputError
 from betawalk.walks import brute_force_return, return_probability
 
 from compositions import multinomial, pochhammer, weak_compositions
@@ -61,7 +61,7 @@ def test_even_moment_arcsine_closed_form():
     for n in range(1, 31):
         value = even_moment(n, "1/2")
         assert value.sqrt_pi_pow == 0
-        assert value.coeff == Fraction(binomial(2 * n, n), 4 ** n)
+        assert value.coeff == Fraction(math.comb(2 * n, n), 4 ** n)
 
 
 def quadrature_even_moment(mpmath, n: int, p: Fraction):
@@ -108,7 +108,7 @@ def test_two_variable_moment_quadrature_oracle(p):
             q = [mpmath.mpf(1)] + [quadrature_even_moment(mpmath, i, p)
                                    for i in range(1, n + 1)]
             expected = mpmath.fsum(
-                as_mpf(mpmath, binomial(2 * n, 2 * i) * a ** (2 * i)
+                as_mpf(mpmath, math.comb(2 * n, 2 * i) * a ** (2 * i)
                        * b ** (2 * n - 2 * i)) * q[i] * q[n - i]
                 for i in range(n + 1))
             for side in (lhs_master, rhs_master):
@@ -126,9 +126,9 @@ def test_even_moment_validation():
 
 def test_lhs_master_literal_three_term_sum():
     # n=1, c=[1], p=1: the sum has slots (j1, j2) with j1+j2 = 2
-    b = lambda j: beta_half(HalfInt.of(j + 1), HalfInt.of(1))
+    b = lambda j: beta_half(Fraction(j + 1), Fraction(1))
     expected = (b(0) * 1 + b(1) * (2 * -2) + b(2) * 4) / beta_half(
-        HalfInt.of(1), HalfInt.of(1))
+        Fraction(1), Fraction(1))
     assert expected == PiRational(Fraction(1, 3))
     assert lhs_master(1, [1], 1) == expected
 
@@ -142,13 +142,13 @@ def test_lhs_master_matches_single_variable_moment():
 
 def test_lhs_master_two_equal_halves():
     assert lhs_master(1, ["1/2", "1/2"], "1/2") == PiRational(
-        Fraction(binomial(2, 1) ** 2, 16))
+        Fraction(math.comb(2, 1) ** 2, 16))
 
 
 def test_rhs_master_literal_evaluation():
     # n=1, c=[1], p=1: single index i1=1, term (1/2) * B(3/2, 1)
-    expected = beta_half(HalfInt.of("3/2"), HalfInt.of(1)) / beta_half(
-        HalfInt.of(1), HalfInt.of(1)) / 2
+    expected = beta_half(Fraction(3, 2), Fraction(1)) / beta_half(
+        Fraction(1), Fraction(1)) / 2
     assert expected == PiRational(Fraction(1, 3))
     assert rhs_master(1, [1], 1) == expected
 
@@ -239,7 +239,7 @@ def literal_lhs_raw(n, coeffs, p):
     for comp in weak_compositions(2 * n, len(coeffs) + 1):
         term = PiRational(multinomial(2 * n, comp) * total ** comp[0])
         for c, j in zip(coeffs, comp[1:]):
-            term = term * beta_half(HalfInt(2 * j) + p, p) * (-2 * c) ** j
+            term = term * beta_half(j + p, p) * (-2 * c) ** j
         acc = acc + term
     return acc
 
@@ -250,9 +250,9 @@ def literal_rhs_raw(n, coeffs, p):
     for comp in weak_compositions(n, len(coeffs)):
         term = PiRational(multinomial(2 * n, [2 * i for i in comp]))
         for c, i in zip(coeffs, comp):
-            term = term * beta_half(HalfInt(2 * i + 1), p) * c ** (2 * i)
+            term = term * beta_half(i + Fraction(1, 2), p) * c ** (2 * i)
         acc = acc + term
-    return acc / 2 ** ((p.doubled - 1) * len(coeffs))
+    return acc / 2 ** int((2 * p - 1) * len(coeffs))
 
 
 LITERAL_VECTORS = [(Fraction(1, 2),), (Fraction(1), Fraction(1)),
@@ -262,12 +262,12 @@ LITERAL_VECTORS = [(Fraction(1, 2),), (Fraction(1), Fraction(1)),
 
 def test_expansions_match_literal_composition_sums():
     for n in range(1, 5):
-        for p in map(HalfInt.of, P_GRID):
+        for p in P_GRID:
             for coeffs in LITERAL_VECTORS:
                 norm = beta_half(p, p) ** len(coeffs)
-                assert (lhs_master(n, coeffs, p.as_fraction())
+                assert (lhs_master(n, coeffs, p)
                         == literal_lhs_raw(n, coeffs, p) / norm)
-                assert (rhs_master(n, coeffs, p.as_fraction())
+                assert (rhs_master(n, coeffs, p)
                         == literal_rhs_raw(n, coeffs, p) / norm)
 
 
@@ -362,12 +362,92 @@ def test_verify_equal_coeff_form_checks_each_weight_once(monkeypatch):
 
 
 def test_coefficient_vector_validation():
-    with pytest.raises(ValueError):
-        CoefficientVector.of([])
-    with pytest.raises(ValueError):
-        CoefficientVector.of([Fraction(1), Fraction(0)])
-    with pytest.raises(ValueError):
-        CoefficientVector.of([Fraction(-1)])
-    vec = CoefficientVector.of(["1/2", "1/3"])
-    assert vec.total == Fraction(5, 6)
-    assert len(vec) == 2
+    for f in (lhs_master, rhs_master, verify_master):
+        for bad in ([], [Fraction(1), Fraction(0)], [Fraction(-1)]):
+            with pytest.raises(InputError):
+                f(1, bad, 1)
+        with pytest.raises(TypeError):
+            f(1, [1, 0.5], 1)
+    rep = verify_master(1, ["1/2", "1/3"], 1)
+    assert rep.parameters["k"] == "2"
+    assert rep.parameters["coeffs"] == "1/2,1/3"
+
+
+def test_equal_coeff_form_needs_a_half_integer_shape():
+    for p in ("1/3", Fraction(2, 3), "5/4"):
+        with pytest.raises(InputError):
+            verify_equal_coeff_form(1, 1, p)
+    with pytest.raises(InputError):
+        verify_equal_coeff_form(1, 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# the work budget of a record
+# ---------------------------------------------------------------------------
+
+EQUAL_WEIGHTS = (1, Fraction(1, 4), Fraction(7, 3))
+
+
+def equal_coeff_work(n, k, p):
+    return sum(_master_work(n, (c,) * k, p) for c in EQUAL_WEIGHTS)
+
+
+def test_master_budget_refuses_before_any_arithmetic(monkeypatch):
+    def never(*args):
+        raise AssertionError("a refused record reached the arithmetic")
+
+    monkeypatch.setattr(moments, "_lhs", never)
+    monkeypatch.setattr(moments, "_rhs", never)
+    monkeypatch.setattr(moments, "_even_moments", never)
+    started = time.perf_counter()
+    for call in (lambda: verify_master(1000, (1, 2), "1/2"),
+                 lambda: lhs_master(1000, (1, 2), "1/2"),
+                 lambda: rhs_master(1000, (1, 2), "1/2"),
+                 lambda: verify_equal_coeff_form(1000, 2, "1/2"),
+                 lambda: even_moment(10 ** 7, "7/5")):
+        with pytest.raises(InputError, match=r"needs about \d+ limb "
+                           r"operations \(budget is 16000000\)"):
+            call()
+    assert time.perf_counter() - started < 1.0
+
+
+def test_master_budget_holds_at_its_edge(monkeypatch):
+    n, cs, p = 6, (Fraction(1, 2), Fraction(7, 5)), Fraction(3, 2)
+    work = _master_work(n, cs, p)
+    monkeypatch.setattr(moments, "MOMENT_WORK_BUDGET", work)
+    assert verify_master(n, cs, p).verified
+    monkeypatch.setattr(moments, "MOMENT_WORK_BUDGET", work - 1)
+    with pytest.raises(InputError, match=f"master record at n=6, k=2 needs "
+                       f"about {work} limb operations"):
+        verify_master(n, cs, p)
+
+    work = equal_coeff_work(3, 2, p)
+    monkeypatch.setattr(moments, "MOMENT_WORK_BUDGET", work)
+    assert verify_equal_coeff_form(3, 2, p).verified
+    monkeypatch.setattr(moments, "MOMENT_WORK_BUDGET", work - 1)
+    with pytest.raises(InputError, match="equal-coeff record at n=3, k=2"):
+        verify_equal_coeff_form(3, 2, p)
+
+    work = moments._work(40, 40, _bits(p))
+    monkeypatch.setattr(moments, "MOMENT_WORK_BUDGET", work)
+    assert even_moment(40, p) == PiRational(moments._even_moments(p, 41)[40])
+    monkeypatch.setattr(moments, "MOMENT_WORK_BUDGET", work - 1)
+    with pytest.raises(InputError, match="even moment at n=40"):
+        even_moment(40, p)
+
+
+def test_master_budget_admits_the_documented_sizes():
+    # the documented sweeps, the README commands and the benchmark's points
+    for n in range(1, 41):
+        for k in range(1, 9):
+            assert _master_work(n, (1,) * k, Fraction(3, 2)) \
+                <= MOMENT_WORK_BUDGET
+    seven = tuple(Fraction(1, i) for i in range(1, 8)) + (Fraction(7, 5),)
+    assert _master_work(30, seven, Fraction(7, 5)) <= MOMENT_WORK_BUDGET
+    for n in range(1, 21):
+        for k in range(1, 7):
+            assert equal_coeff_work(n, k, Fraction(5, 2)) <= MOMENT_WORK_BUDGET
+    # weights 1, 2 at p = 1/2 take 0.64 s at n=100; refused from n=200 on
+    one_two = (Fraction(1), Fraction(2))
+    assert (_master_work(199, one_two, Fraction(1, 2)) <= MOMENT_WORK_BUDGET
+            < _master_work(200, one_two, Fraction(1, 2)))

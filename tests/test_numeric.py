@@ -194,6 +194,13 @@ def test_series_over_k_factorial_approaches_target_slowly():
     assert 0.9 < run.limit_estimate < run.target == 1.0
     shorter = evaluate_series(0, "over-k-factorial", max_terms=2_000)
     assert shorter.limit_estimate < run.limit_estimate  # still rising
+    # Gauss's 2F1(a, b; c; 1) theorem sums the series to pi; its terms decay
+    # like k^(-3/2) / sqrt(pi), so the terms left out after the first K, over
+    # pi, add up to 2 / (pi^(3/2) sqrt(K)) to leading order
+    for evaluation, k in ((shorter, 2_000), (run, 20_000)):
+        tail = evaluation.target - evaluation.limit_estimate
+        assert tail == pytest.approx(2 / (math.pi ** 1.5 * math.sqrt(k)),
+                                     rel=1e-4)
 
 
 def test_series_partial_sums_monotone_nondecreasing():

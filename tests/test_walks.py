@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from betawalk import walks
-from betawalk.exact import binomial
 from betawalk.render import InputError
 from betawalk.walks import (
     COUNT_WORK_BUDGET,
     DEFAULT_PATH_BUDGET,
+    MAX_WORKERS,
+    SIMULATION_WORK_BUDGET,
     PathBudgetError,
     PathCount,
     WalkSpec,
@@ -75,7 +76,7 @@ def test_return_probability_odd():
 def test_closed_forms():
     assert closed_form_1d(2) == Fraction(3, 8)
     assert closed_form_2d(1) == Fraction(1, 4)
-    central = binomial(10, 5)
+    central = math.comb(10, 5)
     assert closed_form_2d(5) == Fraction(central * central, 4 ** 10)
     assert closed_form_2d(5) == Fraction(3969, 65536)
 
@@ -234,7 +235,7 @@ def test_probability_range_and_monotonicity():
 
 def test_walk_spec_validation():
     spec = WalkSpec(2, 5)
-    assert spec.step_probability == Fraction(1, 4)
+    assert (spec.dimension, spec.half_steps) == (2, 5)
     with pytest.raises(ValueError):
         WalkSpec(0, 1)
     with pytest.raises(ValueError):
@@ -417,3 +418,88 @@ def test_simulation_json_serialization():
     assert obj["exactDecimal"] == "0.25"
     assert obj["trials"] == 1000
     assert isinstance(obj["zScore"], float)
+
+
+# ---------------------------------------------------------------------------
+# the simulation bounds
+# ---------------------------------------------------------------------------
+
+
+class RecordingPool:
+    """A stand-in thread pool: records its size, runs the tasks in order."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return list(map(fn, items))
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("a refused simulation started its work")
+
+
+def test_simulation_refusals_start_no_reference_and_no_pool(monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(walks, "return_probability", _no_work)
+    monkeypatch.setattr(walks, "_worker_rng", _no_work)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _no_work)
+    started = time.perf_counter()
+    for sim in (lambda t, w: simulate_walk(WalkSpec(3, 1), t, 0, workers=w),
+                lambda t, w: simulate_beta_moment(3, 1, t, 0, workers=w)):
+        with pytest.raises(InputError, match=r"simulation of 1000000000000 "
+                           r"trials at dim=3 needs about 3000000000000 draws "
+                           r"\(budget is 250000000\)"):
+            sim(10 ** 12, 1)
+        for workers in (MAX_WORKERS + 1, 10 ** 6):
+            with pytest.raises(InputError,
+                               match=f"workers must be at most {MAX_WORKERS}"):
+                sim(10, workers)
+        with pytest.raises(InputError, match="workers must be >= 1"):
+            sim(10, 0)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_simulation_bounds_hold_at_their_edge(monkeypatch):
+    assert SIMULATION_WORK_BUDGET == 250_000_000
+    monkeypatch.setattr(walks, "SIMULATION_WORK_BUDGET", 3000)
+    monkeypatch.setattr(walks, "MAX_WORKERS", 3)
+    assert simulate_walk(WalkSpec(3, 1), 1000, 0, workers=3).trials == 1000
+    assert simulate_beta_moment(3, 1, 1000, 0, workers=3).trials == 1000
+    with pytest.raises(InputError, match="needs about 3003 draws"):
+        simulate_walk(WalkSpec(3, 1), 1001, 0, workers=3)
+    with pytest.raises(InputError, match="needs about 3003 draws"):
+        simulate_beta_moment(3, 1, 1001, 0, workers=3)
+    with pytest.raises(InputError, match="workers must be at most 3"):
+        simulate_walk(WalkSpec(3, 1), 1000, 0, workers=4)
+
+
+def test_pool_has_at_most_one_thread_per_cpu(monkeypatch):
+    import concurrent.futures
+    import os
+
+    expected = [simulate_walk(WalkSpec(2, 2), 5000, 9, workers=5),
+                simulate_beta_moment(2, 2, 5000, 9, workers=5)]
+    RecordingPool.sizes = []
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    got = [simulate_walk(WalkSpec(2, 2), 5000, 9, workers=5),
+           simulate_beta_moment(2, 2, 5000, 9, workers=5)]
+    assert RecordingPool.sizes == [2, 2]
+    assert got == expected  # each worker keeps its stream; merge order holds
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    simulate_walk(WalkSpec(2, 2), 100, 9, workers=3)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    simulate_walk(WalkSpec(2, 2), 100, 9, workers=3)
+    simulate_walk(WalkSpec(2, 2), 100, 9, workers=1)  # no pool at all
+    assert RecordingPool.sizes == [2, 2, 1, 3]
