@@ -118,15 +118,26 @@ def _even_moments(p: Fraction, count: int) -> list[Fraction]:
 def even_moment(n: int, p) -> PiRational:
     """E[U^(2n)] = (1/2)_n / (p + 1/2)_n, exactly (sqrt(pi) exponent 0).
 
-    Its n ratio steps are charged as n multiply-adds by ``_work``; over
-    ``MOMENT_WORK_BUDGET`` it raises InputError before the first.
+    Each of the n ratio steps is charged ``_step_work`` of the value it
+    makes, so a moment that telescopes (an integer p leaves p factors)
+    stays cheap.  An n whose least charge is over ``MOMENT_WORK_BUDGET``
+    raises InputError before the first step; otherwise the first step that
+    carries the charge over it does.
     """
     if n < 1:
         raise InputError("n must be >= 1")
     p = _shape(p)
-    check_work(f"even moment at n={n}", _work(n, n, _bits(p)),
-               MOMENT_WORK_BUDGET)
-    return PiRational(_even_moments(p, n + 1)[n])
+    what = f"even moment at n={n}"
+    check_work(what, n * _step_work(Fraction(1)), MOMENT_WORK_BUDGET)
+    half, shift = Fraction(1, 2), p + Fraction(1, 2)
+    value, work = Fraction(1), 0
+    for j in range(n):
+        value = value * (half + j) / (shift + j)
+        step = _step_work(value)
+        work += step
+        if work > MOMENT_WORK_BUDGET:
+            check_work(what, work + (n - 1 - j) * step, MOMENT_WORK_BUDGET)
+    return PiRational(value)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +147,18 @@ def even_moment(n: int, p) -> PiRational:
 
 def _bits(value: Fraction) -> int:
     return value.numerator.bit_length() + value.denominator.bit_length()
+
+
+def _step_work(value: Fraction) -> int:
+    """Charge of one ``even_moment`` ratio step that makes ``value``.
+
+    The step multiplies and divides ``value`` by small rationals, a few
+    linear passes over its limbs, and its four Fraction operations cost
+    the interpreter about as much as 100 limbs: on a 2-vCPU machine a limb
+    takes 0.04-0.06 us and a step on a small value 5.9 us, so
+    ``MOMENT_WORK_BUDGET`` is about 1 s of this loop for any p.
+    """
+    return _bits(value) // 64 + 1 + 100
 
 
 def _work(n: int, terms: int, bits_per_degree: int) -> int:
@@ -153,19 +176,17 @@ def _work(n: int, terms: int, bits_per_degree: int) -> int:
     return terms * (limbs + 24)
 
 
-def _master_work(n: int, coeffs: Sequence[Fraction], p: Fraction) -> int:
+def _master_work(n: int, k: int, weight_bits: int, p: Fraction) -> int:
     """Estimated cost of both expansions of one master record.
 
     The raw side makes k products of series of 2n + 1 terms,
     (2n+1)(2n+2)/2 multiply-adds each; the even side builds k series of
     n + 1 terms and multiplies them, under k (n+1)(n+2)/2.  A degree adds
-    the bits of the largest weight or of their sum, and of p twice (the
-    two Pochhammer symbols of a moment).
+    ``weight_bits``, the bits of the largest weight or of their sum, and
+    the bits of p twice (the two Pochhammer symbols of a moment).
     """
-    k = len(coeffs)
     terms = k * ((2 * n + 1) * (2 * n + 2) + (n + 1) * (n + 2)) // 2
-    per_degree = max(map(_bits, (*coeffs, sum(coeffs)))) + 2 * _bits(p)
-    return _work(n, terms, per_degree)
+    return _work(n, terms, weight_bits + 2 * _bits(p))
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +251,12 @@ def _record(n: int, coeffs, p) -> tuple[tuple[Fraction, ...], Fraction]:
     if n < 1:
         raise InputError("n must be >= 1")
     cs, p = _weights(coeffs), _shape(p)
-    check_work(f"master record at n={n}, k={len(cs)}",
-               _master_work(n, cs, p), MOMENT_WORK_BUDGET)
+    what = f"master record at n={n}, k={len(cs)}"
+    # the series lengths alone, before the weights' bits are summed
+    check_work(what, _master_work(n, len(cs), 0, p), MOMENT_WORK_BUDGET)
+    weight_bits = max(map(_bits, (*cs, sum(cs))))
+    check_work(what, _master_work(n, len(cs), weight_bits, p),
+               MOMENT_WORK_BUDGET)
     return cs, p
 
 
@@ -253,8 +278,8 @@ def verify_master(n: int, coeffs, p) -> IdentityReport:
     """
     cs, p = _record(n, coeffs, p)
     start = time.perf_counter()
-    lhs = lhs_master(n, cs, p)
-    rhs = rhs_master(n, cs, p)
+    lhs = PiRational(_lhs(n, cs, p))
+    rhs = PiRational(_rhs(n, cs, p))
     elapsed = time.perf_counter() - start
     return IdentityReport(
         identity_name="master",
@@ -284,10 +309,12 @@ def verify_equal_coeff_form(n: int, k: int, p) -> IdentityReport:
     if n < 1 or k < 1:
         raise InputError("n and k must be >= 1")
     p = _shape(p)
-    norm = beta_half(p, p) ** k  # InputError unless p is a half-integer
+    beta = beta_half(p, p)  # InputError unless p is a half-integer
     check_work(f"equal-coeff record at n={n}, k={k}",
-               sum(_master_work(n, (c,) * k, p) for c in (1, *_SCALES)),
+               sum(_master_work(n, k, max(_bits(c), _bits(k * c)), p)
+                   for c in (Fraction(1), *_SCALES)),
                MOMENT_WORK_BUDGET)
+    norm = beta ** k
     start = time.perf_counter()
     base = verify_master(n, (Fraction(1),) * k, p)
     verified = base.verified

@@ -43,6 +43,15 @@ def test_compute_moment(capsys):
     assert out.split()[0] == "1/7"
 
 
+def test_compute_moment_of_a_telescoping_shape_at_large_n(capsys):
+    # at an integer p only p factors are left, so the budget admits long runs
+    for n, value in (("8000", "1/16001"), ("20000", "1/40001")):
+        code, out, _ = run_cli(capsys, "compute", "moment", "--n", n,
+                               "--p", "1")
+        assert code == 0
+        assert out.split()[0] == value
+
+
 def test_compute_moment_at_non_half_integer_shape(capsys):
     code, out, _ = run_cli(capsys, "compute", "moment",
                            "--n", "2", "--p", "1/3")
@@ -614,6 +623,8 @@ def test_odd_path_count_prints_every_format(capsys):
      "master record at n=1000, k=2 needs about"),
     (["verify", "equal-coeff", "--n", "1000", "--k", "2", "--p", "1/2"],
      "equal-coeff record at n=1000, k=2 needs about"),
+    (["verify", "equal-coeff", "--n", "1", "--k", "100000000", "--p", "3/2"],
+     "equal-coeff record at n=1, k=100000000 needs about"),
     (["compute", "moment", "--n", "10000000", "--p", "7/5"],
      "even moment at n=10000000 needs about"),
     (["simulate", "walk", "--dim", "1", "--n", "1", "--trials",

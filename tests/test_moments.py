@@ -14,6 +14,7 @@ from betawalk.moments import (
     _lhs,
     _master_work,
     _rhs,
+    _step_work,
     even_moment,
     lhs_master,
     rhs_master,
@@ -385,11 +386,20 @@ def test_equal_coeff_form_needs_a_half_integer_shape():
 # the work budget of a record
 # ---------------------------------------------------------------------------
 
-EQUAL_WEIGHTS = (1, Fraction(1, 4), Fraction(7, 3))
+EQUAL_WEIGHTS = (Fraction(1), Fraction(1, 4), Fraction(7, 3))
+
+
+def master_work(n, cs, p):
+    cs = tuple(map(Fraction, cs))
+    return _master_work(n, len(cs), max(map(_bits, (*cs, sum(cs)))), p)
 
 
 def equal_coeff_work(n, k, p):
-    return sum(_master_work(n, (c,) * k, p) for c in EQUAL_WEIGHTS)
+    return sum(master_work(n, (c,) * k, p) for c in EQUAL_WEIGHTS)
+
+
+def even_moment_work(n, p):
+    return sum(map(_step_work, moments._even_moments(p, n + 1)[1:]))
 
 
 def test_master_budget_refuses_before_any_arithmetic(monkeypatch):
@@ -404,6 +414,7 @@ def test_master_budget_refuses_before_any_arithmetic(monkeypatch):
                  lambda: lhs_master(1000, (1, 2), "1/2"),
                  lambda: rhs_master(1000, (1, 2), "1/2"),
                  lambda: verify_equal_coeff_form(1000, 2, "1/2"),
+                 lambda: verify_equal_coeff_form(1, 10 ** 8, "3/2"),
                  lambda: even_moment(10 ** 7, "7/5")):
         with pytest.raises(InputError, match=r"needs about \d+ limb "
                            r"operations \(budget is 16000000\)"):
@@ -411,9 +422,19 @@ def test_master_budget_refuses_before_any_arithmetic(monkeypatch):
     assert time.perf_counter() - started < 1.0
 
 
+def test_many_weights_are_refused_before_their_sum():
+    # the series lengths alone are over the budget at n=1, k=99999, so the
+    # weights' sum, whose denominator is lcm(1..99999), is never formed
+    weights = [Fraction(1, i) for i in range(1, 10 ** 5)]
+    started = time.perf_counter()
+    with pytest.raises(InputError, match=r"master record at n=1, k=99999"):
+        verify_master(1, weights, 1)
+    assert time.perf_counter() - started < 1.0
+
+
 def test_master_budget_holds_at_its_edge(monkeypatch):
     n, cs, p = 6, (Fraction(1, 2), Fraction(7, 5)), Fraction(3, 2)
-    work = _master_work(n, cs, p)
+    work = master_work(n, cs, p)
     monkeypatch.setattr(moments, "MOMENT_WORK_BUDGET", work)
     assert verify_master(n, cs, p).verified
     monkeypatch.setattr(moments, "MOMENT_WORK_BUDGET", work - 1)
@@ -428,26 +449,46 @@ def test_master_budget_holds_at_its_edge(monkeypatch):
     with pytest.raises(InputError, match="equal-coeff record at n=3, k=2"):
         verify_equal_coeff_form(3, 2, p)
 
-    work = moments._work(40, 40, _bits(p))
+
+@pytest.mark.parametrize("p", [Fraction(3, 2), Fraction(1), Fraction(7, 5)])
+def test_even_moment_budget_holds_at_its_edge(monkeypatch, p):
+    # the charge is the size of each value made, so the edge is exact
+    work = even_moment_work(40, p)
+    expected = PiRational(moments._even_moments(p, 41)[40])
     monkeypatch.setattr(moments, "MOMENT_WORK_BUDGET", work)
-    assert even_moment(40, p) == PiRational(moments._even_moments(p, 41)[40])
+    assert even_moment(40, p) == expected
     monkeypatch.setattr(moments, "MOMENT_WORK_BUDGET", work - 1)
-    with pytest.raises(InputError, match="even moment at n=40"):
+    with pytest.raises(InputError, match="even moment at n=40 needs about"):
         even_moment(40, p)
+
+
+def test_even_moment_charges_the_size_its_values_reach():
+    # an integer p telescopes to p factors: long runs stay cheap and admitted
+    assert even_moment(20000, 1) == PiRational(Fraction(1, 40001))
+    assert even_moment(8000, 2) == PiRational(Fraction(3, 16001 * 16003))
+    least = _step_work(Fraction(1))
+    assert even_moment_work(20000, Fraction(1)) == 20000 * least
+    # 7/5 does not: its values grow with every step
+    assert even_moment_work(1000, Fraction(7, 5)) > 1000 * least + 50_000
+    # so the least charge of a step refuses a long run before its first step
+    longest = MOMENT_WORK_BUDGET // least
+    with pytest.raises(InputError, match=f"even moment at n={longest + 1} "
+                       f"needs about {(longest + 1) * least} limb"):
+        even_moment(longest + 1, 1)
 
 
 def test_master_budget_admits_the_documented_sizes():
     # the documented sweeps, the README commands and the benchmark's points
     for n in range(1, 41):
         for k in range(1, 9):
-            assert _master_work(n, (1,) * k, Fraction(3, 2)) \
+            assert master_work(n, (1,) * k, Fraction(3, 2)) \
                 <= MOMENT_WORK_BUDGET
     seven = tuple(Fraction(1, i) for i in range(1, 8)) + (Fraction(7, 5),)
-    assert _master_work(30, seven, Fraction(7, 5)) <= MOMENT_WORK_BUDGET
+    assert master_work(30, seven, Fraction(7, 5)) <= MOMENT_WORK_BUDGET
     for n in range(1, 21):
         for k in range(1, 7):
             assert equal_coeff_work(n, k, Fraction(5, 2)) <= MOMENT_WORK_BUDGET
     # weights 1, 2 at p = 1/2 take 0.64 s at n=100; refused from n=200 on
     one_two = (Fraction(1), Fraction(2))
-    assert (_master_work(199, one_two, Fraction(1, 2)) <= MOMENT_WORK_BUDGET
-            < _master_work(200, one_two, Fraction(1, 2)))
+    assert (master_work(199, one_two, Fraction(1, 2)) <= MOMENT_WORK_BUDGET
+            < master_work(200, one_two, Fraction(1, 2)))
