@@ -46,6 +46,10 @@ EXTRA_COMMANDS = [
     "verify master --n 1 --coeffs 1 --p 1/3",
     "compute moment --n 2 --p 1/3",
     "compute return-prob --dim 2 --steps 5",
+    "verify master --n 1..12 --k 1..6 --p 3/2",
+    "verify master --n 1..10 --coeffs 1/2,1/2,3,3,3 --p 7/5",
+    "verify equal-coeff --n 1..6 --k 1..5 --p 5/2",
+    "compute path-count --dim 9 --steps 80",
 ]
 
 CASES = ([f"{c} --format {fmt}" for c in README_COMMANDS
