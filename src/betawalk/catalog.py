@@ -109,8 +109,9 @@ def _convolution_counterexample() -> IdentityReport:
 
 
 def _alternating_sum(n: int, upper: int) -> Fraction:
-    return sum((-1) ** j * comb(2 * n, j) * Fraction(comb(2 * j, j), 2 ** j)
-               for j in range(upper + 1))
+    return Fraction(sum((-1) ** j * comb(2 * n, j) * comb(2 * j, j)
+                        << (upper - j) for j in range(upper + 1)),
+                    1 << upper)
 
 
 def verify_alternating(n: int) -> IdentityReport:
@@ -173,7 +174,8 @@ def _one_dim_counterexample() -> IdentityReport:
 #       * prod_s a^(j_{s+1}) C(2j_{s+1}, j_{s+1})
 #   = (2n)! [x^2n] e^x * (sum_j a^j C(2j,j) x^j / j!)^k
 # whose correct per-factor coefficient is a = -1/(2k); the coefficient is
-# read off the truncated series product in O(k n^2) operations
+# read off the truncated series product, the k-th power raised by
+# recurrence, in O(n^2) operations whatever k is
 # ---------------------------------------------------------------------------
 
 
@@ -183,7 +185,8 @@ def _k_dim_sum(n: int, k: int, slot_coeff: Fraction) -> PiRational:
     slot = [slot_coeff ** j * comb(2 * j, j) / factorial(j)
             for j in range(two_n + 1)]
     return PiRational(factorial(two_n)
-                      * _series_coefficient([exp_series] + [slot] * k, two_n))
+                      * _series_coefficient([(exp_series, 1), (slot, k)],
+                                            two_n))
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,13 @@ variable:
 Both sequences are rational for every rational p > 0, so the exact engine
 takes any such p.  Each composition sum is one coefficient of a product of
 exponential generating functions, one factor per slot, so it is evaluated as
-a truncated power-series product in O(k n^2) exact operations instead of
-term by term over all C(2n + k, k) compositions.  Each side is built only
-from its own sequence: the raw expansion from m_j with alternating signs,
-the even expansion from mu_i.
+a truncated power-series product instead of term by term over all
+C(2n + k, k) compositions.  Equal weights make equal factors, raised to
+their count at once by J.C.P. Miller's recurrence, and the coefficients are
+integers over one common denominator, so a side costs O(d n^2) integer
+multiply-adds for d distinct weights, whatever k is.  Each side is built
+only from its own sequence: the raw expansion from m_j with alternating
+signs, the even expansion from mu_i.
 
 ``verify_master`` evaluates both and reports exact equality.  Everything here
 is a pure function.
@@ -30,8 +33,11 @@ is a pure function.
 
 from __future__ import annotations
 
+import math
 import time
+from collections import Counter
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .exact import PiRational, as_fraction, beta_half, factorial
@@ -47,7 +53,8 @@ __all__ = [
     "verify_equal_coeff_form",
 ]
 
-# the bound on a record's estimated _work: about 4 s on a 2-vCPU machine
+# the bound on a record's estimated _work: at most about 4 s on a 2-vCPU
+# machine
 MOMENT_WORK_BUDGET = 16_000_000
 
 UPPER_LIMIT_NOTE = (
@@ -162,28 +169,34 @@ def _step_work(value: Fraction) -> int:
 
 
 def _work(n: int, terms: int, bits_per_degree: int) -> int:
-    """Estimated cost of ``terms`` rational multiply-adds, in 64-bit limb
-    operations.
+    """Estimated cost of ``terms`` multiply-adds, in 64-bit limb operations.
 
-    The operands are coefficients of degree up to 2n, whose numerator and
-    denominator together have at most n * (bits_per_degree + the bits of
-    2n) bits: at p = 1/2 with weights 1, 2 that is 8.5-9 bits per degree of
-    2n, and the largest coefficient has 8-9.  A multiply-add is charged its
-    limbs plus 24 for the interpreter's cost per term; a 2-vCPU machine
-    does 2-7 million of these a second.
+    A coefficient of degree up to 2n has, in lowest terms, a numerator and
+    denominator of at most n * (bits_per_degree + the bits of 2n) bits
+    together: at p = 1/2 with weights 1, 2 that is 8.5-9 bits per degree of
+    2n, and the largest coefficient has 8-9.  A multiply-add is charged
+    those limbs plus 24 for the interpreter's cost per term.  The engine's
+    integer operands are larger, a factor's coefficients over their common
+    denominator, but it takes no gcd per term, so the charge is an upper
+    bound on its work: on a 2-vCPU machine records at the budget take
+    0.1-4 s.
     """
     limbs = n * (bits_per_degree + (2 * n).bit_length()) // 64 + 1
     return terms * (limbs + 24)
 
 
 def _master_work(n: int, k: int, weight_bits: int, p: Fraction) -> int:
-    """Estimated cost of both expansions of one master record.
+    """Estimated cost of both expansions of one master record, an upper
+    bound on the engine's work.
 
-    The raw side makes k products of series of 2n + 1 terms,
-    (2n+1)(2n+2)/2 multiply-adds each; the even side builds k series of
-    n + 1 terms and multiplies them, under k (n+1)(n+2)/2.  A degree adds
-    ``weight_bits``, the bits of the largest weight or of their sum, and
-    the bits of p twice (the two Pochhammer symbols of a moment).
+    The raw side is charged k passes over series of 2n + 1 terms,
+    (2n+1)(2n+2)/2 multiply-adds each, and the even side k passes over
+    series of n + 1 terms, (n+1)(n+2)/2 each.  Each side makes at most
+    k - 1 such passes: a power for each group of two or more equal weights
+    and a product for each further factor, the last of which forms only
+    the coefficient read off.  A degree adds ``weight_bits``, the
+    bits of the largest weight or of their sum, and the bits of p twice
+    (the two Pochhammer symbols of a moment).
     """
     terms = k * ((2 * n + 1) * (2 * n + 2) + (n + 1) * (n + 2)) // 2
     return _work(n, terms, weight_bits + 2 * _bits(p))
@@ -194,42 +207,78 @@ def _master_work(n: int, k: int, weight_bits: int, p: Fraction) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _series_coefficient(factors: Sequence[Sequence[Fraction]],
-                        degree: int) -> Fraction:
-    """[x^degree] of the product of power series.
+def _integer_series(series: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The coefficients times the lcm of their denominators, and that lcm."""
+    scale = math.lcm(*(c.denominator for c in series))
+    return [c.numerator * (scale // c.denominator) for c in series], scale
 
-    Each factor lists its coefficients of x^0..x^degree; the running product
-    is truncated at x^degree, so the cost is O(len(factors) * degree^2).
+
+def _power(f: list[int], k: int) -> list[int]:
+    """f^k truncated to len(f) terms, for integer f with f_0 != 0.
+
+    J.C.P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7),
+    g_m = (1/(m f_0)) sum_{i=1..m} ((k+1) i - m) f_i g_(m-i),
+    costs O(len(f)^2) whatever k is; the division is exact.
     """
-    product = factors[0]
-    for factor in factors[1:]:
-        product = [sum(product[i] * factor[d - i] for i in range(d + 1))
+    if k == 1:
+        return f
+    g = [f[0] ** k]
+    for m in range(1, len(f)):
+        # the terms for i = 1..m: weight (k+1) i - m, f_i, g_(m-i)
+        weights = range(k + 1 - m, k * m + 1, k + 1)
+        g.append(sum(map(mul, map(mul, weights, f[1:m + 1]), reversed(g)))
+                 // (m * f[0]))
+    return g
+
+
+def _series_coefficient(powers: Sequence[tuple[Sequence[Fraction], int]],
+                        degree: int) -> Fraction:
+    """[x^degree] of the product of f^k over the pairs (f, k) in ``powers``.
+
+    Each f lists its coefficients of x^0..x^degree, with f_0 != 0.  It is
+    scaled to integers by the lcm of its denominators and raised by
+    ``_power``; the running product is truncated at x^degree, and of the
+    last factor only the coefficient read off is formed.  The integer
+    result is divided by the product of the scales once, at the end.
+    """
+    factors, scale = [], 1
+    for f, k in powers:
+        ints, f_scale = _integer_series(f)
+        factors.append(_power(ints, k))
+        scale *= f_scale ** k
+    *init, last = factors
+    product = init[0] if init else [1]
+    for factor in init[1:]:
+        product = [sum(map(mul, product[:d + 1], factor[d::-1]))
                    for d in range(degree + 1)]
-    return product[degree]
+    return Fraction(sum(map(mul, product, reversed(last))), scale)
 
 
 def _lhs(n: int, coeffs: Sequence[Fraction], p: Fraction) -> Fraction:
     """The raw side, (2n)! [x^2n] e^(Cx) prod_s sum_j (-2c_s)^j m_j x^j/j!.
 
-    Tolerates zero coefficients (0^0 = 1 makes the slot's factor 1), which
-    realizes dimension shrinking without a separate formula.
+    Equal weights make one factor, raised to their count.  Tolerates zero
+    coefficients (0^0 = 1 makes the slot's factor 1), which realizes
+    dimension shrinking without a separate formula.
     """
     two_n = 2 * n
     c_total = sum(coeffs, Fraction(0))
     m = _raw_moments(p, two_n + 1)
-    factors = [[Fraction(c_total ** j, factorial(j)) for j in range(two_n + 1)]]
-    for c in coeffs:
-        factors.append([(-2 * c) ** j * m[j] / factorial(j)
-                        for j in range(two_n + 1)])
-    return factorial(two_n) * _series_coefficient(factors, two_n)
+    powers = [([Fraction(c_total ** j, factorial(j))
+                for j in range(two_n + 1)], 1)]
+    for c, count in Counter(coeffs).items():
+        powers.append(([(-2 * c) ** j * m[j] / factorial(j)
+                        for j in range(two_n + 1)], count))
+    return factorial(two_n) * _series_coefficient(powers, two_n)
 
 
 def _rhs(n: int, coeffs: Sequence[Fraction], p: Fraction) -> Fraction:
-    """The even side, (2n)! [x^n] prod_s sum_i c_s^(2i) mu_i x^i/(2i)!."""
+    """The even side, (2n)! [x^n] prod_s sum_i c_s^(2i) mu_i x^i/(2i)!,
+    with equal weights as one factor raised to their count."""
     mu = _even_moments(p, n + 1)
-    factors = [[c ** (2 * i) * mu[i] / factorial(2 * i)
-                for i in range(n + 1)] for c in coeffs]
-    return factorial(2 * n) * _series_coefficient(factors, n)
+    powers = [([c ** (2 * i) * mu[i] / factorial(2 * i) for i in range(n + 1)],
+               count) for c, count in Counter(coeffs).items()]
+    return factorial(2 * n) * _series_coefficient(powers, n)
 
 
 def _weights(coeffs) -> tuple[Fraction, ...]:

@@ -7,8 +7,9 @@ positive and negative steps on every axis, so with i_j round trips on axis j,
     P(at origin after 2n steps) = (2k)^-2n * sum over i_1+..+i_k = n
                                   of (2n)! / (i_1!^2 ... i_k!^2)
 
-computed here as an exact rational, with binomials from math.comb (so the
-walk commands never load ``exact``); a count whose estimated work exceeds
+computed here as an exact rational by an integer recurrence in n, with its
+binomials from Pascal's rule and math.comb (so the walk commands never load
+``exact``); a count whose estimated work exceeds
 ``COUNT_WORK_BUDGET`` is refused before it starts.  Two independent oracles
 back it up:
 an exhaustive count of every step sequence, and seeded Monte Carlo.  The
@@ -34,7 +35,7 @@ import os
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from operator import neg
+from operator import add, mul, neg
 from typing import NamedTuple, Optional
 
 from .render import (DEFAULT_PATH_BUDGET, MAX_WORKERS, InputError, check_work,
@@ -61,7 +62,7 @@ __all__ = [
 
 _CHUNK = 1 << 17  # simulation draw block; fixed so chunked sums are stable
 _INT64_MAX = (1 << 63) - 1  # the samplers count steps in int64
-# path_count's default bound on _count_work: about 4 s on a 2-vCPU machine
+# path_count's default bound on _count_work: under 1 s on a 2-vCPU machine
 COUNT_WORK_BUDGET = 50_000_000
 # a simulation's bound on trials * dim, one draw per trial and axis: 40-70 ns
 # each at one worker on a 2-vCPU machine, so 10-20 s
@@ -171,10 +172,10 @@ def _limbs(dim: int, steps: int) -> int:
 def _count_work(dim: int, half_steps: int) -> int:
     """Estimated bigint work of ``path_count``, in 64-bit limb operations.
 
-    The closing products are charged limbs^2; each of the
-    dim * (n+1)(n+2)/2 entries of the squared-binomial table and of the
-    folds (none at dim 1) is a multiply-add, charged limbs plus 16 for the
-    interpreter's cost per term.
+    The closing products are charged limbs^2, and dim * (n+1)(n+2)/2
+    multiply-adds (none at dim 1) limbs plus 16 each for the interpreter's
+    cost per term.  The recurrence makes n(n+1)/2 of them whatever dim is,
+    so the estimate is an upper bound on its work.
     """
     n = half_steps
     limbs = _limbs(dim, 2 * n)
@@ -185,25 +186,29 @@ def _count_work(dim: int, half_steps: int) -> int:
 def path_count(dim: int, half_steps: int) -> PathCount:
     """Closed-path count C(2n, n) * T_dim(n), in integers.
 
-    T_k(m) = sum over i_1+..+i_k = m of (m! / (i_1! ... i_k!))^2 folds in
-    one axis at a time: T_1 = 1 and T_j(m) = sum_i C(m, i)^2 T_(j-1)(m - i),
-    which is O(dim * n^2) instead of one term per composition.  A count
-    whose ``_count_work`` exceeds ``COUNT_WORK_BUDGET`` raises InputError
-    before any work starts.
+    T_k(m) = sum over i_1+..+i_k = m of (m! / (i_1! ... i_k!))^2
+    = m!^2 [x^m] (sum_i x^i / i!^2)^k, so J.C.P. Miller's power recurrence
+    gives T_k(0) = 1 and T_k(m) = (1/m) sum_{i=1..m} ((k+1) i - m)
+    C(m, i)^2 T_k(m - i), an exact division.  That is O(n^2) whatever
+    dim is, instead of one term per composition.  A count whose
+    ``_count_work`` exceeds ``COUNT_WORK_BUDGET`` raises InputError before
+    any work starts.
     """
     if dim < 1 or half_steps < 1:
         raise InputError("dim and half_steps must be >= 1")
     n = half_steps
     check_work(f"path count at dim={dim}, half_steps={n}",
                _count_work(dim, n), COUNT_WORK_BUDGET)
-    t = [1] * (n + 1)
-    if dim > 1:  # T_1 needs no table; building it would cost O(n^2) bigints
-        squares = [[math.comb(m, i) ** 2 for i in range(m + 1)]
-                   for m in range(n + 1)]
-        for _ in range(dim - 1):
-            t = [sum(squares[m][i] * t[m - i] for i in range(m + 1))
-                 for m in range(n + 1)]
-    return PathCount(math.comb(2 * n, n) * t[n], (2 * dim) ** (2 * n))
+    t, row = [1], [1]
+    if dim > 1:  # T_1 = 1 needs no recurrence
+        for m in range(1, n + 1):
+            row = [1, *map(add, row, row[1:]), 1]  # C(m, i) for i = 0..m
+            # the terms for i = 1..m: weight (dim+1) i - m, C(m, i)^2, T(m-i)
+            weights = range(dim + 1 - m, dim * m + 1, dim + 1)
+            squares = map(mul, row[1:], row[1:])
+            t.append(sum(map(mul, map(mul, weights, squares), reversed(t)))
+                     // m)
+    return PathCount(math.comb(2 * n, n) * t[-1], (2 * dim) ** (2 * n))
 
 
 def return_probability(dim: int, half_steps: int) -> Fraction:
