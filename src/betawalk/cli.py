@@ -66,7 +66,7 @@ def _parse_real(text: str) -> float:
     return value
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str) -> range:
     """"3" or "1..4" (inclusive)."""
     m = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", text)
     if not m:
@@ -75,7 +75,7 @@ def _parse_range(text: str) -> list[int]:
     hi = int(m.group(2)) if m.group(2) else lo
     if hi < lo:
         raise UsageError(f"empty range {text!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _threads(args) -> int:
@@ -192,31 +192,26 @@ def _cmd_verify_master(args) -> Output:
     if not p > 0:
         raise UsageError("p must be > 0")
 
-    coeff_sets: list[tuple] = []
+    weights = None  # the --coeffs vector; --k gives unit weights
     if args.coeffs is not None:
         parts = [s for s in args.coeffs.split(",") if s]
         if not parts:
             raise UsageError("--coeffs must list at least one value")
-        if args.mode == "exact":
-            coeff_sets.append(tuple(_parse_rational(s) for s in parts))
-        else:
-            coeff_sets.append(tuple(_parse_real(s) for s in parts))
-    else:
-        for k in _parse_range(args.k):
-            if k < 1:
-                raise UsageError("k must be >= 1")
-            one = Fraction(1) if args.mode == "exact" else 1.0
-            coeff_sets.append((one,) * k)
-    for cs in coeff_sets:
-        if any(not c > 0 for c in cs):
+        parse = _parse_rational if args.mode == "exact" else _parse_real
+        weights = tuple(map(parse, parts))
+        if any(not c > 0 for c in weights):
             raise UsageError("coefficients must be positive")
-    for n in n_values:
-        if n < 1:
-            raise UsageError("n must be >= 1")
+        k_values = [len(weights)]
+    else:
+        k_values = _parse_range(args.k)
+        if k_values[0] < 1:
+            raise UsageError("k must be >= 1")
+    if n_values[0] < 1:
+        raise UsageError("n must be >= 1")
 
     columns = ["n", "k", "p", "coeffs", "mode", "lhs", "rhs"]
     if args.mode == "exact":
-        from .moments import verify_master
+        from .moments import _check_lengths, verify_master
         out = Emitter(args.format, "verify master", columns + ["verified"],
                       "master n={n} k={k} p={p} coeffs={coeffs} "
                       "lhs={lhs} rhs={rhs} verified={verified}")
@@ -230,8 +225,12 @@ def _cmd_verify_master(args) -> Output:
                       "cond={condition_number} passed={passed}")
     started = time.perf_counter()
     records = []
+    one = Fraction(1) if args.mode == "exact" else 1.0
     for n in n_values:
-        for cs in coeff_sets:
+        for k in k_values:
+            if weights is None and args.mode == "exact":
+                _check_lengths(n, k, p)  # before the k unit weights exist
+            cs = weights or (one,) * k
             coeff_text = ",".join(str(c) for c in cs)
             params = {"n": n, "k": len(cs), "p": str(p), "coeffs": coeff_text,
                       "mode": args.mode, "threads": threads}

@@ -300,13 +300,18 @@ def _record(n: int, coeffs, p) -> tuple[tuple[Fraction, ...], Fraction]:
     if n < 1:
         raise InputError("n must be >= 1")
     cs, p = _weights(coeffs), _shape(p)
-    what = f"master record at n={n}, k={len(cs)}"
-    # the series lengths alone, before the weights' bits are summed
-    check_work(what, _master_work(n, len(cs), 0, p), MOMENT_WORK_BUDGET)
+    _check_lengths(n, len(cs), p)
     weight_bits = max(map(_bits, (*cs, sum(cs))))
-    check_work(what, _master_work(n, len(cs), weight_bits, p),
-               MOMENT_WORK_BUDGET)
+    check_work(f"master record at n={n}, k={len(cs)}",
+               _master_work(n, len(cs), weight_bits, p), MOMENT_WORK_BUDGET)
     return cs, p
+
+
+def _check_lengths(n: int, k: int, p: Fraction) -> None:
+    """Refuse a master record of k weights on its series lengths alone,
+    before the weights are summed, or built at all."""
+    check_work(f"master record at n={n}, k={k}", _master_work(n, k, 0, p),
+               MOMENT_WORK_BUDGET)
 
 
 def lhs_master(n: int, coeffs, p) -> PiRational:

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -642,6 +643,29 @@ def test_inputs_beyond_a_library_bound_exit_2_at_once(capsys, argv, message):
     assert (code, out) == (2, "")
     assert err.startswith(f"betawalk: error: {message}")
     assert err.count("\n") == 1
+
+
+def test_huge_k_is_refused_before_its_weights_exist():
+    # the child alone runs under a 256 MiB address-space limit: the 10^8
+    # unit weights would need 800 MB, so a handler that built them before
+    # asking the budget would fail at once with an internal error
+    limit = 256 << 20
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "betawalk.cli", "verify", "master", "--n", "1",
+         "--k", "100000000", "--p", "1/2"],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(
+        "betawalk: error: master record at n=1, k=100000000 needs about")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_cli_checks_keep_exit_2_and_their_message(capsys):
