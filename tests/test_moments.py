@@ -319,6 +319,95 @@ def test_master_identity_at_random_rational_p(num, den, coeffs, n):
     assert verify_master(n, coeffs, Fraction(num, den)).verified
 
 
+# ---------------------------------------------------------------------------
+# the integer series kernel against a Fraction convolution
+# ---------------------------------------------------------------------------
+
+
+def fraction_coefficient(factors, degree):
+    """[x^degree] of the product of the factors, convolved one at a time
+    in Fractions and truncated at x^degree."""
+    product = factors[0]
+    for factor in factors[1:]:
+        product = [sum(product[i] * factor[d - i] for i in range(d + 1))
+                   for d in range(degree + 1)]
+    return product[degree]
+
+
+def oracle_lhs(n, coeffs, p):
+    two_n = 2 * n
+    m = moments._raw_moments(p, two_n + 1)
+    total = sum(coeffs, Fraction(0))
+    factors = [[total ** j / math.factorial(j) for j in range(two_n + 1)]]
+    factors += [[(-2 * c) ** j * m[j] / math.factorial(j)
+                 for j in range(two_n + 1)] for c in coeffs]
+    return math.factorial(two_n) * fraction_coefficient(factors, two_n)
+
+
+def oracle_rhs(n, coeffs, p):
+    mu = moments._even_moments(p, n + 1)
+    factors = [[c ** (2 * i) * mu[i] / math.factorial(2 * i)
+                for i in range(n + 1)] for c in coeffs]
+    return math.factorial(2 * n) * fraction_coefficient(factors, n)
+
+
+def truncated_product(f, g):
+    return [sum(f[i] * g[d - i] for i in range(d + 1)) for d in range(len(f))]
+
+
+def series(values, size):
+    """Lists of ``size`` coefficients, many of them 0, the first not."""
+    return st.lists(st.one_of(st.just(0), values), min_size=size,
+                    max_size=size).filter(lambda f: f[0] != 0)
+
+
+@given(st.integers(min_value=1, max_value=12).flatmap(
+           lambda size: series(st.integers(-10 ** 6, 10 ** 6), size)),
+       st.integers(min_value=1, max_value=8))
+@settings(max_examples=150, deadline=None)
+def test_integer_power_is_the_repeated_product(f, k):
+    expected = f
+    for _ in range(k - 1):
+        expected = truncated_product(expected, f)
+    assert moments._power(f, k) == expected
+
+
+FRACTIONS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@given(st.integers(min_value=1, max_value=12).flatmap(
+    lambda size: st.lists(st.tuples(series(FRACTIONS, size),
+                                    st.integers(min_value=1, max_value=8)),
+                          min_size=1, max_size=3)))
+@settings(max_examples=100, deadline=None)
+def test_series_coefficient_is_the_repeated_product(powers):
+    degree = len(powers[0][0]) - 1
+    factors = [f for f, k in powers for _ in range(k)]
+    assert (moments._series_coefficient(powers, degree)
+            == fraction_coefficient(factors, degree))
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(3, 2),
+                               Fraction(7, 5)], ids=str)
+def test_every_sweep_record_equals_the_fraction_convolution(p):
+    # the records of verify master --n 1..12 --k 1..6
+    for n in range(1, 13):
+        for k in range(1, 7):
+            ones = (Fraction(1),) * k
+            assert _lhs(n, ones, p) == oracle_lhs(n, ones, p), (n, k)
+            assert _rhs(n, ones, p) == oracle_rhs(n, ones, p), (n, k)
+
+
+def test_repeated_and_distinct_weights_equal_the_fraction_convolution():
+    # the records of verify master --n 1..10 --coeffs 1/2,1/2,3,3,3 --p 7/5
+    p = Fraction(7, 5)
+    cs = (Fraction(1, 2), Fraction(1, 2), Fraction(3), Fraction(3),
+          Fraction(3))
+    for n in range(1, 11):
+        assert _lhs(n, cs, p) == oracle_lhs(n, cs, p), n
+        assert _rhs(n, cs, p) == oracle_rhs(n, cs, p), n
+
+
 @pytest.mark.parametrize("patched, kept", [("_raw_moments", "rhs"),
                                            ("_even_moments", "lhs")])
 def test_each_side_reads_only_its_own_moments(monkeypatch, patched, kept):

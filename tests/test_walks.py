@@ -116,6 +116,41 @@ def test_path_count_matches_literal_composition_sum():
             assert pc.total_paths == (2 * dim) ** (2 * n)
 
 
+def test_path_count_in_the_plane_is_a_squared_central_binomial():
+    for n in range(1, 60):
+        assert path_count(2, n).count == math.comb(2 * n, n) ** 2, n
+
+
+def test_path_count_in_space_follows_the_oeis_recurrence():
+    # OEIS A002896: n^3 a(n) = 2 (2n-1)(10n^2-10n+3) a(n-1)
+    #                          - 36 (n-1)(2n-1)(2n-3) a(n-2)
+    a = [1, 6]
+    for n in range(2, 60):
+        a.append((2 * (2 * n - 1) * (10 * n * n - 10 * n + 3) * a[n - 1]
+                  - 36 * (n - 1) * (2 * n - 1) * (2 * n - 3) * a[n - 2])
+                 // n ** 3)
+    for n in range(1, 60):
+        assert path_count(3, n).count == a[n], n
+
+
+def folded_path_count(dim, half_steps):
+    """C(2n, n) T_dim(n), T folded in one axis at a time:
+    T_1 = 1 and T_j(m) = sum_i C(m, i)^2 T_(j-1)(m - i)."""
+    n = half_steps
+    t = [1] * (n + 1)
+    for _ in range(dim - 1):
+        t = [sum(math.comb(m, i) ** 2 * t[m - i] for i in range(m + 1))
+             for m in range(n + 1)]
+    return math.comb(2 * n, n) * t[n]
+
+
+def test_path_count_matches_the_axis_fold():
+    for dim in range(1, 9):
+        for n in range(1, 41):
+            assert path_count(dim, n).count == folded_path_count(dim, n), \
+                (dim, n)
+
+
 def test_path_count_budget_at_its_edge(monkeypatch):
     for dim, n in [(1, 40), (2, 12), (5, 8), (30, 3)]:
         work = _count_work(dim, n)
