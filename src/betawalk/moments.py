@@ -207,12 +207,6 @@ def _master_work(n: int, k: int, weight_bits: int, p: Fraction) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _integer_series(series: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The coefficients times the lcm of their denominators, and that lcm."""
-    scale = math.lcm(*(c.denominator for c in series))
-    return [c.numerator * (scale // c.denominator) for c in series], scale
-
-
 def _power(f: list[int], k: int) -> list[int]:
     """f^k truncated to len(f) terms, for integer f with f_0 != 0.
 
@@ -243,8 +237,9 @@ def _series_coefficient(powers: Sequence[tuple[Sequence[Fraction], int]],
     """
     factors, scale = [], 1
     for f, k in powers:
-        ints, f_scale = _integer_series(f)
-        factors.append(_power(ints, k))
+        f_scale = math.lcm(*(c.denominator for c in f))
+        factors.append(_power([c.numerator * (f_scale // c.denominator)
+                               for c in f], k))
         scale *= f_scale ** k
     *init, last = factors
     product = init[0] if init else [1]
