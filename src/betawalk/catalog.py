@@ -15,7 +15,8 @@ from math import comb
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .exact import PiRational, as_fraction, beta_half, factorial, gamma_half
-from .moments import UPPER_LIMIT_NOTE, IdentityReport, _series_coefficient, rhs_master
+from .moments import (UPPER_LIMIT_NOTE, IdentityReport, _egf,
+                      _series_coefficient, rhs_master)
 from .walks import closed_form_2d, return_probability
 
 __all__ = [
@@ -181,9 +182,8 @@ def _one_dim_counterexample() -> IdentityReport:
 
 def _k_dim_sum(n: int, k: int, slot_coeff: Fraction) -> PiRational:
     two_n = 2 * n
-    exp_series = [Fraction(1, factorial(j)) for j in range(two_n + 1)]
-    slot = [slot_coeff ** j * comb(2 * j, j) / factorial(j)
-            for j in range(two_n + 1)]
+    exp_series = _egf(Fraction(1), [1] * (two_n + 1), 1)
+    slot = _egf(slot_coeff, [comb(2 * j, j) for j in range(two_n + 1)], 1)
     return PiRational(factorial(two_n)
                       * _series_coefficient([(exp_series, 1), (slot, k)],
                                             two_n))

@@ -105,10 +105,14 @@ def _shape(p) -> Fraction:
 
 
 def _ratio_sequence(a: Fraction, b: Fraction, count: int) -> list[Fraction]:
-    """(a)_j / (b)_j for j = 0..count-1, each from the last by one ratio."""
+    """(a)_j / (b)_j for j = 0..count-1, each from the last by one ratio
+    (a + j) / (b + j), made in integers and reduced once."""
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
     seq = [Fraction(1)]
     for j in range(count - 1):
-        seq.append(seq[-1] * (a + j) / (b + j))
+        last = seq[-1]
+        seq.append(Fraction(last.numerator * (an + j * ad) * bd,
+                            last.denominator * (bn + j * bd) * ad))
     return seq
 
 
@@ -225,6 +229,16 @@ def _power(f: list[int], k: int) -> list[int]:
     return g
 
 
+def _egf(ratio: Fraction, seq: Sequence[Fraction], step: int
+         ) -> list[Fraction]:
+    """The coefficients ratio^i seq_i / (step i)!, each made in integers
+    and reduced once."""
+    a, b = ratio.numerator, ratio.denominator
+    return [Fraction(a ** i * s.numerator,
+                     b ** i * s.denominator * factorial(step * i))
+            for i, s in enumerate(seq)]
+
+
 def _series_coefficient(powers: Sequence[tuple[Sequence[Fraction], int]],
                         degree: int) -> Fraction:
     """[x^degree] of the product of f^k over the pairs (f, k) in ``powers``.
@@ -257,13 +271,10 @@ def _lhs(n: int, coeffs: Sequence[Fraction], p: Fraction) -> Fraction:
     dimension shrinking without a separate formula.
     """
     two_n = 2 * n
-    c_total = sum(coeffs, Fraction(0))
     m = _raw_moments(p, two_n + 1)
-    powers = [([Fraction(c_total ** j, factorial(j))
-                for j in range(two_n + 1)], 1)]
+    powers = [(_egf(sum(coeffs, Fraction(0)), [1] * (two_n + 1), 1), 1)]
     for c, count in Counter(coeffs).items():
-        powers.append(([(-2 * c) ** j * m[j] / factorial(j)
-                        for j in range(two_n + 1)], count))
+        powers.append((_egf(-2 * c, m, 1), count))
     return factorial(two_n) * _series_coefficient(powers, two_n)
 
 
@@ -271,8 +282,8 @@ def _rhs(n: int, coeffs: Sequence[Fraction], p: Fraction) -> Fraction:
     """The even side, (2n)! [x^n] prod_s sum_i c_s^(2i) mu_i x^i/(2i)!,
     with equal weights as one factor raised to their count."""
     mu = _even_moments(p, n + 1)
-    powers = [([c ** (2 * i) * mu[i] / factorial(2 * i) for i in range(n + 1)],
-               count) for c, count in Counter(coeffs).items()]
+    powers = [(_egf(c * c, mu, 2), count)
+              for c, count in Counter(coeffs).items()]
     return factorial(2 * n) * _series_coefficient(powers, n)
 
 
