@@ -183,7 +183,7 @@ def _work(n: int, terms: int, bits_per_degree: int) -> int:
     integer operands are larger, a factor's coefficients over their common
     denominator, but it takes no gcd per term, so the charge is an upper
     bound on its work: on a 2-vCPU machine records at the budget take
-    0.07-4.2 s.
+    0.03-4 s.
     """
     limbs = n * (bits_per_degree + (2 * n).bit_length()) // 64 + 1
     return terms * (limbs + 24)
