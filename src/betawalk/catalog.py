@@ -17,6 +17,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 from .exact import PiRational, as_fraction, beta_half, factorial, gamma_half
 from .moments import (UPPER_LIMIT_NOTE, IdentityReport, _egf,
                       _series_coefficient, rhs_master)
+from .render import InputError
 from .walks import closed_form_2d, return_probability
 
 __all__ = [
@@ -77,7 +78,7 @@ _CONVOLUTION_ERRATUM = (
 
 def verify_convolution(n: int) -> IdentityReport:
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InputError("n must be >= 1")
     corrected = sum(comb(2 * j, j) * comb(2 * n - 2 * j, n - j)
                     for j in range(n + 1))
     printed = corrected - comb(2 * n, n)  # lower index 1
@@ -117,7 +118,7 @@ def _alternating_sum(n: int, upper: int) -> Fraction:
 
 def verify_alternating(n: int) -> IdentityReport:
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InputError("n must be >= 1")
     return _report(
         "alternating",
         {"n": n, "printedSum": _alternating_sum(n, n)},
@@ -155,7 +156,7 @@ def _one_dim_sides(n: int, p: Fraction, upper: int
 
 def verify_one_dim_general_p(n: int, p) -> IdentityReport:
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InputError("n must be >= 1")
     p = as_fraction(p)
     lhs, rhs = _one_dim_sides(n, p, 2 * n)
     return _report("one-dim-general-p", {"n": n, "p": p}, lhs, rhs,
@@ -204,7 +205,7 @@ _TWO_DIM_ERRATUM = (
 
 def verify_two_dim_remark(n: int) -> IdentityReport:
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InputError("n must be >= 1")
     return _report("two-dim-remark", {"n": n, "p": "1/2"},
                    _k_dim_sum(n, 2, Fraction(-1, 4)),
                    PiRational(closed_form_2d(n)),
@@ -230,7 +231,7 @@ def _two_dim_counterexample() -> IdentityReport:
 
 def verify_three_dim_remark(n: int) -> IdentityReport:
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InputError("n must be >= 1")
     return _report("three-dim-remark", {"n": n, "p": "1/2"},
                    _k_dim_sum(n, 3, Fraction(-1, 6)),
                    PiRational(return_probability(3, n)))
@@ -253,7 +254,7 @@ _K_DIM_ERRATUM = (
 
 def verify_k_dim_remark(n: int, k: int) -> IdentityReport:
     if n < 1 or k < 1:
-        raise ValueError("n and k must be >= 1")
+        raise InputError("n and k must be >= 1")
     lhs = _k_dim_sum(n, k, Fraction(-1, 2 * k))
     return _report("k-dim-remark", {"n": n, "k": k, "p": "1/2"},
                    lhs, PiRational(return_probability(k, n)),
@@ -276,7 +277,7 @@ def _k_dim_counterexample() -> IdentityReport:
 
 def verify_vandermonde(n: int) -> IdentityReport:
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InputError("n must be >= 1")
     lhs = sum(comb(n, j) * comb(n, n - j) for j in range(n + 1))
     return _report("vandermonde", {"n": n},
                    PiRational(lhs), PiRational(comb(2 * n, n)))
@@ -289,7 +290,7 @@ def verify_vandermonde(n: int) -> IdentityReport:
 
 def verify_duplication(n: int) -> IdentityReport:
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise InputError("n must be >= 0")
     lhs = gamma_half(n + Fraction(1, 2)) / gamma_half(Fraction(1, 2))
     rhs = PiRational(Fraction(comb(2 * n, n) * factorial(n), 4 ** n))
     return _report("duplication", {"n": n}, lhs, rhs, variant="printed")

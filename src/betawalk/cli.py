@@ -4,19 +4,23 @@ Data records go to standard output (one per line; plain, JSON-lines, or
 CSV), all human-readable decoration (banners, timing) goes to standard
 error, so the tool composes in pipelines.  Exit codes: 0 success,
 1 exact-identity violation or oracle mismatch, 2 usage error (a bad
-argument, or an input the library rejects: a path or work budget too small,
-a walk length beyond int64, a float result beyond the double range, an
-exact value too long to print),
+argument, or an input the library rejects: a range, sign or shape out of
+bounds, a path or work budget too small, a walk length beyond int64, a
+float result beyond the double range, an exact value too long to print),
 3 statistical-tolerance failure, or a float check that doubles cannot
 decide, 70 internal error (any other exception, reported as one
 ``betawalk: internal error: ...`` line).
+
+The CLI turns text into values and checks only what that needs: the
+number syntax, which options go together, and odd walk lengths; every
+range, sign and shape rule, and the worker count's default of 1, belong to
+the library.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import re
 import signal
 import sys
@@ -27,7 +31,7 @@ from typing import Iterable, NamedTuple, Optional
 # Handlers import their library layers, and the emitter its serializer, when
 # they run, so a command loads only what it uses: without cached bytecode each
 # module loaded is compiled from source at every start.
-from .render import (DEFAULT_PATH_BUDGET, MAX_WORKERS, SERIES_VARIANTS,
+from .render import (DEFAULT_PATH_BUDGET, SERIES_MAX_TERMS, SERIES_VARIANTS,
                      InputError, decimal15, fraction_str)
 
 Z_LIMIT = 4.0
@@ -79,22 +83,10 @@ def _parse_range(text: str) -> range:
 
 
 def _threads(args) -> int:
-    """--threads, else BETAWALK_THREADS, else the logical CPU count (at
-    most MAX_WORKERS)."""
-    if args.threads is not None:
-        if args.threads < 1:
-            raise UsageError("--threads must be >= 1")
-        return args.threads
-    env = os.environ.get("BETAWALK_THREADS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise UsageError(f"BETAWALK_THREADS must be an integer, got {env!r}")
-        if value < 1:
-            raise UsageError("BETAWALK_THREADS must be >= 1")
-        return value
-    return min(os.cpu_count() or 1, MAX_WORKERS)
+    """--threads (default 1)."""
+    if args.threads < 1:
+        raise UsageError("--threads must be >= 1")
+    return args.threads
 
 
 def _bool(value: bool) -> str:
@@ -133,7 +125,7 @@ class Emitter:
         self.command = command
         self.columns = columns
         self.plain_template = plain_template
-        self._wrote_header = False
+        self._csv = None  # the CSV writer, made at the first record
 
     def emit(self, record: Record) -> None:
         if self.fmt == "json":
@@ -147,16 +139,13 @@ class Emitter:
                 "status": record.status,
             }))
         elif self.fmt == "csv":
-            import csv
-            import io
-            buf = io.StringIO()
-            writer = csv.DictWriter(buf, fieldnames=self.columns,
-                                    lineterminator="\n", extrasaction="ignore")
-            if not self._wrote_header:
-                writer.writeheader()
-                self._wrote_header = True
-            writer.writerow(record.row)
-            print(buf.getvalue(), end="")
+            if self._csv is None:
+                import csv
+                self._csv = csv.DictWriter(
+                    sys.stdout, fieldnames=self.columns, lineterminator="\n",
+                    extrasaction="ignore")
+                self._csv.writeheader()
+            self._csv.writerow(record.row)
         else:
             print(self.plain_template.format(**record.row))
 
@@ -183,31 +172,18 @@ def _cmd_verify_master(args) -> Output:
     n_values = _parse_range(args.n)
     if (args.coeffs is None) == (args.k is None):
         raise UsageError("give exactly one of --coeffs or --k")
-    if args.mode == "exact":
-        p = _parse_rational(args.p)
-    else:
-        p = _parse_real(args.p)
-        if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
-            raise UsageError("--tolerance must be finite and >= 0")
-    if not p > 0:
-        raise UsageError("p must be > 0")
+    parse = _parse_rational if args.mode == "exact" else _parse_real
+    p = parse(args.p)
 
     weights = None  # the --coeffs vector; --k gives unit weights
     if args.coeffs is not None:
         parts = [s for s in args.coeffs.split(",") if s]
         if not parts:
             raise UsageError("--coeffs must list at least one value")
-        parse = _parse_rational if args.mode == "exact" else _parse_real
         weights = tuple(map(parse, parts))
-        if any(not c > 0 for c in weights):
-            raise UsageError("coefficients must be positive")
         k_values = [len(weights)]
     else:
         k_values = _parse_range(args.k)
-        if k_values[0] < 1:
-            raise UsageError("k must be >= 1")
-    if n_values[0] < 1:
-        raise UsageError("n must be >= 1")
 
     columns = ["n", "k", "p", "coeffs", "mode", "lhs", "rhs"]
     if args.mode == "exact":
@@ -216,7 +192,7 @@ def _cmd_verify_master(args) -> Output:
                       "master n={n} k={k} p={p} coeffs={coeffs} "
                       "lhs={lhs} rhs={rhs} verified={verified}")
     else:
-        from .numeric import verify_master_float
+        from .numeric import _check_terms, verify_master_float
         out = Emitter(args.format, "verify master",
                       columns + ["abs_diff", "rel_diff", "condition_number",
                                  "tolerance", "passed"],
@@ -228,8 +204,11 @@ def _cmd_verify_master(args) -> Output:
     one = Fraction(1) if args.mode == "exact" else 1.0
     for n in n_values:
         for k in k_values:
-            if weights is None and args.mode == "exact":
-                _check_lengths(n, k, p)  # before the k unit weights exist
+            if weights is None:  # asked before the k unit weights exist
+                if args.mode == "exact":
+                    _check_lengths(n, k, p)
+                else:
+                    _check_terms(n, k)
             cs = weights or (one,) * k
             coeff_text = ",".join(str(c) for c in cs)
             params = {"n": n, "k": len(cs), "p": str(p), "coeffs": coeff_text,
@@ -257,12 +236,6 @@ def _cmd_verify_master(args) -> Output:
 def _cmd_verify_equal_coeff(args) -> Output:
     threads = _threads(args)
     p = _parse_rational(args.p)
-    if not p > 0:
-        raise UsageError("p must be > 0")
-    if p.denominator > 2:
-        raise UsageError(f"verify equal-coeff prints the unnormalized sides "
-                         f"with their powers of pi and needs a half-integer "
-                         f"--p, got {p}")
     from .moments import verify_equal_coeff_form
     out = Emitter(args.format, "verify equal-coeff",
                   ["n", "k", "p", "lhs", "rhs", "verified"],
@@ -272,8 +245,6 @@ def _cmd_verify_equal_coeff(args) -> Output:
     records = []
     for n in _parse_range(args.n):
         for k in _parse_range(args.k):
-            if n < 1 or k < 1:
-                raise UsageError("n and k must be >= 1")
             rep = verify_equal_coeff_form(n, k, p)
             params = {"n": n, "k": k, "p": str(p), "threads": threads}
             records.append(Record(params, rep, _status(rep.verified), dict(
@@ -291,8 +262,6 @@ def _cmd_verify_equal_coeff(args) -> Output:
 
 def _even_steps(args) -> tuple[int, bool]:
     """Returns (half_steps, odd_shortcut); odd steps need --allow-odd."""
-    if args.steps < 1:
-        raise UsageError("steps must be >= 1")
     if args.steps % 2:
         if not args.allow_odd:
             raise UsageError(
@@ -306,8 +275,6 @@ def _cmd_compute(args) -> Output:
     if args.what in ("return-prob", "path-count"):
         if args.dim is None or args.steps is None:
             raise UsageError(f"{args.what} needs --dim and --steps")
-        if args.dim < 1:
-            raise UsageError("dim must be >= 1")
         half, odd = _even_steps(args)
         from .walks import (path_count, path_count_odd, return_probability,
                             return_probability_odd)
@@ -336,11 +303,7 @@ def _cmd_compute(args) -> Output:
     # moment
     if args.n is None or args.p is None:
         raise UsageError("moment needs --n and --p")
-    if args.n < 1:
-        raise UsageError("n must be >= 1")
     p = _parse_rational(args.p)
-    if not p > 0:
-        raise UsageError("p must be > 0")
     from .moments import even_moment
     moment = even_moment(args.n, p).coeff
     payload = {"value": fraction_str(moment), "decimal": decimal15(moment)}
@@ -356,8 +319,6 @@ def _cmd_compute(args) -> Output:
 
 
 def _cmd_oracle(args) -> Output:
-    if args.dim < 1:
-        raise UsageError("dim must be >= 1")
     if args.steps < 1 or args.steps % 2:
         raise UsageError("oracle needs a positive even --steps")
     half = args.steps // 2
@@ -386,10 +347,6 @@ def _cmd_oracle(args) -> Output:
 
 def _cmd_simulate(args) -> Output:
     workers = _threads(args)
-    if args.trials < 1:
-        raise UsageError("trials must be >= 1")
-    if args.dim < 1 or args.n < 1:
-        raise UsageError("dim and n must be >= 1")
     from .walks import WalkSpec, simulate_beta_moment, simulate_walk
     if args.kind == "walk":
         result = simulate_walk(WalkSpec(args.dim, args.n), args.trials,
@@ -478,10 +435,6 @@ def _cmd_catalog(args) -> Output:
 
 
 def _cmd_series(args) -> Output:
-    if args.n < 0:
-        raise UsageError("n must be >= 0")
-    if args.max_terms < 1:
-        raise UsageError("max-terms must be >= 1")
     from .numeric import evaluate_series
     evaluation = evaluate_series(args.n, args.variant,
                                  max_terms=args.max_terms,
@@ -531,8 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     vm.add_argument("--p", required=True, help="beta shape (a/b; decimal in float mode)")
     vm.add_argument("--mode", choices=("exact", "float"), default="exact")
     vm.add_argument("--tolerance", type=float, default=1e-10)
-    vm.add_argument("--threads", type=int,
-                    help="echoed in the output; exact runs use one thread")
+    vm.add_argument("--threads", type=int, default=1,
+                    help="echoed in the output; every run uses one thread")
     _add_format(vm)
     vm.set_defaults(handler=_cmd_verify_master)
 
@@ -541,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--n", required=True, help="N or LO..HI")
     ve.add_argument("--k", required=True, help="N or LO..HI")
     ve.add_argument("--p", required=True)
-    ve.add_argument("--threads", type=int,
+    ve.add_argument("--threads", type=int, default=1,
                     help="echoed in the output; exact runs use one thread")
     _add_format(ve)
     ve.set_defaults(handler=_cmd_verify_equal_coeff)
@@ -580,9 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="half the walk length")
         sp.add_argument("--trials", type=int, required=True)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int,
-                        help="worker threads (default: BETAWALK_THREADS, "
-                             "else the CPU count)")
+        sp.add_argument("--threads", type=int, default=1,
+                        help="workers, each with its own stream (default: 1)")
         _add_format(sp)
         sp.set_defaults(handler=_cmd_simulate)
 
@@ -601,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "central-binomial ratio series")
     series.add_argument("--n", type=int, required=True)
     series.add_argument("--variant", choices=SERIES_VARIANTS, required=True)
-    series.add_argument("--max-terms", type=int, default=10 ** 6)
+    series.add_argument("--max-terms", type=int, default=SERIES_MAX_TERMS)
     series.add_argument("--cutoff", type=float, default=1e-12)
     _add_format(series)
     series.set_defaults(handler=_cmd_series)

@@ -293,7 +293,7 @@ def _weights(coeffs) -> tuple[Fraction, ...]:
     if not cs:
         raise InputError("at least one coefficient is required")
     if any(c <= 0 for c in cs):
-        raise InputError("coefficients must be strictly positive")
+        raise InputError("coefficients must be positive")
     return cs
 
 
@@ -369,7 +369,11 @@ def verify_equal_coeff_form(n: int, k: int, p) -> IdentityReport:
     if n < 1 or k < 1:
         raise InputError("n and k must be >= 1")
     p = _shape(p)
-    beta = beta_half(p, p)  # InputError unless p is a half-integer
+    if p.denominator > 2:
+        raise InputError(f"verify equal-coeff prints the unnormalized sides "
+                         f"with their powers of pi and needs a half-integer "
+                         f"--p, got {p}")
+    beta = beta_half(p, p)
     check_work(f"equal-coeff record at n={n}, k={k}",
                sum(_master_work(n, k, max(_bits(c), _bits(k * c)), p)
                    for c in (Fraction(1), *_SCALES)),

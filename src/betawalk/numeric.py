@@ -20,17 +20,23 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from operator import add, mul
 from typing import NamedTuple, Sequence
 
-from .render import SERIES_VARIANTS, InputError
+from .render import SERIES_MAX_TERMS, SERIES_VARIANTS, InputError, check_work
 
 __all__ = [
+    "FLOAT_WORK_BUDGET",
     "FloatVerification",
     "SeriesEvaluation",
     "SERIES_VARIANTS",
     "verify_master_float",
     "evaluate_series",
 ]
+
+# the bound on a float record's charged series terms: at most about 4 s on
+# a 2-vCPU machine
+FLOAT_WORK_BUDGET = 4_000_000
 
 
 class FloatVerification(NamedTuple):
@@ -84,51 +90,85 @@ def _ratio_moments(a: float, b: float, count: int) -> list[float]:
     return seq
 
 
-def _moment_product(factors: Sequence[Sequence[float]]) -> list[float]:
+def _binomial_rows(count: int) -> list[list[float]]:
+    """C(d, i) for d = 0..count-1 as doubles, each rounded once from the
+    exact integer of Pascal's rule; a C(d, i) beyond the double range
+    raises OverflowError."""
+    rows, row = [], [1]
+    for _ in range(count):
+        rows.append(list(map(float, row)))
+        row = [1, *map(add, row, row[1:]), 1]
+    return rows
+
+
+def _moment_product(factors: Sequence[Sequence[float]],
+                    rows: Sequence[Sequence[float]]) -> list[float]:
     """Moments of a sum of independent variables from each one's moments.
 
     Each factor lists E[Y^0..Y^D] of one variable; the product's moments are
-    P_d = sum_i C(d, i) P_i F_{d-i}.  The binomial weights, in place of the
-    exponential generating function's 1/j!, keep every value a moment, so
-    it stays inside the double range whenever the answer does.
+    P_d = sum_i C(d, i) P_i F_{d-i}, with C(d, i) from ``rows``, which the
+    factors share.  The binomial weights, in place of the exponential
+    generating function's 1/j!, keep every value a moment, so it stays
+    inside the double range whenever the answer does.
     """
     product = factors[0]
     for factor in factors[1:]:
-        product = [math.fsum(math.comb(d, i) * product[i] * factor[d - i]
-                             for i in range(d + 1))
-                   for d in range(len(product))]
+        product = [math.fsum(map(mul, map(mul, row, product),
+                                 reversed(factor[:d + 1])))
+                   for d, row in enumerate(rows)]
     return product
+
+
+def _check_terms(n: int, k: int) -> None:
+    """Refuse a float record of k weights on its series lengths alone,
+    before the weights are built.
+
+    Each weight is charged its binomial convolution, (2n+1)(2n+2)/2 terms
+    over series of 2n + 1 moments, plus 8 per degree for building its
+    series and summing each degree: k (2n+1)(n+9) in all.  A record makes
+    three such passes per weight; on a 2-vCPU machine records at the
+    budget take 1.3-4.1 s for n = 1..200.
+    """
+    check_work(f"float record at n={n}, k={k}", k * (2 * n + 1) * (n + 9),
+               FLOAT_WORK_BUDGET, "terms")
 
 
 def verify_master_float(n: int, coeffs: Sequence[float], p: float,
                         tolerance: float = 1e-10) -> FloatVerification:
     """Evaluate both moment expansions in doubles and compare.
 
-    Valid for any real p > 0 and positive weights.  A failed or
-    inconclusive comparison is a report, not an exception; a side beyond
-    the double range (overflow, or an rhs below the smallest normal double)
-    raises InputError.
+    Valid for any real p > 0, positive weights and a finite tolerance
+    >= 0.  A failed or inconclusive comparison is a report, not an
+    exception; a record over ``FLOAT_WORK_BUDGET`` (``_check_terms``)
+    or a side beyond the double range (overflow, or an rhs below the
+    smallest normal double) raises InputError.
     """
     if n < 1:
         raise InputError("n must be >= 1")
     if not p > 0:
         raise InputError("p must be > 0")
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise InputError("--tolerance must be finite and >= 0")
     coeffs = [float(c) for c in coeffs]
-    if not coeffs or any(not c > 0 for c in coeffs):
+    _check_terms(n, len(coeffs))
+    if not coeffs:
+        raise InputError("at least one coefficient is required")
+    if any(not c > 0 for c in coeffs):
         raise InputError("coefficients must be positive")
     degrees = range(2 * n + 1)
     try:
+        rows = _binomial_rows(2 * n + 1)
         c_total = math.fsum(coeffs)
         head = [c_total ** j for j in degrees]
         m = _ratio_moments(p, 2 * p, 2 * n + 1)
         mu = _ratio_moments(0.5, p + 0.5, n + 1)
         # the raw side, then its absolute mass: every sign made positive
         lhs, mass = (_moment_product(
-            [head] + [[(w * c) ** j * m[j] for j in degrees] for c in coeffs]
-        )[-1] for w in (-2, 2))
+            [head] + [[(w * c) ** j * m[j] for j in degrees] for c in coeffs],
+            rows)[-1] for w in (-2, 2))
         rhs = _moment_product(
             [[0.0 if j & 1 else c ** j * mu[j // 2] for j in degrees]
-             for c in coeffs])[-1]
+             for c in coeffs], rows)[-1]
         if not all(map(math.isfinite, (lhs, mass, rhs))):
             raise OverflowError
     except (OverflowError, ValueError):  # fsum's ValueError is inf - inf
@@ -216,7 +256,8 @@ def _ratio_divisor(variant: str, k: int) -> int:
                      f"expected one of {SERIES_VARIANTS}")
 
 
-def evaluate_series(n: int, variant: str, max_terms: int = 10 ** 6,
+def evaluate_series(n: int, variant: str,
+                    max_terms: int = SERIES_MAX_TERMS,
                     cutoff: float = 1e-12,
                     exact_window: int = 4096) -> SeriesEvaluation:
     """Accumulate the series for one normalization variant.
@@ -225,12 +266,15 @@ def evaluate_series(n: int, variant: str, max_terms: int = 10 ** 6,
     rendered to floats (term sizes grow with the index, so the tail beyond
     the window advances in floats via the exact integer term ratio).
     Exhausting ``max_terms`` without meeting the convergence rule reports
-    converged=False; it never raises.
+    converged=False; it never raises.  Every term is kept, so a
+    ``max_terms`` above ``SERIES_MAX_TERMS`` raises InputError.
     """
     if n < 0:
         raise InputError("n must be >= 0")
     if max_terms < 1:
         raise InputError("max_terms must be >= 1")
+    if max_terms > SERIES_MAX_TERMS:
+        raise InputError(f"max_terms must be at most {SERIES_MAX_TERMS}")
     _ratio_divisor(variant, 0)  # validate the name eagerly
 
     terms: list[float] = []

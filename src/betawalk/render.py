@@ -16,7 +16,9 @@ from fractions import Fraction
 DEFAULT_PATH_BUDGET = 10_000_000
 # normalizations accepted by numeric.evaluate_series and series --variant
 SERIES_VARIANTS = ("printed", "over-k-factorial", "over-k-factorial-squared")
-# the most workers a simulation takes, and the cap on the CLI's default count
+# the most terms numeric.evaluate_series keeps, and series --max-terms' default
+SERIES_MAX_TERMS = 10 ** 6
+# the most workers a simulation takes
 MAX_WORKERS = 1024
 
 

@@ -17,6 +17,7 @@ from betawalk.catalog import (
     verify_vandermonde,
 )
 from betawalk.exact import PiRational
+from betawalk.render import InputError
 from betawalk.walks import closed_form_2d, return_probability
 
 from compositions import multinomial, weak_compositions
@@ -182,6 +183,22 @@ def test_corrected_entries_carry_counterexamples():
             assert demo.parameters["variant"] == "printed"
         else:
             assert entry.counterexample is None
+
+
+@pytest.mark.parametrize("verifier, args", [
+    (verify_convolution, (0,)),
+    (verify_alternating, (0,)),
+    (verify_one_dim_general_p, (0, Fraction(1, 2))),
+    (verify_two_dim_remark, (0,)),
+    (verify_three_dim_remark, (0,)),
+    (verify_k_dim_remark, (0, 2)),
+    (verify_k_dim_remark, (1, 0)),
+    (verify_vandermonde, (0,)),
+    (verify_duplication, (-1,)),
+])
+def test_verifiers_refuse_out_of_range_parameters(verifier, args):
+    with pytest.raises(InputError, match="must be >= "):
+        verifier(*args)
 
 
 def test_unknown_entry():

@@ -469,31 +469,27 @@ def test_csv_format_headers(capsys):
     assert lines[0].startswith("kind,dim,n,trials,seed,workers")
 
 
-def test_env_var_overrides_threads(capsys, monkeypatch):
+def test_thread_count_defaults_to_one_worker(capsys, monkeypatch):
+    # the environment and the CPU count play no part
     monkeypatch.setenv("BETAWALK_THREADS", "3")
-    _, out, _ = run_cli(capsys, "simulate", "walk", "--dim", "1", "--n", "1",
-                        "--trials", "100", "--seed", "2")
-    assert "workers=3" in out
-    monkeypatch.setenv("BETAWALK_THREADS", "junk")
-    code, out, err = run_cli(capsys, "simulate", "walk", "--dim", "1",
-                             "--n", "1", "--trials", "100", "--seed", "2")
-    assert code == 2
-
-
-def test_thread_counts_above_the_worker_maximum(capsys, monkeypatch):
-    # the default is capped; an explicit count above it is refused by the
-    # simulation before its exact reference, so no pool is ever started
-    monkeypatch.delenv("BETAWALK_THREADS", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 5000)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    code, out, _ = run_cli(capsys, "simulate", "walk", "--dim", "1", "--n",
+                           "1", "--trials", "100", "--seed", "2")
+    assert code == 0
+    assert " workers=1 " in out
     code, out, _ = run_cli(capsys, "verify", "master", "--n", "1", "--coeffs",
                            "1", "--p", "1", "--format", "json")
     assert code == 0
-    assert json.loads(out)["parameters"]["threads"] == MAX_WORKERS == 1024
-    monkeypatch.setenv("BETAWALK_THREADS", "5000")
+    assert json.loads(out)["parameters"]["threads"] == 1
+
+
+def test_thread_counts_above_the_worker_maximum(capsys):
+    # an explicit count above the maximum is refused by the simulation
+    # before its exact reference, so no pool is ever started
     code, out, err = run_cli(capsys, "simulate", "walk", "--dim", "1", "--n",
-                             "1", "--trials", "100")
+                             "1", "--trials", "100", "--threads", "5000")
     assert (code, out, err) == (
-        2, "", "betawalk: error: workers must be at most 1024\n")
+        2, "", f"betawalk: error: workers must be at most {MAX_WORKERS}\n")
 
 
 def test_usage_error_goes_to_argparse(capsys):
@@ -634,6 +630,11 @@ def test_odd_path_count_prints_every_format(capsys):
     (["simulate", "beta", "--dim", "1", "--n", "1", "--trials", "10",
       "--threads", "5000"],
      "workers must be at most 1024"),
+    (["verify", "master", "--n", "1", "--k", "100000000", "--p", "0.5",
+      "--mode", "float"],
+     "float record at n=1, k=100000000 needs about"),
+    (["series", "--n", "0", "--variant", "printed", "--max-terms", "1000001"],
+     "max_terms must be at most 1000000"),
 ])
 def test_inputs_beyond_a_library_bound_exit_2_at_once(capsys, argv, message):
     # each is refused before any work starts
@@ -645,7 +646,12 @@ def test_inputs_beyond_a_library_bound_exit_2_at_once(capsys, argv, message):
     assert err.count("\n") == 1
 
 
-def test_huge_k_is_refused_before_its_weights_exist():
+@pytest.mark.parametrize("shape, refusal", [
+    (["--p", "1/2"], "master record at n=1, k=100000000 needs about"),
+    (["--mode", "float", "--p", "0.5"],
+     "float record at n=1, k=100000000 needs about"),
+], ids=["exact", "float"])
+def test_huge_k_is_refused_before_its_weights_exist(shape, refusal):
     # the child alone runs under a 256 MiB address-space limit: the 10^8
     # unit weights would need 800 MB, so a handler that built them before
     # asking the budget would fail at once with an internal error
@@ -658,25 +664,73 @@ def test_huge_k_is_refused_before_its_weights_exist():
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "betawalk.cli", "verify", "master", "--n", "1",
-         "--k", "100000000", "--p", "1/2"],
+         "--k", "100000000", *shape],
         capture_output=True, text=True, env=env, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
                                               (limit, limit)))
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith(
-        "betawalk: error: master record at n=1, k=100000000 needs about")
+    assert proc.stderr.startswith(f"betawalk: error: {refusal}")
     assert proc.stderr.count("\n") == 1
 
 
 def test_cli_checks_keep_exit_2_and_their_message(capsys):
-    # the CLI rejects these as UsageError before the library is called
+    # the CLI only parses these; the library refuses each range, sign or
+    # shape with an InputError before any work starts
+    master = ["verify", "master", "--n", "2"]
     for argv, message in (
-        (["verify", "master", "--n", "2", "--coeffs", "0", "--p", "1/2"],
+        (master + ["--coeffs", "0", "--p", "1/2"],
          "coefficients must be positive"),
+        (master + ["--coeffs", "1,0", "--p", "0.5", "--mode", "float"],
+         "coefficients must be positive"),
+        (master + ["--coeffs", "1", "--p", "0"], "p must be > 0"),
+        (master + ["--coeffs", "1", "--p", "0", "--mode", "float"],
+         "p must be > 0"),
+        (master + ["--k", "0", "--p", "1/2"],
+         "at least one coefficient is required"),
+        (master + ["--k", "0..2", "--p", "0.5", "--mode", "float"],
+         "at least one coefficient is required"),
+        (["verify", "master", "--n", "0", "--k", "1", "--p", "1/2"],
+         "n must be >= 1"),
+        (["verify", "master", "--n", "0..1", "--coeffs", "1", "--p", "0.5",
+          "--mode", "float"], "n must be >= 1"),
+        (master + ["--coeffs", "1", "--p", "0.5", "--mode", "float",
+                   "--tolerance=-1"], "--tolerance must be finite and >= 0"),
+        (["verify", "equal-coeff", "--n", "1", "--k", "1", "--p", "0"],
+         "p must be > 0"),
+        (["verify", "equal-coeff", "--n", "1", "--k", "1", "--p", "5/4"],
+         "verify equal-coeff prints the unnormalized sides with their "
+         "powers of pi and needs a half-integer --p, got 5/4"),
+        (["verify", "equal-coeff", "--n", "0", "--k", "1", "--p", "1/2"],
+         "n and k must be >= 1"),
+        (["verify", "equal-coeff", "--n", "1", "--k", "0", "--p", "1/2"],
+         "n and k must be >= 1"),
+        (["compute", "return-prob", "--dim", "2", "--steps", "0"],
+         "dim and half_steps must be >= 1"),
+        (["compute", "path-count", "--dim", "0", "--steps", "4"],
+         "dim and half_steps must be >= 1"),
+        (["compute", "path-count", "--dim", "0", "--steps", "3",
+          "--allow-odd"], "dim must be >= 1"),
         (["compute", "moment", "--n", "0", "--p", "1/2"], "n must be >= 1"),
+        (["compute", "moment", "--n", "2", "--p", "0"], "p must be > 0"),
+        (["oracle", "--dim", "0", "--steps", "4"],
+         "dim and half_steps must be >= 1"),
+        (["simulate", "walk", "--dim", "1", "--n", "1", "--trials", "0"],
+         "trials must be >= 1"),
+        (["simulate", "walk", "--dim", "0", "--n", "1", "--trials", "10"],
+         "dimension must be >= 1"),
+        (["simulate", "walk", "--dim", "1", "--n", "0", "--trials", "10"],
+         "half_steps must be >= 1"),
+        (["simulate", "beta", "--dim", "0", "--n", "1", "--trials", "10"],
+         "dim and half_steps must be >= 1"),
+        (["simulate", "beta", "--dim", "1", "--n", "1", "--trials", "0"],
+         "trials must be >= 1"),
+        (["series", "--n", "-1", "--variant", "printed"], "n must be >= 0"),
+        (["series", "--n", "0", "--variant", "printed", "--max-terms", "0"],
+         "max_terms must be >= 1"),
     ):
         code, out, err = run_cli(capsys, *argv)
-        assert (code, out, err) == (2, "", f"betawalk: error: {message}\n")
+        assert (code, out, err) == (2, "", f"betawalk: error: {message}\n"), \
+            argv
 
 
 def test_closed_stdout_pipe_ends_without_traceback(tmp_path):

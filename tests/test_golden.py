@@ -9,7 +9,6 @@ must be declared.  Regenerate with
 """
 
 import json
-import os
 import re
 import sys
 from pathlib import Path
@@ -61,9 +60,7 @@ def case_name(command: str) -> str:
 
 
 @pytest.mark.parametrize("command", CASES, ids=case_name)
-def test_golden_output(command, capsys, monkeypatch):
-    # the thread count is echoed in the output parameters
-    monkeypatch.setenv("BETAWALK_THREADS", "1")
+def test_golden_output(command, capsys):
     codes = json.loads((GOLDEN / "exit_codes.json").read_text())
     name = case_name(command)
     code = main(command.split())
@@ -75,7 +72,6 @@ def _regenerate() -> None:
     import contextlib
     import io
 
-    os.environ["BETAWALK_THREADS"] = "1"
     GOLDEN.mkdir(exist_ok=True)
     codes = {}
     for command in CASES:

@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betawalk.moments import lhs_master, rhs_master, verify_master
+from betawalk import numeric
 from betawalk.numeric import (
+    FLOAT_WORK_BUDGET,
     SERIES_VARIANTS,
     evaluate_series,
     verify_master_float,
 )
+from betawalk.render import SERIES_MAX_TERMS, InputError
 
 from compositions import pochhammer
 
@@ -153,6 +156,54 @@ def test_verify_master_float_validation():
         verify_master_float(1, [0.0], 1.0)
 
 
+def _moment_product_by_comb(factors):
+    """The binomial convolution with each C(d, i) from math.comb, term by
+    term: the shared double rows must give the very same doubles."""
+    product = factors[0]
+    for factor in factors[1:]:
+        product = [math.fsum(math.comb(d, i) * product[i] * factor[d - i]
+                             for i in range(d + 1))
+                   for d in range(len(product))]
+    return product
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60).flatmap(lambda length: st.lists(
+    st.lists(st.floats(-1e30, 1e30), min_size=length, max_size=length),
+    min_size=1, max_size=5)))
+def test_moment_product_equals_the_comb_convolution(factors):
+    rows = numeric._binomial_rows(len(factors[0]))
+    assert numeric._moment_product(factors, rows) == \
+        _moment_product_by_comb(factors)
+
+
+@pytest.mark.parametrize("tolerance", [-1.0, math.nan, math.inf])
+def test_verify_master_float_refuses_a_bad_tolerance(tolerance):
+    with pytest.raises(InputError, match="--tolerance must be finite"):
+        verify_master_float(2, [1.0, 2.0], 0.7, tolerance=tolerance)
+
+
+def _float_charge(n, k):
+    return k * (2 * n + 1) * (n + 9)
+
+
+def test_float_budget_holds_at_its_edge(monkeypatch):
+    # the constant's edge at n = 10, asked without building a weight
+    last = FLOAT_WORK_BUDGET // _float_charge(10, 1)
+    assert last == 10025
+    numeric._check_terms(10, last)
+    with pytest.raises(InputError, match="float record at n=10, k=10026"):
+        numeric._check_terms(10, last + 1)
+    # a whole record at an edge small enough to run: the last admitted k
+    # gives a verdict, the next is refused before any series exists
+    monkeypatch.setattr(numeric, "FLOAT_WORK_BUDGET", _float_charge(3, 5))
+    assert verify_master_float(3, [1.0] * 5, 0.5).passed
+    monkeypatch.setattr(numeric, "_binomial_rows", None)  # never reached
+    with pytest.raises(InputError, match=f"float record at n=3, k=6 needs "
+                                         f"about {_float_charge(3, 6)} terms"):
+        verify_master_float(3, [1.0] * 6, 0.5)
+
+
 def test_series_terms_match_rising_factorial_oracle():
     for variant in SERIES_VARIANTS:
         for n in (0, 1, 3):
@@ -235,3 +286,5 @@ def test_series_validation():
         evaluate_series(0, "bogus")
     with pytest.raises(ValueError):
         evaluate_series(0, "printed", max_terms=0)
+    with pytest.raises(InputError, match="max_terms must be at most"):
+        evaluate_series(0, "printed", max_terms=SERIES_MAX_TERMS + 1)
