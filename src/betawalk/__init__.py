@@ -17,8 +17,7 @@ from importlib import import_module
 # submodule -> the names it exports at package level
 _EXPORTS = {
     "catalog": ("CATALOG", "CatalogEntry", "entries"),
-    "exact": ("PiRational", "as_fraction", "beta_half", "factorial",
-              "gamma_half"),
+    "exact": ("PiRational", "as_fraction", "beta_half", "gamma_half"),
     "moments": ("IdentityReport", "even_moment", "lhs_master", "rhs_master",
                 "verify_equal_coeff_form", "verify_master"),
     "numeric": ("FloatVerification", "SeriesEvaluation", "evaluate_series",

@@ -11,11 +11,11 @@ substituted; reports and the CLI flag every correction.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .exact import PiRational, as_fraction, beta_half, factorial, gamma_half
-from .moments import (UPPER_LIMIT_NOTE, IdentityReport, _egf,
+from .exact import PiRational, as_fraction, beta_half, gamma_half
+from .moments import (UPPER_LIMIT_NOTE, IdentityReport, _egf, _raw_moments,
                       _series_coefficient, rhs_master)
 from .render import InputError
 from .walks import closed_form_2d, return_probability
@@ -143,15 +143,16 @@ def _alternating_counterexample() -> IdentityReport:
 # ---------------------------------------------------------------------------
 # one-variable reduction at general half-integer shape:
 #   sum_{j=0}^{2n} C(2n,j) (-2)^j B(j+p, p) = B(n+1/2, p) / 2^(2p-1)
+# the left side as B(p, p) sum_j C(2n,j) (-2)^j m_j: B(j+p, p) = B(p, p) m_j
 # ---------------------------------------------------------------------------
 
 
 def _one_dim_sides(n: int, p: Fraction, upper: int
                    ) -> tuple[PiRational, PiRational]:
-    lhs = PiRational.ZERO
-    for j in range(upper + 1):
-        lhs = lhs + beta_half(j + p, p) * ((-2) ** j * comb(2 * n, j))
-    return lhs, beta_half(n + Fraction(1, 2), p) / 2 ** (2 * p - 1)
+    beta = beta_half(p, p)  # refuses a p that is not a positive half-integer
+    total = sum(comb(2 * n, j) * (-2) ** j * m
+                for j, m in enumerate(_raw_moments(p, upper + 1)))
+    return beta * total, beta_half(n + Fraction(1, 2), p) / 2 ** (2 * p - 1)
 
 
 def verify_one_dim_general_p(n: int, p) -> IdentityReport:

@@ -112,12 +112,14 @@ class Record(NamedTuple):
 
 
 class Emitter:
-    """Serialize one command's records to stdout in the chosen format.
+    """Serialize one command's records in the chosen format.
 
     Plain output is ``plain_template`` filled from the record's row, CSV
     writes the row's ``columns`` under one header, and JSON writes the
     payload with the record's parameters and status.
     """
+
+    note = ""  # a handler's stderr line, printed once every record renders
 
     def __init__(self, fmt: str, command: str, columns: list[str],
                  plain_template: str):
@@ -127,27 +129,30 @@ class Emitter:
         self.plain_template = plain_template
         self._csv = None  # the CSV writer, made at the first record
 
-    def emit(self, record: Record) -> None:
+    def emit(self, record: Record) -> str:
+        """The record's stdout lines; the CSV header comes with the first."""
         if self.fmt == "json":
             import json
             payload = record.payload
             obj = payload.to_json_obj() if hasattr(payload, "to_json_obj") else payload
-            print(json.dumps({
+            return json.dumps({
                 "command": self.command,
                 "parameters": record.parameters,
                 "payload": obj,
                 "status": record.status,
-            }))
-        elif self.fmt == "csv":
+            }) + "\n"
+        if self.fmt == "csv":
+            header = ""
             if self._csv is None:
                 import csv
+                from types import SimpleNamespace
+                # writerow returns what write returns: the line itself
                 self._csv = csv.DictWriter(
-                    sys.stdout, fieldnames=self.columns, lineterminator="\n",
-                    extrasaction="ignore")
-                self._csv.writeheader()
-            self._csv.writerow(record.row)
-        else:
-            print(self.plain_template.format(**record.row))
+                    SimpleNamespace(write=str), fieldnames=self.columns,
+                    lineterminator="\n", extrasaction="ignore")
+                header = self._csv.writeheader()
+            return header + self._csv.writerow(record.row)
+        return self.plain_template.format(**record.row) + "\n"
 
 
 Output = tuple[Emitter, list[Record]]
@@ -228,8 +233,8 @@ def _cmd_verify_master(args) -> Output:
                            condition_number=rep.condition_number,
                            tolerance=rep.tolerance, passed=_bool(rep.passed))
             records.append(Record(params, rep, status, row))
-    _note(f"# verify master: {time.perf_counter() - started:.3f}s, "
-          f"threads={threads}")
+    out.note = (f"# verify master: {time.perf_counter() - started:.3f}s, "
+                f"threads={threads}")
     return out, records
 
 
@@ -250,8 +255,8 @@ def _cmd_verify_equal_coeff(args) -> Output:
             records.append(Record(params, rep, _status(rep.verified), dict(
                 params, lhs=rep.lhs, rhs=rep.rhs,
                 verified=_bool(rep.verified))))
-    _note(f"# verify equal-coeff: {time.perf_counter() - started:.3f}s, "
-          f"threads={threads}")
+    out.note = (f"# verify equal-coeff: {time.perf_counter() - started:.3f}s, "
+                f"threads={threads}")
     return out, records
 
 
@@ -425,7 +430,7 @@ def _cmd_catalog(args) -> Output:
         records.extend(record(rep, False) for rep in entry.run())
         if entry.counterexample is not None:
             records.append(record(entry.counterexample(), True))
-    _note(f"# catalog verify: {time.perf_counter() - started:.3f}s")
+    out.note = f"# catalog verify: {time.perf_counter() - started:.3f}s"
     return out, records
 
 
@@ -461,13 +466,22 @@ def _cmd_series(args) -> Output:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, reading "-1/2" or "-1e-3" after an option as its value, as
+    it reads "-1", not as an unknown option: no option here looks like one."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def _add_format(parser) -> None:
     parser.add_argument("--format", choices=("plain", "json", "csv"),
                         default="plain", help="output record format")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="betawalk",
         description=("Exact verification of beta-moment identities and "
                      "lattice walk return probabilities."),
@@ -566,6 +580,8 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
     args = parser.parse_args(argv if argv is None else list(argv))
     try:
         out, records = args.handler(args)
+        # render all before printing, so a refused value leaves stdout empty
+        text = "".join(map(out.emit, records))
     except (UsageError, InputError) as exc:
         print(f"betawalk: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -573,8 +589,9 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
         message = " ".join(f"{type(exc).__name__}: {exc}".split())
         print(f"betawalk: internal error: {message}", file=sys.stderr)
         return EXIT_INTERNAL
-    for record in records:
-        out.emit(record)
+    sys.stdout.write(text)
+    if out.note:
+        _note(out.note)
     statuses = {record.status for record in records}
     if "violated" in statuses:
         return EXIT_STATISTICAL if args.command == "simulate" else EXIT_VIOLATED

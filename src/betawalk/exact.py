@@ -4,24 +4,22 @@ Gamma at a positive half-odd argument is a rational multiple of sqrt(pi)
 (duplication formula: Gamma(n + 1/2) = (2n)!/(4^n n!) * sqrt(pi)) and gamma at
 a positive integer is a plain factorial, so every gamma/beta value needed here
 has the exact shape q * pi^(e/2) with q rational and e an integer.
-``PiRational`` stores that pair; no operation in this module ever rounds.
+``PiRational`` stores that pair; nothing here rounds, or keeps a cache.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from functools import lru_cache
+from math import factorial, pi
 from typing import NamedTuple, Union
 
-from .render import InputError
+from .render import InputError, fraction_str, int_str
 
 RationalLike = Union[int, Fraction, str]
 
 __all__ = [
     "PiRational",
     "as_fraction",
-    "factorial",
     "gamma_half",
     "beta_half",
 ]
@@ -36,31 +34,6 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         return Fraction(value.strip())
     raise TypeError(f"not an exact rational: {value!r}")
-
-
-# ---------------------------------------------------------------------------
-# factorial with an on-demand memo table
-# ---------------------------------------------------------------------------
-
-# grown by unlocked appends: every exact computation runs on one thread
-_fact_table: list[int] = [1, 1]
-_fact_cap = 100_000  # max table entries; larger arguments use math.factorial
-
-
-def factorial(n: int) -> int:
-    """n! exactly, memoized below the table cap."""
-    if n < 0:
-        raise ValueError("factorial of a negative integer")
-    if n >= _fact_cap:
-        return math.factorial(n)
-    table = _fact_table
-    if n < len(table):
-        return table[n]
-    value = table[-1]
-    for m in range(len(table), n + 1):
-        value *= m
-        table.append(value)
-    return table[n]
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +114,13 @@ class PiRational(_PiRationalFields):
         return PiRational(self.coeff ** exponent, self.sqrt_pi_pow * exponent)
 
     def __float__(self) -> float:
-        return float(self.coeff) * math.pi ** (self.sqrt_pi_pow / 2.0)
+        return float(self.coeff) * pi ** (self.sqrt_pi_pow / 2.0)
 
     def __str__(self) -> str:
+        c = self.coeff  # rendered as str(Fraction) renders it, by int_str
+        text = int_str(c.numerator) if c.denominator == 1 else fraction_str(c)
         if self.sqrt_pi_pow == 0:
-            return str(self.coeff)
+            return text
         if self.sqrt_pi_pow == 1:
             tail = "sqrt(pi)"
         elif self.sqrt_pi_pow == 2:
@@ -154,11 +129,11 @@ class PiRational(_PiRationalFields):
             tail = f"pi^{self.sqrt_pi_pow // 2}"
         else:
             tail = f"pi^({self.sqrt_pi_pow}/2)"
-        return f"{self.coeff}*{tail}"
+        return f"{text}*{tail}"
 
     def to_json_obj(self) -> dict:
         return {
-            "coeff": f"{self.coeff.numerator}/{self.coeff.denominator}",
+            "coeff": fraction_str(self.coeff),
             "sqrtPiPow": self.sqrt_pi_pow,
         }
 
@@ -172,14 +147,12 @@ PiRational.ONE = PiRational(Fraction(1))
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=4096, typed=True)
 def gamma_half(a: RationalLike) -> PiRational:
     """Gamma(a) for a positive half-integer a, such as n or n + 1/2, exactly.
 
     Integer a = m gives (m-1)!; half-odd a = n + 1/2 gives
     (2n)!/(4^n n!) * sqrt(pi) by the duplication formula.  Any other
-    argument raises InputError.  The cache is typed, so a float never
-    hits the entry of an equal rational.
+    argument raises InputError.
     """
     a = as_fraction(a)
     if a <= 0 or a.denominator > 2:
@@ -190,7 +163,6 @@ def gamma_half(a: RationalLike) -> PiRational:
     return PiRational(Fraction(factorial(2 * n), 4 ** n * factorial(n)), 1)
 
 
-@lru_cache(maxsize=4096, typed=True)
 def beta_half(a: RationalLike, b: RationalLike) -> PiRational:
     """B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b) for positive half-integers."""
     a, b = as_fraction(a), as_fraction(b)

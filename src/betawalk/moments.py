@@ -40,7 +40,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .exact import PiRational, as_fraction, beta_half, factorial
+from .exact import PiRational, as_fraction, beta_half
 from .render import InputError, check_work
 
 __all__ = [
@@ -206,6 +206,13 @@ def _master_work(n: int, k: int, weight_bits: int, p: Fraction) -> int:
     return _work(n, terms, weight_bits + 2 * _bits(p))
 
 
+def _beta_work(p: Fraction) -> int:
+    """Cost of B(p, p) at a half-integer p: gcds, quadratic in the limbs, of
+    integers up to the size of (2p)!, which has at most 2p bits(2p) bits."""
+    limbs = int(2 * p) * int(2 * p).bit_length() // 64 + 1
+    return limbs * limbs
+
+
 # ---------------------------------------------------------------------------
 # the two expansions
 # ---------------------------------------------------------------------------
@@ -232,11 +239,14 @@ def _power(f: list[int], k: int) -> list[int]:
 def _egf(ratio: Fraction, seq: Sequence[Fraction], step: int
          ) -> list[Fraction]:
     """The coefficients ratio^i seq_i / (step i)!, each made in integers
-    and reduced once."""
+    and reduced once; (step i)! is a running product."""
     a, b = ratio.numerator, ratio.denominator
-    return [Fraction(a ** i * s.numerator,
-                     b ** i * s.denominator * factorial(step * i))
-            for i, s in enumerate(seq)]
+    out, fact = [], 1
+    for i, s in enumerate(seq):
+        out.append(Fraction(a ** i * s.numerator,
+                            b ** i * s.denominator * fact))
+        fact *= math.perm(step * (i + 1), step)
+    return out
 
 
 def _series_coefficient(powers: Sequence[tuple[Sequence[Fraction], int]],
@@ -275,7 +285,7 @@ def _lhs(n: int, coeffs: Sequence[Fraction], p: Fraction) -> Fraction:
     powers = [(_egf(sum(coeffs, Fraction(0)), [1] * (two_n + 1), 1), 1)]
     for c, count in Counter(coeffs).items():
         powers.append((_egf(-2 * c, m, 1), count))
-    return factorial(two_n) * _series_coefficient(powers, two_n)
+    return math.factorial(two_n) * _series_coefficient(powers, two_n)
 
 
 def _rhs(n: int, coeffs: Sequence[Fraction], p: Fraction) -> Fraction:
@@ -284,7 +294,7 @@ def _rhs(n: int, coeffs: Sequence[Fraction], p: Fraction) -> Fraction:
     mu = _even_moments(p, n + 1)
     powers = [(_egf(c * c, mu, 2), count)
               for c, count in Counter(coeffs).items()]
-    return factorial(2 * n) * _series_coefficient(powers, n)
+    return math.factorial(2 * n) * _series_coefficient(powers, n)
 
 
 def _weights(coeffs) -> tuple[Fraction, ...]:
@@ -364,7 +374,7 @@ def verify_equal_coeff_form(n: int, k: int, p) -> IdentityReport:
     carry their powers of pi), which needs a half-integer p.  On top of
     that the full check must scale by exactly c^(2n) for c in
     {1/4, 1, 7/3}; the weight-1 check is the base call itself.  The three
-    checks' ``_master_work`` together must fit ``MOMENT_WORK_BUDGET``.
+    checks' ``_master_work`` and ``_beta_work`` must fit MOMENT_WORK_BUDGET.
     """
     if n < 1 or k < 1:
         raise InputError("n and k must be >= 1")
@@ -373,12 +383,11 @@ def verify_equal_coeff_form(n: int, k: int, p) -> IdentityReport:
         raise InputError(f"verify equal-coeff prints the unnormalized sides "
                          f"with their powers of pi and needs a half-integer "
                          f"--p, got {p}")
-    beta = beta_half(p, p)
     check_work(f"equal-coeff record at n={n}, k={k}",
                sum(_master_work(n, k, max(_bits(c), _bits(k * c)), p)
-                   for c in (Fraction(1), *_SCALES)),
+                   for c in (Fraction(1), *_SCALES)) + _beta_work(p),
                MOMENT_WORK_BUDGET)
-    norm = beta ** k
+    norm = beta_half(p, p) ** k
     start = time.perf_counter()
     base = verify_master(n, (Fraction(1),) * k, p)
     verified = base.verified

@@ -572,21 +572,39 @@ def test_rejected_inputs_keep_exit_2_and_their_message(capsys):
         sys.set_int_max_str_digits(limit)
 
 
-@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
-def test_odd_path_count_too_long_to_print_exits_2(capsys, fmt):
-    # the 4516-digit total is rendered in the handler in every format
+# id prefix -> argv; the path count keeps the ids it had as the only case
+TOO_LONG_TO_PRINT = {
+    # the 4516-digit total is rendered in the handler
+    "": ["compute", "path-count", "--dim", "1", "--steps", "15001",
+         "--allow-odd"],
+    # an exact side, or B(p, p), rendered by the emitter; at n=36 the master
+    # sides have 4271 digits, at n=37 too many
+    "master-": ["verify", "master", "--n", "36..37", "--coeffs",
+                "1/123456789012345678901234567890123456789012345678901234567890"
+                ",1", "--p", "1/2"],
+    "equal-coeff-": ["verify", "equal-coeff", "--n", "1", "--k", "1",
+                     "--p", "10001/2"],
+}
+
+
+@pytest.mark.parametrize("argv, fmt", [
+    pytest.param(argv, fmt, id=name + fmt)
+    for name, argv in TOO_LONG_TO_PRINT.items()
+    for fmt in ("plain", "json", "csv")])
+def test_odd_path_count_too_long_to_print_exits_2(capsys, argv, fmt):
+    # an exact value too long to print is a usage error in every format,
+    # and no record, or CSV header, reaches stdout before it
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
-        code, out, err = run_cli(capsys, "compute", "path-count", "--dim",
-                                 "1", "--steps", "15001", "--allow-odd",
-                                 "--format", fmt)
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
     finally:
         sys.set_int_max_str_digits(limit)
     assert (code, out) == (2, "")
     assert err.startswith("betawalk: error: Exceeds the limit (4300 digits) "
                           "for integer string conversion")
     assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_odd_path_count_prints_every_format(capsys):
@@ -635,6 +653,8 @@ def test_odd_path_count_prints_every_format(capsys):
      "float record at n=1, k=100000000 needs about"),
     (["series", "--n", "0", "--variant", "printed", "--max-terms", "1000001"],
      "max_terms must be at most 1000000"),
+    (["verify", "equal-coeff", "--n", "1", "--k", "1", "--p", "2000001/2"],
+     "equal-coeff record at n=1, k=1 needs about"),
 ])
 def test_inputs_beyond_a_library_bound_exit_2_at_once(capsys, argv, message):
     # each is refused before any work starts
@@ -695,6 +715,16 @@ def test_cli_checks_keep_exit_2_and_their_message(capsys):
           "--mode", "float"], "n must be >= 1"),
         (master + ["--coeffs", "1", "--p", "0.5", "--mode", "float",
                    "--tolerance=-1"], "--tolerance must be finite and >= 0"),
+        # a negative value given as a separate argument is a value too
+        (master + ["--coeffs", "1", "--p", "-1/2"], "p must be > 0"),
+        (master + ["--coeffs", "-1/2", "--p", "1/2"],
+         "coefficients must be positive"),
+        (master + ["--coeffs", "1", "--p", "0.5", "--mode", "float",
+                   "--tolerance", "-1e-3"],
+         "--tolerance must be finite and >= 0"),
+        (["verify", "equal-coeff", "--n", "1", "--k", "1", "--p", "-1/2"],
+         "p must be > 0"),
+        (["compute", "moment", "--n", "2", "--p", "-1/2"], "p must be > 0"),
         (["verify", "equal-coeff", "--n", "1", "--k", "1", "--p", "0"],
          "p must be > 0"),
         (["verify", "equal-coeff", "--n", "1", "--k", "1", "--p", "5/4"],
@@ -731,6 +761,22 @@ def test_cli_checks_keep_exit_2_and_their_message(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", f"betawalk: error: {message}\n"), \
             argv
+
+
+@pytest.mark.parametrize("argv, option, value", [
+    (["verify", "master", "--n", "1", "--coeffs", "1"], "--p", "-1/2"),
+    (["verify", "equal-coeff", "--n", "1", "--k", "1"], "--p", "-1/2"),
+    (["compute", "moment", "--n", "1"], "--p", "-1/2"),
+    (["verify", "master", "--n", "1", "--p", "1/2"], "--coeffs", "-1/2"),
+    (["verify", "master", "--n", "1", "--coeffs", "1", "--p", "0.5",
+      "--mode", "float"], "--tolerance", "-1e-3"),
+    (["series", "--n", "1", "--variant", "printed"], "--cutoff", "-1e-5"),
+])
+def test_negative_value_as_a_separate_argument_is_its_equals_form(
+        capsys, argv, option, value):
+    apart = run_cli(capsys, *argv, option, value)
+    joined = run_cli(capsys, *argv, f"{option}={value}")
+    assert apart == joined
 
 
 def test_closed_stdout_pipe_ends_without_traceback(tmp_path):

@@ -10,29 +10,11 @@ from betawalk.exact import (
     PiRational,
     as_fraction,
     beta_half,
-    factorial,
     gamma_half,
 )
-from betawalk import exact
 from betawalk.render import InputError
 
 from compositions import multinomial, pochhammer, weak_compositions
-
-
-def test_factorial_values():
-    assert factorial(0) == 1
-    assert factorial(5) == 120
-    assert factorial(12) == 479001600
-
-
-def test_factorial_matches_math_beyond_cap(monkeypatch):
-    monkeypatch.setattr(exact, "_fact_cap", 10)
-    monkeypatch.setattr(exact, "_fact_table", [1, 1])
-    assert factorial(40) == math.factorial(40)
-    assert factorial(9) == math.factorial(9)
-    assert exact._fact_table == [math.factorial(m) for m in range(10)]
-    with pytest.raises(ValueError):
-        factorial(-1)
 
 
 def test_multinomial_values():
@@ -119,8 +101,8 @@ def test_duplication_invariant():
     for n in range(101):
         ratio = gamma_half(n + Fraction(1, 2)) / root
         assert ratio.sqrt_pi_pow == 0
-        assert ratio.coeff == Fraction(math.comb(2 * n, n) * factorial(n),
-                                       4 ** n)
+        assert ratio.coeff == Fraction(
+            math.comb(2 * n, n) * math.factorial(n), 4 ** n)
 
 
 def test_beta_symmetry_and_recurrence():

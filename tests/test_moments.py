@@ -10,6 +10,7 @@ from betawalk import moments
 from betawalk.exact import PiRational, beta_half
 from betawalk.moments import (
     MOMENT_WORK_BUDGET,
+    _beta_work,
     _bits,
     _lhs,
     _master_work,
@@ -484,7 +485,8 @@ def master_work(n, cs, p):
 
 
 def equal_coeff_work(n, k, p):
-    return sum(master_work(n, (c,) * k, p) for c in EQUAL_WEIGHTS)
+    return (sum(master_work(n, (c,) * k, p) for c in EQUAL_WEIGHTS)
+            + _beta_work(p))
 
 
 def even_moment_work(n, p):
@@ -498,12 +500,14 @@ def test_master_budget_refuses_before_any_arithmetic(monkeypatch):
     monkeypatch.setattr(moments, "_lhs", never)
     monkeypatch.setattr(moments, "_rhs", never)
     monkeypatch.setattr(moments, "_even_moments", never)
+    monkeypatch.setattr(moments, "beta_half", never)
     started = time.perf_counter()
     for call in (lambda: verify_master(1000, (1, 2), "1/2"),
                  lambda: lhs_master(1000, (1, 2), "1/2"),
                  lambda: rhs_master(1000, (1, 2), "1/2"),
                  lambda: verify_equal_coeff_form(1000, 2, "1/2"),
                  lambda: verify_equal_coeff_form(1, 10 ** 8, "3/2"),
+                 lambda: verify_equal_coeff_form(1, 1, "2000001/2"),
                  lambda: even_moment(10 ** 7, "7/5")):
         with pytest.raises(InputError, match=r"needs about \d+ limb "
                            r"operations \(budget is 16000000\)"):

@@ -12,24 +12,13 @@ from fractions import Fraction
 import pytest
 
 from betawalk.catalog import CATALOG
-from betawalk.exact import PiRational, beta_half, gamma_half
+from betawalk.exact import PiRational
 from betawalk.moments import (IdentityReport, lhs_master,
                               verify_equal_coeff_form, verify_master)
 from betawalk.numeric import verify_master_float
 from betawalk.render import InputError
 from betawalk.walks import (PathCount, WalkSpec, brute_force_return,
                             path_count, simulate_walk)
-
-
-def test_repeated_fraction_argument_is_a_cache_hit():
-    gamma_half.cache_clear()
-    first = gamma_half(Fraction(9, 2))
-    assert gamma_half(Fraction(9, 2)) is first
-    assert gamma_half.cache_info().hits == 1
-    beta_half.cache_clear()
-    first = beta_half(Fraction(3, 2), Fraction(1, 2))
-    assert beta_half(Fraction(3, 2), Fraction(1, 2)) is first
-    assert beta_half.cache_info().hits == 1
 
 
 def test_validating_records_reject_bad_input_as_before():

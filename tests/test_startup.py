@@ -96,7 +96,7 @@ print(json.dumps(report))
 def test_public_names_resolve_to_their_submodule_objects():
     report = run_fresh(PUBLIC_NAMES, json.dumps(LAYERS))
     assert report["import"] == ["betawalk"]
-    assert len(report["all"]) == len(set(report["all"])) == 30
+    assert len(report["all"]) == len(set(report["all"])) == 29
     assert set(report["all"]) <= set(report["dir"])
     assert set(LAYERS) <= set(report["dir"])
     # each exported name is the very object its one home module exports
