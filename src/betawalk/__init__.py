@@ -16,13 +16,13 @@ from importlib import import_module
 
 # submodule -> the names it exports at package level
 _EXPORTS = {
-    "catalog": ("CATALOG", "CatalogEntry", "entries"),
+    "catalog": ("CATALOG", "CatalogEntry"),
     "exact": ("PiRational", "as_fraction", "beta_half", "gamma_half"),
     "moments": ("IdentityReport", "even_moment", "lhs_master", "rhs_master",
                 "verify_equal_coeff_form", "verify_master"),
     "numeric": ("FloatVerification", "SeriesEvaluation", "evaluate_series",
                 "verify_master_float"),
-    "walks": ("PathBudgetError", "PathCount", "SimulationResult", "WalkSpec",
+    "walks": ("PathCount", "SimulationResult", "WalkSpec",
               "brute_force_return", "closed_form_2d", "path_count",
               "path_count_odd", "return_probability", "return_probability_odd",
               "simulate_beta_moment", "simulate_walk"),

@@ -23,7 +23,6 @@ from .walks import closed_form_2d, return_probability
 __all__ = [
     "CatalogEntry",
     "CATALOG",
-    "entries",
     "verify_convolution",
     "verify_alternating",
     "verify_one_dim_general_p",
@@ -38,30 +37,34 @@ __all__ = [
 class CatalogEntry(NamedTuple):
     """One named identity with its verifier and declared range.
 
-    Entries whose variant is "corrected" always carry the stated form's
-    erratum text and a counterexample callable reproducing its failure.
+    An entry that keeps a counterexample callable, reproducing the stated
+    form's failure, is the "corrected" variant and carries the erratum
+    text; any other is "printed".
     """
 
     name: str
     location: str
-    variant: str  # "printed" | "corrected"
     parameter_range: str
     run: Callable[[], Iterator[IdentityReport]]
     erratum: Optional[str] = None
     counterexample: Optional[Callable[[], IdentityReport]] = None
 
+    @property
+    def variant(self) -> str:
+        """"corrected" if the entry keeps a counterexample, else "printed"."""
+        return "printed" if self.counterexample is None else "corrected"
+
 
 def _report(name: str, parameters: dict, lhs: PiRational, rhs: PiRational,
-            notes: tuple[str, ...] = (), variant: str = "corrected",
-            verified: Optional[bool] = None) -> IdentityReport:
+            notes: tuple[str, ...] = (),
+            variant: str = "corrected") -> IdentityReport:
     params = {"variant": variant, **parameters}
     return IdentityReport(
         identity_name=name,
         parameters={k: str(v) for k, v in params.items()},
         lhs=lhs,
         rhs=rhs,
-        verified=(lhs == rhs) if verified is None else verified,
-        mode="exact",
+        verified=lhs == rhs,
         notes=notes,
     )
 
@@ -304,83 +307,65 @@ def verify_duplication(n: int) -> IdentityReport:
 _HALF_P_GRID = ("1/2", "1", "3/2", "2", "5/2")
 
 
-CATALOG: dict[str, CatalogEntry] = {}
-
-
-def _register(entry: CatalogEntry) -> None:
-    CATALOG[entry.name] = entry
-
-
-_register(CatalogEntry(
-    name="convolution",
-    location="central binomial convolution",
-    variant="corrected",
-    parameter_range="n <= 50",
-    run=lambda: (verify_convolution(n) for n in range(1, 51)),
-    erratum=_CONVOLUTION_ERRATUM,
-    counterexample=_convolution_counterexample,
-))
-_register(CatalogEntry(
-    name="alternating",
-    location="one-variable arcsine reduction, alternating form",
-    variant="corrected",
-    parameter_range="n <= 50",
-    run=lambda: (verify_alternating(n) for n in range(1, 51)),
-    erratum=UPPER_LIMIT_NOTE,
-    counterexample=_alternating_counterexample,
-))
-_register(CatalogEntry(
-    name="one-dim-general-p",
-    location="one-variable reduction at general half-integer shape",
-    variant="corrected",
-    parameter_range="n <= 12, p in {1/2, 1, 3/2, 2, 5/2}",
-    run=lambda: (verify_one_dim_general_p(n, p)
-                 for n in range(1, 13) for p in _HALF_P_GRID),
-    erratum=UPPER_LIMIT_NOTE,
-    counterexample=_one_dim_counterexample,
-))
-_register(CatalogEntry(
-    name="two-dim-remark",
-    location="two-variable arcsine reduction remark",
-    variant="corrected",
-    parameter_range="n <= 12",
-    run=lambda: (verify_two_dim_remark(n) for n in range(1, 13)),
-    erratum=_TWO_DIM_ERRATUM,
-    counterexample=_two_dim_counterexample,
-))
-_register(CatalogEntry(
-    name="three-dim-remark",
-    location="three-variable arcsine reduction remark",
-    variant="printed",
-    parameter_range="n <= 8",
-    run=lambda: (verify_three_dim_remark(n) for n in range(1, 9)),
-))
-_register(CatalogEntry(
-    name="k-dim-remark",
-    location="k-variable arcsine reduction remark",
-    variant="corrected",
-    parameter_range="n <= 6, k <= 4",
-    run=lambda: (verify_k_dim_remark(n, k)
-                 for n in range(1, 7) for k in range(1, 5)),
-    erratum=_K_DIM_ERRATUM,
-    counterexample=_k_dim_counterexample,
-))
-_register(CatalogEntry(
-    name="vandermonde",
-    location="planar path-count reduction",
-    variant="printed",
-    parameter_range="n <= 100",
-    run=lambda: (verify_vandermonde(n) for n in range(1, 101)),
-))
-_register(CatalogEntry(
-    name="duplication",
-    location="gamma duplication at half-integers",
-    variant="printed",
-    parameter_range="n <= 100",
-    run=lambda: (verify_duplication(n) for n in range(0, 101)),
-))
-
-
-def entries() -> list[CatalogEntry]:
-    return list(CATALOG.values())
-
+CATALOG: dict[str, CatalogEntry] = {entry.name: entry for entry in (
+    CatalogEntry(
+        name="convolution",
+        location="central binomial convolution",
+        parameter_range="n <= 50",
+        run=lambda: (verify_convolution(n) for n in range(1, 51)),
+        erratum=_CONVOLUTION_ERRATUM,
+        counterexample=_convolution_counterexample,
+    ),
+    CatalogEntry(
+        name="alternating",
+        location="one-variable arcsine reduction, alternating form",
+        parameter_range="n <= 50",
+        run=lambda: (verify_alternating(n) for n in range(1, 51)),
+        erratum=UPPER_LIMIT_NOTE,
+        counterexample=_alternating_counterexample,
+    ),
+    CatalogEntry(
+        name="one-dim-general-p",
+        location="one-variable reduction at general half-integer shape",
+        parameter_range="n <= 12, p in {1/2, 1, 3/2, 2, 5/2}",
+        run=lambda: (verify_one_dim_general_p(n, p)
+                     for n in range(1, 13) for p in _HALF_P_GRID),
+        erratum=UPPER_LIMIT_NOTE,
+        counterexample=_one_dim_counterexample,
+    ),
+    CatalogEntry(
+        name="two-dim-remark",
+        location="two-variable arcsine reduction remark",
+        parameter_range="n <= 12",
+        run=lambda: (verify_two_dim_remark(n) for n in range(1, 13)),
+        erratum=_TWO_DIM_ERRATUM,
+        counterexample=_two_dim_counterexample,
+    ),
+    CatalogEntry(
+        name="three-dim-remark",
+        location="three-variable arcsine reduction remark",
+        parameter_range="n <= 8",
+        run=lambda: (verify_three_dim_remark(n) for n in range(1, 9)),
+    ),
+    CatalogEntry(
+        name="k-dim-remark",
+        location="k-variable arcsine reduction remark",
+        parameter_range="n <= 6, k <= 4",
+        run=lambda: (verify_k_dim_remark(n, k)
+                     for n in range(1, 7) for k in range(1, 5)),
+        erratum=_K_DIM_ERRATUM,
+        counterexample=_k_dim_counterexample,
+    ),
+    CatalogEntry(
+        name="vandermonde",
+        location="planar path-count reduction",
+        parameter_range="n <= 100",
+        run=lambda: (verify_vandermonde(n) for n in range(1, 101)),
+    ),
+    CatalogEntry(
+        name="duplication",
+        location="gamma duplication at half-integers",
+        parameter_range="n <= 100",
+        run=lambda: (verify_duplication(n) for n in range(0, 101)),
+    ),
+)}

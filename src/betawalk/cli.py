@@ -43,15 +43,15 @@ EXIT_STATISTICAL = 3
 EXIT_INTERNAL = 70  # EX_SOFTWARE in sysexits.h
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _parse_rational(text: str) -> Fraction:
-    """Strict command-line rational: an integer or "a/b", no decimals."""
-    if re.fullmatch(r"-?\d+(/[1-9]\d*)?", text):
+    """Strict command-line rational: an integer or "a/b", no decimals, no
+    longer than Python's int-to-str limit (refused with its message)."""
+    if not re.fullmatch(r"-?\d+(/[1-9]\d*)?", text):
+        raise InputError(f"expected an integer or a/b rational, got {text!r}")
+    try:
         return Fraction(text)
-    raise UsageError(f"expected an integer or a/b rational, got {text!r}")
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _parse_real(text: str) -> float:
@@ -64,9 +64,9 @@ def _parse_real(text: str) -> float:
     except OverflowError:
         value = math.inf
     except ValueError:
-        raise UsageError(f"expected a number, got {text!r}") from None
+        raise InputError(f"expected a number, got {text!r}") from None
     if not math.isfinite(value):
-        raise UsageError(f"expected a finite number, got {text!r}")
+        raise InputError(f"expected a finite number, got {text!r}")
     return value
 
 
@@ -74,18 +74,18 @@ def _parse_range(text: str) -> range:
     """"3" or "1..4" (inclusive)."""
     m = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", text)
     if not m:
-        raise UsageError(f"expected N or LO..HI, got {text!r}")
+        raise InputError(f"expected N or LO..HI, got {text!r}")
     lo = int(m.group(1))
     hi = int(m.group(2)) if m.group(2) else lo
     if hi < lo:
-        raise UsageError(f"empty range {text!r}")
+        raise InputError(f"empty range {text!r}")
     return range(lo, hi + 1)
 
 
 def _threads(args) -> int:
     """--threads (default 1)."""
     if args.threads < 1:
-        raise UsageError("--threads must be >= 1")
+        raise InputError("--threads must be >= 1")
     return args.threads
 
 
@@ -176,7 +176,7 @@ def _cmd_verify_master(args) -> Output:
     threads = _threads(args)
     n_values = _parse_range(args.n)
     if (args.coeffs is None) == (args.k is None):
-        raise UsageError("give exactly one of --coeffs or --k")
+        raise InputError("give exactly one of --coeffs or --k")
     parse = _parse_rational if args.mode == "exact" else _parse_real
     p = parse(args.p)
 
@@ -184,7 +184,7 @@ def _cmd_verify_master(args) -> Output:
     if args.coeffs is not None:
         parts = [s for s in args.coeffs.split(",") if s]
         if not parts:
-            raise UsageError("--coeffs must list at least one value")
+            raise InputError("--coeffs must list at least one value")
         weights = tuple(map(parse, parts))
         k_values = [len(weights)]
     else:
@@ -269,7 +269,7 @@ def _even_steps(args) -> tuple[int, bool]:
     """Returns (half_steps, odd_shortcut); odd steps need --allow-odd."""
     if args.steps % 2:
         if not args.allow_odd:
-            raise UsageError(
+            raise InputError(
                 f"steps={args.steps} is odd (parity forces probability 0); "
                 f"pass --allow-odd to print the exact 0")
         return args.steps, True
@@ -279,7 +279,7 @@ def _even_steps(args) -> tuple[int, bool]:
 def _cmd_compute(args) -> Output:
     if args.what in ("return-prob", "path-count"):
         if args.dim is None or args.steps is None:
-            raise UsageError(f"{args.what} needs --dim and --steps")
+            raise InputError(f"{args.what} needs --dim and --steps")
         half, odd = _even_steps(args)
         from .walks import (path_count, path_count_odd, return_probability,
                             return_probability_odd)
@@ -307,7 +307,7 @@ def _cmd_compute(args) -> Output:
 
     # moment
     if args.n is None or args.p is None:
-        raise UsageError("moment needs --n and --p")
+        raise InputError("moment needs --n and --p")
     p = _parse_rational(args.p)
     from .moments import even_moment
     moment = even_moment(args.n, p).coeff
@@ -325,7 +325,7 @@ def _cmd_compute(args) -> Output:
 
 def _cmd_oracle(args) -> Output:
     if args.steps < 1 or args.steps % 2:
-        raise UsageError("oracle needs a positive even --steps")
+        raise InputError("oracle needs a positive even --steps")
     half = args.steps // 2
     from .walks import brute_force_return, return_probability
     pc = brute_force_return(args.dim, half, budget=args.budget)
@@ -382,14 +382,14 @@ def _cmd_simulate(args) -> Output:
 
 
 def _cmd_catalog(args) -> Output:
-    from .catalog import CATALOG, entries
+    from .catalog import CATALOG
     if args.action == "list":
         out = Emitter(args.format, "catalog list",
                       ["name", "variant", "location", "parameter_range",
                        "erratum"],
                       "{name} [{variant}] {location}; range: {parameter_range}")
         records = []
-        for entry in entries():
+        for entry in CATALOG.values():
             _erratum_banner(entry)
             payload = {"name": entry.name, "variant": entry.variant,
                        "location": entry.location,
@@ -403,7 +403,7 @@ def _cmd_catalog(args) -> Output:
     names = [args.name] if args.name != "all" else list(CATALOG)
     for name in names:
         if name not in CATALOG:
-            raise UsageError(f"unknown catalog entry {name!r} "
+            raise InputError(f"unknown catalog entry {name!r} "
                              f"(try: {', '.join(CATALOG)})")
     out = Emitter(args.format, "catalog verify",
                   ["name", "variant", "parameters", "lhs", "rhs", "verified"],
@@ -582,7 +582,7 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
         out, records = args.handler(args)
         # render all before printing, so a refused value leaves stdout empty
         text = "".join(map(out.emit, records))
-    except (UsageError, InputError) as exc:
+    except InputError as exc:
         print(f"betawalk: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a fault of the program, not of the input

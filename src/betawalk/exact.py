@@ -97,20 +97,13 @@ class PiRational(_PiRationalFields):
 
     def __truediv__(self, other: Union["PiRational", RationalLike]) -> "PiRational":
         if isinstance(other, PiRational):
-            if other.is_zero:
-                raise ZeroDivisionError("division by an exact zero")
             return PiRational(self.coeff / other.coeff,
                               self.sqrt_pi_pow - other.sqrt_pi_pow)
-        frac = as_fraction(other)
-        if frac == 0:
-            raise ZeroDivisionError("division by an exact zero")
-        return PiRational(self.coeff / frac, self.sqrt_pi_pow)
+        return PiRational(self.coeff / as_fraction(other), self.sqrt_pi_pow)
 
     def __pow__(self, exponent: int) -> "PiRational":
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0 and self.is_zero:
-            raise ZeroDivisionError("zero to a negative power")
         return PiRational(self.coeff ** exponent, self.sqrt_pi_pow * exponent)
 
     def __float__(self) -> float:

@@ -53,8 +53,7 @@ __all__ = [
     "verify_equal_coeff_form",
 ]
 
-# the bound on a record's estimated _work: at most about 4 s on a 2-vCPU
-# machine
+# the bound on a record's estimated work: about 4 s on a 2-vCPU machine
 MOMENT_WORK_BUDGET = 16_000_000
 
 UPPER_LIMIT_NOTE = (
@@ -66,8 +65,7 @@ UPPER_LIMIT_NOTE = (
 class IdentityReport(NamedTuple):
     """Outcome of one exact identity check.
 
-    In exact mode ``verified`` holds iff lhs and rhs are identical
-    PiRational values.
+    ``verified`` holds iff lhs and rhs are identical PiRational values.
     """
 
     identity_name: str
@@ -75,7 +73,6 @@ class IdentityReport(NamedTuple):
     lhs: PiRational
     rhs: PiRational
     verified: bool
-    mode: str = "exact"
     elapsed: float = 0.0
     notes: tuple[str, ...] = ()
 
@@ -86,7 +83,7 @@ class IdentityReport(NamedTuple):
             "lhs": self.lhs.to_json_obj(),
             "rhs": self.rhs.to_json_obj(),
             "verified": self.verified,
-            "mode": self.mode,
+            "mode": "exact",
             "notes": list(self.notes),
         }
 
@@ -172,44 +169,32 @@ def _step_work(value: Fraction) -> int:
     return _bits(value) // 64 + 1 + 100
 
 
-def _work(n: int, terms: int, bits_per_degree: int) -> int:
-    """Estimated cost of ``terms`` multiply-adds, in 64-bit limb operations.
+def _master_work(n: int, k: int, weight_bits: int, p: Fraction) -> int:
+    """Estimated cost of both expansions of one master record, in 64-bit
+    limb operations, an upper bound on the engine's work.
 
-    A coefficient of degree up to 2n has, in lowest terms, a numerator and
-    denominator of at most n * (bits_per_degree + the bits of 2n) bits
-    together: at p = 1/2 with weights 1, 2 that is 8.5-9 bits per degree of
-    2n, and the largest coefficient has 8-9.  A multiply-add is charged
-    those limbs plus 24 for the interpreter's cost per term.  The engine's
-    integer operands are larger, a factor's coefficients over their common
-    denominator, but it takes no gcd per term, so the charge is an upper
-    bound on its work: on a 2-vCPU machine records at the budget take
-    0.03-4 s.
+    The raw side is charged k passes over series of 2n + 1 terms,
+    (2n+1)(2n+2)/2 multiply-adds each, and the even side k passes over
+    series of n + 1 terms, (n+1)(n+2)/2 each: at most k - 1 passes make a
+    power for each group of equal weights and a product for each further
+    factor.  A coefficient of degree up to 2n has, in lowest terms, at
+    most n * (bits per degree + the bits of 2n) bits; a degree adds
+    ``weight_bits``, the bits of the largest weight or of their sum, and
+    the bits of p twice (the two Pochhammer symbols of a moment).  A
+    multiply-add is charged those limbs plus 24 for the interpreter.  The
+    engine's operands are larger, but it takes no gcd per term: on a
+    2-vCPU machine records at the budget take 0.03-4 s.
     """
+    terms = k * ((2 * n + 1) * (2 * n + 2) + (n + 1) * (n + 2)) // 2
+    bits_per_degree = weight_bits + 2 * _bits(p)
     limbs = n * (bits_per_degree + (2 * n).bit_length()) // 64 + 1
     return terms * (limbs + 24)
 
 
-def _master_work(n: int, k: int, weight_bits: int, p: Fraction) -> int:
-    """Estimated cost of both expansions of one master record, an upper
-    bound on the engine's work.
-
-    The raw side is charged k passes over series of 2n + 1 terms,
-    (2n+1)(2n+2)/2 multiply-adds each, and the even side k passes over
-    series of n + 1 terms, (n+1)(n+2)/2 each.  Each side makes at most
-    k - 1 such passes: a power for each group of two or more equal weights
-    and a product for each further factor, the last of which forms only
-    the coefficient read off.  A degree adds ``weight_bits``, the
-    bits of the largest weight or of their sum, and the bits of p twice
-    (the two Pochhammer symbols of a moment).
-    """
-    terms = k * ((2 * n + 1) * (2 * n + 2) + (n + 1) * (n + 2)) // 2
-    return _work(n, terms, weight_bits + 2 * _bits(p))
-
-
-def _beta_work(p: Fraction) -> int:
-    """Cost of B(p, p) at a half-integer p: gcds, quadratic in the limbs, of
-    integers up to the size of (2p)!, which has at most 2p bits(2p) bits."""
-    limbs = int(2 * p) * int(2 * p).bit_length() // 64 + 1
+def _beta_work(p: Fraction, k: int) -> int:
+    """Cost of B(p, p)^k at a half-integer p: quadratic in the limbs of the
+    power, which has k times the bits of (2p)!, at most 2p bits(2p)."""
+    limbs = k * int(2 * p) * int(2 * p).bit_length() // 64 + 1
     return limbs * limbs
 
 
@@ -297,16 +282,6 @@ def _rhs(n: int, coeffs: Sequence[Fraction], p: Fraction) -> Fraction:
     return math.factorial(2 * n) * _series_coefficient(powers, n)
 
 
-def _weights(coeffs) -> tuple[Fraction, ...]:
-    """The weights c_1..c_k as exact rationals, each strictly positive."""
-    cs = tuple(map(as_fraction, coeffs))
-    if not cs:
-        raise InputError("at least one coefficient is required")
-    if any(c <= 0 for c in cs):
-        raise InputError("coefficients must be positive")
-    return cs
-
-
 def _record(n: int, coeffs, p) -> tuple[tuple[Fraction, ...], Fraction]:
     """The checked weights and shape of one master record.
 
@@ -315,7 +290,12 @@ def _record(n: int, coeffs, p) -> tuple[tuple[Fraction, ...], Fraction]:
     """
     if n < 1:
         raise InputError("n must be >= 1")
-    cs, p = _weights(coeffs), _shape(p)
+    cs = tuple(map(as_fraction, coeffs))
+    if not cs:
+        raise InputError("at least one coefficient is required")
+    if any(c <= 0 for c in cs):
+        raise InputError("coefficients must be positive")
+    p = _shape(p)
     _check_lengths(n, len(cs), p)
     weight_bits = max(map(_bits, (*cs, sum(cs))))
     check_work(f"master record at n={n}, k={len(cs)}",
@@ -358,12 +338,11 @@ def verify_master(n: int, coeffs, p) -> IdentityReport:
         lhs=lhs,
         rhs=rhs,
         verified=lhs == rhs,
-        mode="exact",
         elapsed=elapsed,
     )
 
 
-_SCALES = (Fraction(1, 4), Fraction(7, 3))
+_EQUAL_WEIGHTS = (Fraction(1), Fraction(1, 4), Fraction(7, 3))
 
 
 def verify_equal_coeff_form(n: int, k: int, p) -> IdentityReport:
@@ -371,10 +350,11 @@ def verify_equal_coeff_form(n: int, k: int, p) -> IdentityReport:
 
     With all weights equal the identity loses its constants: the sides are
     reported as stated, unnormalized (weight 1, times B(p,p)^k, so they
-    carry their powers of pi), which needs a half-integer p.  On top of
-    that the full check must scale by exactly c^(2n) for c in
-    {1/4, 1, 7/3}; the weight-1 check is the base call itself.  The three
-    checks' ``_master_work`` and ``_beta_work`` must fit MOMENT_WORK_BUDGET.
+    carry their powers of pi), which needs a half-integer p.  Both sides
+    are evaluated at the equal weights c in {1, 1/4, 7/3}; the record is
+    verified when they agree at weight 1 and each side at weight c is its
+    weight-1 value times c^(2n).  The three weights' ``_master_work`` and
+    the ``_beta_work`` of B(p,p)^k must fit MOMENT_WORK_BUDGET.
     """
     if n < 1 or k < 1:
         raise InputError("n and k must be >= 1")
@@ -385,26 +365,23 @@ def verify_equal_coeff_form(n: int, k: int, p) -> IdentityReport:
                          f"--p, got {p}")
     check_work(f"equal-coeff record at n={n}, k={k}",
                sum(_master_work(n, k, max(_bits(c), _bits(k * c)), p)
-                   for c in (Fraction(1), *_SCALES)) + _beta_work(p),
+                   for c in _EQUAL_WEIGHTS) + _beta_work(p, k),
                MOMENT_WORK_BUDGET)
     norm = beta_half(p, p) ** k
     start = time.perf_counter()
-    base = verify_master(n, (Fraction(1),) * k, p)
-    verified = base.verified
-    for c in _SCALES:
-        rep = verify_master(n, (c,) * k, p)
-        scale = PiRational(c ** (2 * n))
-        verified = (verified and rep.verified
-                    and rep.lhs == base.lhs * scale
-                    and rep.rhs == base.rhs * scale)
+    sides = [(_lhs(n, (c,) * k, p), _rhs(n, (c,) * k, p))
+             for c in _EQUAL_WEIGHTS]
+    lhs, rhs = sides[0]  # weight 1
+    verified = lhs == rhs and all(
+        side == (lhs * c ** (2 * n), rhs * c ** (2 * n))
+        for c, side in zip(_EQUAL_WEIGHTS, sides))
     elapsed = time.perf_counter() - start
     return IdentityReport(
         identity_name="equal-coeff",
         parameters={"n": str(n), "k": str(k), "p": str(p)},
-        lhs=base.lhs * norm,
-        rhs=base.rhs * norm,
+        lhs=norm * lhs,
+        rhs=norm * rhs,
         verified=verified,
-        mode="exact",
         elapsed=elapsed,
         notes=("scale invariance checked for equal weights in {1/4, 1, 7/3}",),
     )

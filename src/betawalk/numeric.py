@@ -29,7 +29,6 @@ __all__ = [
     "FLOAT_WORK_BUDGET",
     "FloatVerification",
     "SeriesEvaluation",
-    "SERIES_VARIANTS",
     "verify_master_float",
     "evaluate_series",
 ]

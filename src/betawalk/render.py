@@ -4,8 +4,7 @@ Serialization of exact integers and rationals and 15-digit decimals, the
 values the CLI parser shows as defaults or choices, and the error the
 library raises for an input it rejects, with the check that raises it for
 work over a budget.  This module imports nothing from
-the package, so the parser is built without loading a library layer;
-``walks`` and ``numeric`` re-export the constants under their old names.
+the package, so the parser is built without loading a library layer.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ DEFAULT_PATH_BUDGET = 10_000_000
 SERIES_VARIANTS = ("printed", "over-k-factorial", "over-k-factorial-squared")
 # the most terms numeric.evaluate_series keeps, and series --max-terms' default
 SERIES_MAX_TERMS = 10 ** 6
-# the most workers a simulation takes
-MAX_WORKERS = 1024
 
 
 class InputError(ValueError):
@@ -28,8 +25,9 @@ class InputError(ValueError):
     ``moments``, ``numeric`` and ``walks`` raise it for a bad argument, a
     path or work budget that is too small, a walk length beyond int64 and
     a float result beyond the double range; ``int_str`` and
-    ``fraction_str`` for an exact value too long to print.  The CLI
-    reports it as a usage error; any other exception is an internal fault.
+    ``fraction_str`` for an exact value too long to print; the CLI for
+    text it cannot parse.  The CLI reports it as a usage error; any other
+    exception is an internal fault.
     """
 
 

@@ -38,18 +38,15 @@ from itertools import product
 from operator import add, mul, neg
 from typing import NamedTuple, Optional
 
-from .render import (DEFAULT_PATH_BUDGET, MAX_WORKERS, InputError, check_work,
-                     decimal15, fraction_str, int_str)
+from .render import (DEFAULT_PATH_BUDGET, InputError, check_work, decimal15,
+                     fraction_str, int_str)
 
 __all__ = [
     "WalkSpec",
     "PathCount",
     "SimulationResult",
-    "PathBudgetError",
-    "DEFAULT_PATH_BUDGET",
     "COUNT_WORK_BUDGET",
     "SIMULATION_WORK_BUDGET",
-    "MAX_WORKERS",
     "return_probability",
     "return_probability_odd",
     "closed_form_2d",
@@ -67,18 +64,8 @@ COUNT_WORK_BUDGET = 50_000_000
 # a simulation's bound on trials * dim, one draw per trial and axis: 40-70 ns
 # each at one worker on a 2-vCPU machine, so 10-20 s
 SIMULATION_WORK_BUDGET = 250_000_000
-
-
-class PathBudgetError(InputError):
-    """Exhaustive enumeration would exceed the path budget."""
-
-    def __init__(self, required: int, budget: int):
-        self.required = required
-        self.budget = budget
-        super().__init__(
-            f"enumeration needs a budget of {required} paths "
-            f"(budget is {budget})"
-        )
+# the most workers a simulation takes
+MAX_WORKERS = 1024
 
 
 class _WalkSpecFields(NamedTuple):
@@ -257,13 +244,13 @@ def brute_force_return(dim: int, half_steps: int,
     walked once (digit d: axis d//2, direction +1 for even d, -1 for odd),
     N(v) counts the halves that end at v, and the closed paths number
     sum_v N(v) N(-v).  ``budget`` bounds the full paths covered, (2k)^2n,
-    not the halves walked.
+    not the halves walked; a larger count raises InputError.
     """
     if dim < 1 or half_steps < 1:
         raise InputError("dim and half_steps must be >= 1")
     total = (2 * dim) ** (2 * half_steps)
-    if total > budget:
-        raise PathBudgetError(total, budget)
+    check_work(f"enumeration at dim={dim}, half_steps={half_steps}", total,
+               budget, "paths")
 
     ends: Counter[tuple[int, ...]] = Counter()
     for half in product(range(2 * dim), repeat=half_steps):

@@ -6,7 +6,6 @@ import pytest
 from betawalk.catalog import (
     CATALOG,
     _k_dim_sum,
-    entries,
     verify_alternating,
     verify_convolution,
     verify_duplication,
@@ -174,7 +173,7 @@ def test_declared_ranges_all_pass():
 
 
 def test_corrected_entries_carry_counterexamples():
-    for entry in entries():
+    for entry in CATALOG.values():
         if entry.variant == "corrected":
             assert entry.erratum
             assert entry.counterexample is not None

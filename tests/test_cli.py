@@ -12,7 +12,7 @@ import pytest
 
 from betawalk import catalog
 from betawalk.cli import main
-from betawalk.render import MAX_WORKERS
+from betawalk.walks import MAX_WORKERS
 
 
 def run_cli(capsys, *argv):
@@ -115,7 +115,8 @@ def test_oracle_budget_counts_full_paths(capsys):
                              "--budget", "255")
     assert code == 2
     assert out == ""
-    assert "enumeration needs a budget of 256 paths (budget is 255)" in err
+    assert err == ("betawalk: error: enumeration at dim=2, half_steps=2 "
+                   "needs about 256 paths (budget is 255)\n")
 
 
 def test_oracle_at_the_default_budget(capsys):
@@ -540,18 +541,17 @@ def test_internal_fault_exits_70_with_one_line(capsys, monkeypatch):
 
 
 def test_rejected_inputs_keep_exit_2_and_their_message(capsys):
-    from betawalk.render import InputError
-    from betawalk.walks import PathBudgetError
-
-    assert issubclass(PathBudgetError, InputError)
-    # each of these passes the CLI's own checks and is rejected by the
-    # library with an InputError
+    # each of these passes the CLI's own syntax checks and is rejected with
+    # an InputError; the last three hold a number over the int-to-str
+    # limit, printed or parsed
+    long_int = "7" * 5000
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
         for argv, message in (
             (["oracle", "--dim", "2", "--steps", "4", "--budget", "255"],
-             "enumeration needs a budget of 256 paths (budget is 255)"),
+             "enumeration at dim=2, half_steps=2 needs about 256 paths "
+             "(budget is 255)"),
             (["verify", "master", "--n", "200", "--coeffs", "1000",
               "--p", "1/2", "--mode", "float"],
              "float evaluation at n=200 exceeds the double range "
@@ -563,11 +563,19 @@ def test_rejected_inputs_keep_exit_2_and_their_message(capsys):
             (["compute", "path-count", "--dim", "1", "--steps", "15000"],
              "Exceeds the limit (4300 digits) for integer string "
              "conversion"),
+            (["verify", "master", "--n", "1", "--coeffs", long_int,
+              "--p", "1/2"],
+             "Exceeds the limit (4300 digits) for integer string "
+             "conversion"),
+            (["compute", "moment", "--n", "1", "--p", f"{long_int}/3"],
+             "Exceeds the limit (4300 digits) for integer string "
+             "conversion"),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, ""), argv
             assert err.startswith(f"betawalk: error: {message}"), argv
             assert err.count("\n") == 1, argv
+            assert "Traceback" not in err, argv
     finally:
         sys.set_int_max_str_digits(limit)
 

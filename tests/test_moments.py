@@ -31,6 +31,8 @@ P_GRID = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
 # shapes off the half-integers: B(p, p) is no rational multiple of a power
 # of sqrt(pi) there, but every normalized moment is still rational
 P_GENERAL = [Fraction(1, 3), Fraction(7, 10)]
+# the equal weights at which verify_equal_coeff_form evaluates both sides
+EQUAL_WEIGHTS = (Fraction(1), Fraction(1, 4), Fraction(7, 3))
 
 
 def variance_oracle(p: Fraction) -> Fraction:
@@ -163,7 +165,7 @@ def test_rhs_master_against_brute_force_walk_oracle():
 
 def test_verify_master_examples():
     rep = verify_master(3, [1, 2], "3/2")
-    assert rep.verified and rep.mode == "exact"
+    assert rep.verified and rep.to_json_obj()["mode"] == "exact"
     rep = verify_master(1, [1], 1)
     assert rep.verified
     assert rep.lhs == rep.rhs == PiRational(Fraction(1, 3))
@@ -432,6 +434,8 @@ def test_each_side_reads_only_its_own_moments(monkeypatch, patched, kept):
 def test_verify_equal_coeff_form():
     assert verify_equal_coeff_form(1, 2, "1/2").verified
     assert verify_equal_coeff_form(2, 1, 1).verified
+    # B(p, p) at 2p = 2001 has about 6000 bits, and its charge fits
+    assert verify_equal_coeff_form(1, 1, Fraction(2001, 2)).verified
     rep = verify_equal_coeff_form(1, 3, "1/2")
     assert rep.verified
     # value scales by k^(2n) relative to the 1/k-weight case
@@ -440,16 +444,34 @@ def test_verify_equal_coeff_form():
             == lhs_master(1, [Fraction(1, 3)] * 3, "1/2") * scale)
 
 
-def test_verify_equal_coeff_form_checks_each_weight_once(monkeypatch):
-    weights = []
+def test_verify_equal_coeff_form_evaluates_each_side_once_per_weight(
+        monkeypatch):
+    calls = []
 
-    def counting(n, coeffs, p):
-        weights.append(coeffs[0])
-        return verify_master(n, coeffs, p)
+    def counting(side, real):
+        def count(n, coeffs, p):
+            calls.append((side, coeffs))
+            return real(n, coeffs, p)
+        return count
 
-    monkeypatch.setattr(moments, "verify_master", counting)
+    monkeypatch.setattr(moments, "_lhs", counting("lhs", _lhs))
+    monkeypatch.setattr(moments, "_rhs", counting("rhs", _rhs))
     assert verify_equal_coeff_form(2, 3, "1/2").verified
-    assert weights == [1, Fraction(1, 4), Fraction(7, 3)]
+    assert sorted(calls) == sorted((side, (c,) * 3) for c in EQUAL_WEIGHTS
+                                   for side in ("lhs", "rhs"))
+
+
+def test_verify_equal_coeff_form_fails_a_side_that_does_not_scale(
+        monkeypatch):
+    def wrong_at_7_3(n, coeffs, p):
+        value = _rhs(n, coeffs, p)
+        return value + 1 if coeffs[0] == Fraction(7, 3) else value
+
+    monkeypatch.setattr(moments, "_rhs", wrong_at_7_3)
+    rep = verify_equal_coeff_form(2, 3, "1/2")
+    assert not rep.verified
+    # the reported sides are the weight-1 ones, which still agree
+    assert rep.lhs == rep.rhs
 
 
 def test_coefficient_vector_validation():
@@ -476,8 +498,6 @@ def test_equal_coeff_form_needs_a_half_integer_shape():
 # the work budget of a record
 # ---------------------------------------------------------------------------
 
-EQUAL_WEIGHTS = (Fraction(1), Fraction(1, 4), Fraction(7, 3))
-
 
 def master_work(n, cs, p):
     cs = tuple(map(Fraction, cs))
@@ -486,7 +506,7 @@ def master_work(n, cs, p):
 
 def equal_coeff_work(n, k, p):
     return (sum(master_work(n, (c,) * k, p) for c in EQUAL_WEIGHTS)
-            + _beta_work(p))
+            + _beta_work(p, k))
 
 
 def even_moment_work(n, p):
@@ -508,6 +528,8 @@ def test_master_budget_refuses_before_any_arithmetic(monkeypatch):
                  lambda: verify_equal_coeff_form(1000, 2, "1/2"),
                  lambda: verify_equal_coeff_form(1, 10 ** 8, "3/2"),
                  lambda: verify_equal_coeff_form(1, 1, "2000001/2"),
+                 # B(p, p) alone fits, its 1000th power does not
+                 lambda: verify_equal_coeff_form(1, 1000, Fraction(16001, 2)),
                  lambda: even_moment(10 ** 7, "7/5")):
         with pytest.raises(InputError, match=r"needs about \d+ limb "
                            r"operations \(budget is 16000000\)"):

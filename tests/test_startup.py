@@ -8,6 +8,7 @@ Without cached bytecode each module loaded is compiled from source at
 every start, which makes this the larger part of a small command's time.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+PACKAGE = SRC / "betawalk"
 LAYERS = ("catalog", "exact", "moments", "numeric", "walks")
 
 
@@ -96,7 +98,7 @@ print(json.dumps(report))
 def test_public_names_resolve_to_their_submodule_objects():
     report = run_fresh(PUBLIC_NAMES, json.dumps(LAYERS))
     assert report["import"] == ["betawalk"]
-    assert len(report["all"]) == len(set(report["all"])) == 29
+    assert len(report["all"]) == len(set(report["all"])) == 27
     assert set(report["all"]) <= set(report["dir"])
     assert set(LAYERS) <= set(report["dir"])
     # each exported name is the very object its one home module exports
@@ -197,3 +199,32 @@ def test_walk_and_float_commands_load_no_exact_layer():
     # walks and numeric take binomials from math.comb
     for argv in (PATH_COUNT, ORACLE, FLOAT_MASTER):
         assert stdlib_loaded_after(argv) == [], argv
+
+
+def parsed(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_the_package_defines_one_exception_class():
+    # every refused input is a render.InputError, so the CLI catches one
+    # type; no module keeps a second error type for the same job
+    errors = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parsed(path)):
+            if isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(base).endswith(("Error", "Exception"))
+                    for base in node.bases):
+                errors.append(f"{path.stem}.{node.name}")
+    assert errors == ["render.InputError"]
+
+
+def test_the_cli_imports_no_private_library_name_but_the_two_prechecks():
+    # the library owns every rule; the CLI reaches past a module's public
+    # names only to ask a budget before it builds k unit weights
+    private = set()
+    for node in ast.walk(parsed(PACKAGE / "cli.py")):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            private.update(f"{node.module}.{alias.name}"
+                           for alias in node.names
+                           if alias.name.startswith("_"))
+    assert private == {"moments._check_lengths", "numeric._check_terms"}
