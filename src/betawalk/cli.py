@@ -43,10 +43,13 @@ EXIT_STATISTICAL = 3
 EXIT_INTERNAL = 70  # EX_SOFTWARE in sysexits.h
 
 
+_RATIONAL = r"-?\d+(/[1-9]\d*)?"  # an integer or "a/b"
+
+
 def _parse_rational(text: str) -> Fraction:
     """Strict command-line rational: an integer or "a/b", no decimals, no
     longer than Python's int-to-str limit (refused with its message)."""
-    if not re.fullmatch(r"-?\d+(/[1-9]\d*)?", text):
+    if not re.fullmatch(_RATIONAL, text):
         raise InputError(f"expected an integer or a/b rational, got {text!r}")
     try:
         return Fraction(text)
@@ -55,12 +58,11 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def _parse_real(text: str) -> float:
-    """Float-mode value: rational syntax or a decimal, finite as a double."""
+    """Float-mode value: rational syntax, read by ``_parse_rational``, or a
+    decimal, finite as a double."""
+    number = _parse_rational(text) if re.fullmatch(_RATIONAL, text) else text
     try:
-        if re.fullmatch(r"-?\d+(/[1-9]\d*)?", text):
-            value = float(Fraction(text))
-        else:
-            value = float(text)
+        value = float(number)
     except OverflowError:
         value = math.inf
     except ValueError:

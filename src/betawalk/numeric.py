@@ -23,7 +23,8 @@ from fractions import Fraction
 from operator import add, mul
 from typing import NamedTuple, Sequence
 
-from .render import SERIES_MAX_TERMS, SERIES_VARIANTS, InputError, check_work
+from .render import (SERIES_MAX_TERMS, SERIES_VARIANTS, InputError,
+                     check_work, fraction_str)
 
 __all__ = [
     "FLOAT_WORK_BUDGET",
@@ -201,6 +202,8 @@ def verify_master_float(n: int, coeffs: Sequence[float], p: float,
 
 _CONVERGE_WINDOW = 8   # trailing terms that must be nonincreasing
 _DIVERGE_WINDOW = 16   # consecutive term increases before giving up
+_EXACT_WINDOW = 4096   # leading terms kept as exact rationals
+_LIST_CAP = 200        # longest list to_json_obj writes in full
 
 
 class SeriesEvaluation(NamedTuple):
@@ -222,7 +225,7 @@ class SeriesEvaluation(NamedTuple):
     target: float
     terms_evaluated: int
 
-    def to_json_obj(self, list_cap: int = 200) -> dict:
+    def to_json_obj(self) -> dict:
         obj = {
             "variant": self.variant_name,
             "converged": self.converged,
@@ -234,10 +237,10 @@ class SeriesEvaluation(NamedTuple):
         for key, values in (("partialSums", self.partial_sums),
                             ("terms", self.terms),
                             ("exactTerms", self.exact_terms)):
-            if len(values) <= list_cap:
+            if len(values) <= _LIST_CAP:
                 obj[key] = list(values)
             else:
-                obj[key] = {"head": list(values[:list_cap - 5]),
+                obj[key] = {"head": list(values[:_LIST_CAP - 5]),
                             "tail": list(values[-5:]),
                             "count": len(values)}
         return obj
@@ -257,16 +260,17 @@ def _ratio_divisor(variant: str, k: int) -> int:
 
 def evaluate_series(n: int, variant: str,
                     max_terms: int = SERIES_MAX_TERMS,
-                    cutoff: float = 1e-12,
-                    exact_window: int = 4096) -> SeriesEvaluation:
+                    cutoff: float = 1e-12) -> SeriesEvaluation:
     """Accumulate the series for one normalization variant.
 
-    The first ``exact_window`` terms and partial sums are exact rationals
+    The first ``_EXACT_WINDOW`` terms and partial sums are exact rationals
     rendered to floats (term sizes grow with the index, so the tail beyond
     the window advances in floats via the exact integer term ratio).
     Exhausting ``max_terms`` without meeting the convergence rule reports
     converged=False; it never raises.  Every term is kept, so a
-    ``max_terms`` above ``SERIES_MAX_TERMS`` raises InputError.
+    ``max_terms`` above ``SERIES_MAX_TERMS`` raises InputError, as do a
+    cutoff that is negative or not finite and an exact term too long to
+    print (``fraction_str``).
     """
     if n < 0:
         raise InputError("n must be >= 0")
@@ -274,6 +278,8 @@ def evaluate_series(n: int, variant: str,
         raise InputError("max_terms must be >= 1")
     if max_terms > SERIES_MAX_TERMS:
         raise InputError(f"max_terms must be at most {SERIES_MAX_TERMS}")
+    if not (math.isfinite(cutoff) and cutoff >= 0):
+        raise InputError("cutoff must be finite and >= 0")
     _ratio_divisor(variant, 0)  # validate the name eagerly
 
     terms: list[float] = []
@@ -295,8 +301,7 @@ def evaluate_series(n: int, variant: str,
             term_float = float(term_exact)
             sum_exact += term_exact
             sum_float = float(sum_exact)
-            exact_terms.append(
-                f"{term_exact.numerator}/{term_exact.denominator}")
+            exact_terms.append(fraction_str(term_exact))
         else:
             sum_float += term_float
         terms.append(term_float)
@@ -319,7 +324,7 @@ def evaluate_series(n: int, variant: str,
         den = 2 * (2 * n + 2 * k + 3) * _ratio_divisor(variant, k)
         if term_exact is not None:
             term_exact *= Fraction(num, den)
-            if k + 1 >= exact_window:
+            if k + 1 >= _EXACT_WINDOW:
                 term_float = float(term_exact)
                 sum_float = float(sum_exact)
                 term_exact = None

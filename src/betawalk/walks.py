@@ -264,11 +264,6 @@ def brute_force_return(dim: int, half_steps: int,
 
 # ---------------------------------------------------------------------------
 # Monte Carlo
-#
-# Streams are counter-based (Philox) and derived per worker from
-# (seed, worker_index); trial t belongs to worker t mod workers.  Partial
-# results merge in worker-index order, so for fixed (seed, trials, workers)
-# every run is bit-identical.
 # ---------------------------------------------------------------------------
 
 
@@ -278,10 +273,6 @@ def _worker_rng(seed: int, worker_index: int) -> "np.random.Generator":
     root = np.random.SeedSequence(entropy=seed & 0xFFFFFFFFFFFFFFFF,
                                   spawn_key=(worker_index,))
     return np.random.Generator(np.random.Philox(root))
-
-
-def _worker_counts(trials: int, workers: int) -> list[int]:
-    return [len(range(i, trials, workers)) for i in range(workers)]
 
 
 def _fair_coin_counts(rng, counts):
@@ -330,19 +321,31 @@ def _check_simulation(trials: int, dim: int, workers: int) -> None:
                SIMULATION_WORK_BUDGET, "draws")
 
 
-def _run_workers(fn, workers: int) -> list:
-    """[fn(0), .., fn(workers - 1)] on at most one thread per CPU.
+def _draw(chunk, trials: int, seed: int, workers: int) -> list:
+    """``chunk(rng, m)`` for every block of trials, in worker order, then
+    in chunk order.
 
-    Each worker draws from its own stream, so the pool size does not
-    change any result.
+    Trial t belongs to worker t mod workers.  Each worker draws its trials
+    from its own counter-based (Philox) stream, derived from (seed, worker
+    index), in blocks of at most ``_CHUNK``.  The pool has at most one
+    thread per CPU, and the results merge in worker order, so for fixed
+    (seed, trials, workers) every run is bit-identical, whatever the pool
+    size.
     """
+    def run(worker_index: int) -> list:
+        rng = _worker_rng(seed, worker_index)
+        share = len(range(worker_index, trials, workers))
+        return [chunk(rng, min(_CHUNK, share - start))
+                for start in range(0, share, _CHUNK)]
+
     if workers == 1:
-        return [fn(0)]
+        return run(0)
     from concurrent.futures import ThreadPoolExecutor
 
     threads = min(workers, os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(workers)))
+        return [result for results in pool.map(run, range(workers))
+                for result in results]
 
 
 def simulate_walk(spec: WalkSpec, trials: int, seed: int,
@@ -369,26 +372,16 @@ def simulate_walk(spec: WalkSpec, trials: int, seed: int,
     reference = return_probability(dim, spec.half_steps)
     import numpy as np
 
-    counts = _worker_counts(trials, workers)
+    def chunk(rng, m: int) -> int:
+        left = np.full(m, steps)  # steps not yet assigned to an axis
+        for a in range(dim - 1):
+            count = (_fair_coin_counts(rng, left) if dim - a == 2
+                     else rng.binomial(left, 1.0 / (dim - a)))
+            balanced = 2 * _fair_coin_counts(rng, count) == count
+            left = (left - count)[balanced]
+        return int(np.count_nonzero(2 * _fair_coin_counts(rng, left) == left))
 
-    def run(worker_index: int) -> int:
-        rng = _worker_rng(seed, worker_index)
-        remaining = counts[worker_index]
-        hits = 0
-        while remaining:
-            m = min(remaining, _CHUNK)
-            left = np.full(m, steps)  # steps not yet assigned to an axis
-            for a in range(dim - 1):
-                count = (_fair_coin_counts(rng, left) if dim - a == 2
-                         else rng.binomial(left, 1.0 / (dim - a)))
-                balanced = 2 * _fair_coin_counts(rng, count) == count
-                left = (left - count)[balanced]
-            hits += int(np.count_nonzero(
-                2 * _fair_coin_counts(rng, left) == left))
-            remaining -= m
-        return hits
-
-    hits = sum(_run_workers(run, workers))
+    hits = sum(_draw(chunk, trials, seed, workers))
     estimate = hits / trials
     std_error = math.sqrt(estimate * (1.0 - estimate) / trials)
     z_score = _z_score(estimate, std_error, reference)
@@ -414,35 +407,24 @@ def simulate_beta_moment(dim: int, half_steps: int, trials: int, seed: int,
     import numpy as np
 
     power = 2 * half_steps
-    counts = _worker_counts(trials, workers)
 
-    def run(worker_index: int) -> tuple[list[float], list[float]]:
-        rng = _worker_rng(seed, worker_index)
-        remaining = counts[worker_index]
-        sums: list[float] = []
-        squares: list[float] = []
-        while remaining:
-            m = min(remaining, _CHUNK)
-            # -cos(pi U) in place: the same operations in the same order,
-            # so the same values, in one buffer
-            variates = rng.random((m, dim))
-            np.multiply(variates, np.pi, out=variates)
-            np.cos(variates, out=variates)
-            np.negative(variates, out=variates)
-            sample = variates.sum(axis=1)
-            sample /= dim
-            # the consumed variate block holds the power
-            sample = _power_by_squaring(sample, power,
-                                        variates.reshape(-1)[:m])
-            sums.append(float(sample.sum()))
-            sample *= sample
-            squares.append(float(sample.sum()))
-            remaining -= m
-        return sums, squares
+    def chunk(rng, m: int) -> tuple[float, float]:
+        # -cos(pi U) in place: the same operations in the same order, so
+        # the same values, in one buffer
+        variates = rng.random((m, dim))
+        np.multiply(variates, np.pi, out=variates)
+        np.cos(variates, out=variates)
+        np.negative(variates, out=variates)
+        sample = variates.sum(axis=1)
+        sample /= dim
+        # the consumed variate block holds the power
+        sample = _power_by_squaring(sample, power, variates.reshape(-1)[:m])
+        total = float(sample.sum())
+        sample *= sample
+        return total, float(sample.sum())
 
-    partials = _run_workers(run, workers)
-    total = math.fsum(s for sums, _ in partials for s in sums)
-    total_sq = math.fsum(s for _, squares in partials for s in squares)
+    sums, squares = zip(*_draw(chunk, trials, seed, workers))
+    total, total_sq = math.fsum(sums), math.fsum(squares)
     estimate = total / trials
     if trials > 1:
         variance = max(0.0, (total_sq - trials * estimate * estimate)

@@ -542,8 +542,8 @@ def test_internal_fault_exits_70_with_one_line(capsys, monkeypatch):
 
 def test_rejected_inputs_keep_exit_2_and_their_message(capsys):
     # each of these passes the CLI's own syntax checks and is rejected with
-    # an InputError; the last three hold a number over the int-to-str
-    # limit, printed or parsed
+    # an InputError; from the path count to the series, each holds a
+    # number over the int-to-str limit, printed or parsed
     long_int = "7" * 5000
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
@@ -570,11 +570,27 @@ def test_rejected_inputs_keep_exit_2_and_their_message(capsys):
             (["compute", "moment", "--n", "1", "--p", f"{long_int}/3"],
              "Exceeds the limit (4300 digits) for integer string "
              "conversion"),
+            (["verify", "master", "--n", "1", "--coeffs", long_int,
+              "--p", "0.5", "--mode", "float"],
+             "Exceeds the limit (4300 digits) for integer string "
+             "conversion"),
+            (["verify", "master", "--n", "1", "--coeffs", "1",
+              "--p", f"{long_int}/3", "--mode", "float"],
+             "Exceeds the limit (4300 digits) for integer string "
+             "conversion"),
+            # the exact terms of a series that does not stop early
+            (["series", "--n", "5000", "--variant", "over-k-factorial",
+              "--cutoff", "0"],
+             "Exceeds the limit (4300 digits) for integer string "
+             "conversion"),
+            *((["series", "--n", "0", "--variant", "over-k-factorial-squared",
+                f"--cutoff={cutoff}"], "cutoff must be finite and >= 0")
+              for cutoff in ("-1", "nan", "inf", "-inf")),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, ""), argv
             assert err.startswith(f"betawalk: error: {message}"), argv
-            assert err.count("\n") == 1, argv
+            assert err.count("\n") == 1 and len(err) < 300, argv
             assert "Traceback" not in err, argv
     finally:
         sys.set_int_max_str_digits(limit)
@@ -592,6 +608,9 @@ TOO_LONG_TO_PRINT = {
                 ",1", "--p", "1/2"],
     "equal-coeff-": ["verify", "equal-coeff", "--n", "1", "--k", "1",
                      "--p", "10001/2"],
+    # an exact series term, rendered in the library
+    "series-": ["series", "--n", "0", "--variant", "over-k-factorial-squared",
+                "--cutoff", "0"],
 }
 
 

@@ -261,17 +261,19 @@ def test_series_partial_sums_monotone_nondecreasing():
                    zip(run.partial_sums, run.partial_sums[1:]))
 
 
-def test_series_float_tail_tracks_exact_oracle():
-    run = evaluate_series(2, "over-k-factorial", max_terms=40, exact_window=4)
+def test_series_float_tail_tracks_exact_oracle(monkeypatch):
+    monkeypatch.setattr(numeric, "_EXACT_WINDOW", 4)
+    run = evaluate_series(2, "over-k-factorial", max_terms=40)
     assert len(run.exact_terms) == 4
     for k in range(4, len(run.terms)):
         oracle = float(series_term_oracle(2, k, "over-k-factorial"))
         assert run.terms[k] == pytest.approx(oracle, rel=1e-12)
 
 
-def test_series_json_caps_long_lists():
+def test_series_json_caps_long_lists(monkeypatch):
+    monkeypatch.setattr(numeric, "_LIST_CAP", 50)
     run = evaluate_series(0, "over-k-factorial", max_terms=500)
-    obj = run.to_json_obj(list_cap=50)
+    obj = run.to_json_obj()
     assert obj["terms"]["count"] == 500
     assert len(obj["terms"]["head"]) == 45
     assert len(obj["terms"]["tail"]) == 5

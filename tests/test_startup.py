@@ -228,3 +228,54 @@ def test_the_cli_imports_no_private_library_name_but_the_two_prechecks():
                            for alias in node.names
                            if alias.name.startswith("_"))
     assert private == {"moments._check_lengths", "numeric._check_terms"}
+
+
+def _bound(node):
+    """The names an import statement binds."""
+    return [alias.asname or alias.name.partition(".")[0]
+            for alias in node.names]
+
+
+def _defined(node):
+    """The names a module-level def, class or assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [target.id for target in targets if isinstance(target, ast.Name)]
+
+
+def test_no_module_keeps_an_unused_import_or_an_unnamed_definition():
+    # a name bound at module level must be used: an import by its own
+    # module, a function, class or constant by some module of the package
+    # (or listed in its module's __all__)
+    modules = {path.stem: parsed(path)
+               for path in sorted(PACKAGE.glob("*.py"))}
+    named = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                named.update(alias.name for alias in node.names)
+    unused, unnamed = [], []
+    for stem, tree in modules.items():
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        exported = {const.value for node in tree.body
+                    if "__all__" in _defined(node)
+                    for const in ast.walk(node.value)
+                    if isinstance(const, ast.Constant)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) != "__future__":
+                    unused += [f"{stem}.{name}" for name in _bound(node)
+                               if name not in used]
+                continue
+            unnamed += [f"{stem}.{name}" for name in _defined(node)
+                        if not (name.startswith("__") and name.endswith("__"))
+                        and name not in named and name not in exported]
+    assert unused == []
+    assert unnamed == []

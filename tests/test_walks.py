@@ -15,6 +15,7 @@ from betawalk.walks import (
     MAX_WORKERS,
     SIMULATION_WORK_BUDGET,
     PathCount,
+    SimulationResult,
     WalkSpec,
     brute_force_return,
     closed_form_2d,
@@ -414,6 +415,20 @@ def test_simulations_over_the_count_budget_draw_nothing(monkeypatch):
         simulate_walk(WalkSpec(2, 2000), 10, seed=1)
     with pytest.raises(InputError, match="limb operations"):
         simulate_beta_moment(2, 2000, 10, seed=1)
+
+
+def test_multi_worker_multi_chunk_draws_are_pinned(monkeypatch):
+    # three workers of 3334, 3333 and 3333 trials, each in 4 chunks of at
+    # most 1000: the stream rule, chunking and merge order, value for value
+    monkeypatch.setattr(walks, "_CHUNK", 1000)
+    walk = simulate_walk(WalkSpec(3, 4), 10_000, 2024, workers=3)
+    beta = simulate_beta_moment(3, 4, 10_000, 2024, workers=3)
+    reference = Fraction(2485, 93312)
+    assert walk == SimulationResult(10_000, 281, 0.0281, 0.0016525855499791835,
+                                    reference, 0.8888573994818969, 2024, 3)
+    assert beta == SimulationResult(10_000, None, 0.02648428947585772,
+                                    0.0009339206597546987, reference,
+                                    -0.1571842621031439, 2024, 3)
 
 
 def test_simulate_walk_different_seed_differs():
