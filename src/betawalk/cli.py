@@ -44,13 +44,23 @@ EXIT_INTERNAL = 70  # EX_SOFTWARE in sysexits.h
 
 
 _RATIONAL = r"-?\d+(/[1-9]\d*)?"  # an integer or "a/b"
+_QUOTED = 40  # the most characters of an argument a parse error quotes
+
+
+def _quote(text: str) -> str:
+    """The argument as a parse error quotes it: at most its first
+    ``_QUOTED`` characters."""
+    if len(text) <= _QUOTED:
+        return repr(text)
+    return f"{text[:_QUOTED]!r}... ({len(text)} characters)"
 
 
 def _parse_rational(text: str) -> Fraction:
     """Strict command-line rational: an integer or "a/b", no decimals, no
     longer than Python's int-to-str limit (refused with its message)."""
     if not re.fullmatch(_RATIONAL, text):
-        raise InputError(f"expected an integer or a/b rational, got {text!r}")
+        raise InputError("expected an integer or a/b rational, "
+                         f"got {_quote(text)}")
     try:
         return Fraction(text)
     except ValueError as exc:
@@ -66,9 +76,10 @@ def _parse_real(text: str) -> float:
     except OverflowError:
         value = math.inf
     except ValueError:
-        raise InputError(f"expected a number, got {text!r}") from None
+        raise InputError(f"expected a number, got {_quote(text)}") \
+            from None
     if not math.isfinite(value):
-        raise InputError(f"expected a finite number, got {text!r}")
+        raise InputError(f"expected a finite number, got {_quote(text)}")
     return value
 
 
@@ -76,11 +87,14 @@ def _parse_range(text: str) -> range:
     """"3" or "1..4" (inclusive)."""
     m = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", text)
     if not m:
-        raise InputError(f"expected N or LO..HI, got {text!r}")
-    lo = int(m.group(1))
-    hi = int(m.group(2)) if m.group(2) else lo
+        raise InputError(f"expected N or LO..HI, got {_quote(text)}")
+    try:
+        lo = int(m.group(1))
+        hi = int(m.group(2)) if m.group(2) else lo
+    except ValueError as exc:  # longer than the int-to-str limit
+        raise InputError(str(exc)) from None
     if hi < lo:
-        raise InputError(f"empty range {text!r}")
+        raise InputError(f"empty range {_quote(text)}")
     return range(lo, hi + 1)
 
 
@@ -137,12 +151,13 @@ class Emitter:
             import json
             payload = record.payload
             obj = payload.to_json_obj() if hasattr(payload, "to_json_obj") else payload
+            # strict JSON: a non-finite float is a fault, never Infinity
             return json.dumps({
                 "command": self.command,
                 "parameters": record.parameters,
                 "payload": obj,
                 "status": record.status,
-            }) + "\n"
+            }, allow_nan=False) + "\n"
         if self.fmt == "csv":
             header = ""
             if self._csv is None:
@@ -405,7 +420,7 @@ def _cmd_catalog(args) -> Output:
     names = [args.name] if args.name != "all" else list(CATALOG)
     for name in names:
         if name not in CATALOG:
-            raise InputError(f"unknown catalog entry {name!r} "
+            raise InputError(f"unknown catalog entry {_quote(name)} "
                              f"(try: {', '.join(CATALOG)})")
     out = Emitter(args.format, "catalog verify",
                   ["name", "variant", "parameters", "lhs", "rhs", "verified"],
@@ -550,7 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--trials", type=int, required=True)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--threads", type=int, default=1,
-                        help="workers, each with its own stream (default: 1)")
+                        help="threads that draw the blocks; the estimate "
+                             "does not depend on it (default: 1)")
         _add_format(sp)
         sp.set_defaults(handler=_cmd_simulate)
 

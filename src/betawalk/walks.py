@@ -19,8 +19,10 @@ walk sampler draws no path: it draws each walk's per-axis step counts,
 Multinomial(2n; 1/k, .., 1/k), and the plus steps on each axis,
 Binomial(count, 1/2), and the walk is home when every axis balances.  A
 Binomial(c, 1/2) draw with c <= 64 is a fair-coin count, the ones among c
-bits of one raw 64-bit Philox word; a draw call in which some c exceeds 64
-uses numpy's binomial instead, which is constant time per draw.  The beta
+bits of one raw 64-bit Philox word, and at dim >= 3 the first axis count
+of a walk of 2n <= 64 steps inverts one raw word against a table of its
+CDF; a draw call in which some c exceeds 64 uses numpy's binomial instead,
+which is constant time per draw.  The beta
 sampler draws the matching arcsine-beta moment.  Both samplers refuse
 more than ``SIMULATION_WORK_BUDGET`` draws or ``MAX_WORKERS`` workers
 before they start.  Only the Monte Carlo functions use numpy, and they
@@ -57,7 +59,7 @@ __all__ = [
     "simulate_beta_moment",
 ]
 
-_CHUNK = 1 << 17  # simulation draw block; fixed so chunked sums are stable
+_CHUNK = 1 << 14  # trials per block, each block with its own stream
 _INT64_MAX = (1 << 63) - 1  # the samplers count steps in int64
 # path_count's default bound on _count_work: under 1 s on a 2-vCPU machine
 COUNT_WORK_BUDGET = 50_000_000
@@ -119,7 +121,9 @@ class SimulationResult(NamedTuple):
 
     ``hits`` is the origin-return count for walk simulations and None for
     moment sampling, where the summand is bounded but not Bernoulli and
-    ``std_error`` is the sample standard error of the mean.
+    ``std_error`` is the sample standard error of the mean.  With a
+    standard error of 0, ``z_score`` is 0 if the estimate hits the
+    reference and an infinity if it misses, which JSON writes as null.
     """
 
     trials: int
@@ -139,7 +143,7 @@ class SimulationResult(NamedTuple):
             "stdError": self.std_error,
             "exactReference": fraction_str(self.exact_reference),
             "exactDecimal": decimal15(self.exact_reference),
-            "zScore": self.z_score,
+            "zScore": self.z_score if math.isfinite(self.z_score) else None,
             "seed": self.seed,
             "workers": self.workers,
         }
@@ -244,13 +248,20 @@ def brute_force_return(dim: int, half_steps: int,
     walked once (digit d: axis d//2, direction +1 for even d, -1 for odd),
     N(v) counts the halves that end at v, and the closed paths number
     sum_v N(v) N(-v).  ``budget`` bounds the full paths covered, (2k)^2n,
-    not the halves walked; a larger count raises InputError.
+    not the halves walked; a larger count raises InputError.  The count
+    is formed only when its bit length, 2n log2(2k), is within 64 bits of
+    the budget's, so a refusal far over it shows 2^(that estimate).
     """
     if dim < 1 or half_steps < 1:
         raise InputError("dim and half_steps must be >= 1")
+    what = f"enumeration at dim={dim}, half_steps={half_steps}"
+    num, den = math.log2(2 * dim).as_integer_ratio()
+    bits = 2 * half_steps * num // den  # floor of 2n log2(2k)
+    if bits > budget.bit_length() + 64:
+        raise InputError(f"{what} needs about 2^{bits} paths "
+                         f"(budget is {budget})")
     total = (2 * dim) ** (2 * half_steps)
-    check_work(f"enumeration at dim={dim}, half_steps={half_steps}", total,
-               budget, "paths")
+    check_work(what, total, budget, "paths")
 
     ends: Counter[tuple[int, ...]] = Counter()
     for half in product(range(2 * dim), repeat=half_steps):
@@ -267,11 +278,11 @@ def brute_force_return(dim: int, half_steps: int,
 # ---------------------------------------------------------------------------
 
 
-def _worker_rng(seed: int, worker_index: int) -> "np.random.Generator":
+def _block_rng(seed: int, block: int) -> "np.random.Generator":
     import numpy as np
 
     root = np.random.SeedSequence(entropy=seed & 0xFFFFFFFFFFFFFFFF,
-                                  spawn_key=(worker_index,))
+                                  spawn_key=(block,))
     return np.random.Generator(np.random.Philox(root))
 
 
@@ -291,6 +302,29 @@ def _fair_coin_counts(rng, counts):
     return np.bitwise_count(words)
 
 
+def _inverse_table(c: int, p: Fraction) -> list[int]:
+    """floor(2^64 P(X <= j)) for j = 0..c-1, X ~ Binomial(c, p), exactly.
+
+    A uniform 64-bit word w gives X = #{j : table[j] <= w}, which takes
+    each value with its probability to within 2^-64.
+    """
+    a, b = p.numerator, p.denominator
+    cdf, table = 0, []
+    for j in range(c):
+        cdf += math.comb(c, j) * a ** j * (b - a) ** (c - j)
+        table.append((cdf << 64) // b ** c)
+    return table
+
+
+def _inverted_counts(rng, table, m: int):
+    """m draws of the law whose ``_inverse_table`` is ``table``, one raw
+    64-bit word each."""
+    import numpy as np
+
+    return np.searchsorted(table, rng.bit_generator.random_raw(m),
+                           side="right")
+
+
 def _power_by_squaring(base, exponent: int, out):
     """Write base ** exponent into ``out`` by square-and-multiply.
 
@@ -305,6 +339,19 @@ def _power_by_squaring(base, exponent: int, out):
         if exponent:
             base *= base
     return out
+
+
+def _row_sums(matrix):
+    """``matrix.sum(axis=1)``, added a column at a time, which is faster.
+
+    numpy adds a row of fewer than 8 entries in order, so up to 7 columns
+    the sums are the same, bit for bit; longer rows it adds in partial
+    sums, so the two differ in rounding.
+    """
+    total = matrix[:, 0].copy()
+    for column in matrix.T[1:]:
+        total += column
+    return total
 
 
 def _check_simulation(trials: int, dim: int, workers: int) -> None:
@@ -322,30 +369,26 @@ def _check_simulation(trials: int, dim: int, workers: int) -> None:
 
 
 def _draw(chunk, trials: int, seed: int, workers: int) -> list:
-    """``chunk(rng, m)`` for every block of trials, in worker order, then
-    in chunk order.
+    """``chunk(rng, m)`` for every block of trials, in block order.
 
-    Trial t belongs to worker t mod workers.  Each worker draws its trials
-    from its own counter-based (Philox) stream, derived from (seed, worker
-    index), in blocks of at most ``_CHUNK``.  The pool has at most one
-    thread per CPU, and the results merge in worker order, so for fixed
-    (seed, trials, workers) every run is bit-identical, whatever the pool
-    size.
+    Block b holds the trials from b * ``_CHUNK`` on, at most ``_CHUNK`` of
+    them, and draws from its own counter-based (Philox) stream, derived
+    from (seed, b).  One worker runs the blocks in a loop; more share a
+    pool of at most one thread per CPU.  So for fixed (seed, trials)
+    every run is bit-identical, whatever the worker count.
     """
-    def run(worker_index: int) -> list:
-        rng = _worker_rng(seed, worker_index)
-        share = len(range(worker_index, trials, workers))
-        return [chunk(rng, min(_CHUNK, share - start))
-                for start in range(0, share, _CHUNK)]
+    def run(block: int):
+        return chunk(_block_rng(seed, block),
+                     min(_CHUNK, trials - block * _CHUNK))
 
+    blocks = range(-(-trials // _CHUNK))
     if workers == 1:
-        return run(0)
+        return list(map(run, blocks))
     from concurrent.futures import ThreadPoolExecutor
 
     threads = min(workers, os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return [result for results in pool.map(run, range(workers))
-                for result in results]
+        return list(pool.map(run, blocks))
 
 
 def simulate_walk(spec: WalkSpec, trials: int, seed: int,
@@ -361,7 +404,10 @@ def simulate_walk(spec: WalkSpec, trials: int, seed: int,
     same.  Every Binomial(c, 1/2) -- the plus steps, and the axis count
     when two axes are left -- counts the ones among c bits of one raw
     64-bit word; a draw call with some c above 64 (a long walk) uses
-    numpy's binomial for that call.  The trial and worker counts are
+    numpy's binomial for that call.  The first axis count,
+    Binomial(2n, 1/dim), is the same law for every trial, so at dim >= 3
+    and 2n <= 64 it inverts one raw word against the CDF table made once
+    by ``_inverse_table``.  The trial and worker counts are
     checked first, then the exact reference is computed, so a count over
     its work budget fails before anything is drawn.
     """
@@ -372,11 +418,18 @@ def simulate_walk(spec: WalkSpec, trials: int, seed: int,
     reference = return_probability(dim, spec.half_steps)
     import numpy as np
 
+    table = (np.array(_inverse_table(steps, Fraction(1, dim)), np.uint64)
+             if dim >= 3 and steps <= 64 else None)
+
     def chunk(rng, m: int) -> int:
         left = np.full(m, steps)  # steps not yet assigned to an axis
         for a in range(dim - 1):
-            count = (_fair_coin_counts(rng, left) if dim - a == 2
-                     else rng.binomial(left, 1.0 / (dim - a)))
+            if a == 0 and table is not None:
+                count = _inverted_counts(rng, table, m)
+            elif dim - a == 2:
+                count = _fair_coin_counts(rng, left)
+            else:
+                count = rng.binomial(left, 1.0 / (dim - a))
             balanced = 2 * _fair_coin_counts(rng, count) == count
             left = (left - count)[balanced]
         return int(np.count_nonzero(2 * _fair_coin_counts(rng, left) == left))
@@ -415,7 +468,7 @@ def simulate_beta_moment(dim: int, half_steps: int, trials: int, seed: int,
         np.multiply(variates, np.pi, out=variates)
         np.cos(variates, out=variates)
         np.negative(variates, out=variates)
-        sample = variates.sum(axis=1)
+        sample = _row_sums(variates)
         sample /= dim
         # the consumed variate block holds the power
         sample = _power_by_squaring(sample, power, variates.reshape(-1)[:m])

@@ -14,6 +14,8 @@ from betawalk import catalog
 from betawalk.cli import main
 from betawalk.walks import MAX_WORKERS
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -319,6 +321,50 @@ def test_simulate_walk_deterministic_stdout(capsys):
     assert "seed=7" in out_a and "workers=2" in out_a
 
 
+@pytest.mark.parametrize("kind, dim", [("walk", 3), ("beta", 3)])
+def test_simulate_stdout_does_not_depend_on_threads(capsys, kind, dim):
+    # 40000 trials are three blocks; only the echoed worker count differs
+    outputs = set()
+    for threads in ("1", "2", "3"):
+        code, out, _ = run_cli(capsys, "simulate", kind, "--dim", str(dim),
+                               "--n", "4", "--trials", "40000", "--seed",
+                               "11", "--threads", threads)
+        assert code == 0
+        assert f" workers={threads} " in out
+        outputs.add(out.replace(f" workers={threads} ", " "))
+    assert len(outputs) == 1
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+# runs whose standard error is 0 and whose estimate misses the reference
+ZERO_STD_ERROR_RUNS = [
+    ["simulate", "beta", "--dim", "2", "--n", "2", "--trials", "1",
+     "--seed", "5", "--format", "json"],
+    ["simulate", "walk", "--dim", "199", "--n", "5", "--trials", "1000",
+     "--seed", "10", "--format", "json"],
+]
+
+
+def test_every_json_line_is_strict_json(capsys):
+    # no NaN or Infinity, in the goldens or where the z-score is infinite
+    lines = [line for path in sorted(GOLDEN.glob("*json*.out"))
+             for line in path.read_text().splitlines()]
+    assert len(lines) > 20
+    for argv in ZERO_STD_ERROR_RUNS:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (3, "")
+        record = json.loads(out, parse_constant=_refuse_constant)
+        assert record["payload"]["stdError"] == 0.0
+        assert record["payload"]["zScore"] is None
+        assert record["status"] == "violated"
+        lines.append(out)
+    for line in lines:
+        json.loads(line, parse_constant=_refuse_constant)
+
+
 def test_simulate_beta(capsys):
     code, out, _ = run_cli(capsys, "simulate", "beta", "--dim", "1",
                            "--n", "1", "--trials", "20000", "--seed", "1")
@@ -586,12 +632,40 @@ def test_rejected_inputs_keep_exit_2_and_their_message(capsys):
             *((["series", "--n", "0", "--variant", "over-k-factorial-squared",
                 f"--cutoff={cutoff}"], "cutoff must be finite and >= 0")
               for cutoff in ("-1", "nan", "inf", "-inf")),
+            # far over the path budget: refused before (2k)^2n is formed
+            (["oracle", "--dim", "2", "--steps", "200000"],
+             "enumeration at dim=2, half_steps=100000 needs about "
+             "2^400000 paths (budget is 10000000)"),
+            (["oracle", "--dim", "65", "--steps", "1000"],
+             "enumeration at dim=65, half_steps=500 needs about 2^7022 "
+             "paths (budget is 10000000)"),
+            # a parse error quotes a prefix of the argument
+            (["verify", "master", "--n", "1", "--coeffs", "1",
+              "--p", f"{long_int}.5", "--mode", "float"],
+             f"expected a finite number, got '{long_int[:40]}'... "
+             "(5002 characters)"),
+            (["verify", "master", "--n", "1", "--coeffs", "1",
+              "--p", f"{long_int}.5"],
+             f"expected an integer or a/b rational, got '{long_int[:40]}'"
+             "... (5002 characters)"),
+            (["verify", "master", "--n", f"1..{long_int}", "--coeffs", "1",
+              "--p", "1/2"],
+             "Exceeds the limit (4300 digits) for integer string "
+             "conversion"),
+            (["catalog", "verify", long_int],
+             f"unknown catalog entry '{long_int[:40]}'... "
+             "(5000 characters)"),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, ""), argv
             assert err.startswith(f"betawalk: error: {message}"), argv
             assert err.count("\n") == 1 and len(err) < 300, argv
             assert "Traceback" not in err, argv
+        # a standard error of 0 is a statistical failure, not a refusal
+        for argv in ZERO_STD_ERROR_RUNS:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (3, ""), argv
+            assert out.count("\n") == 1 and len(out) < 400, argv
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -25,11 +25,14 @@ from betawalk.walks import (
     return_probability_odd,
     simulate_beta_moment,
     simulate_walk,
+    _block_rng,
     _count_work,
     _fair_coin_counts,
+    _inverse_table,
+    _inverted_counts,
     _limbs,
     _power_by_squaring,
-    _worker_rng,
+    _row_sums,
 )
 
 from compositions import weak_compositions
@@ -261,6 +264,20 @@ def test_brute_force_budget():
         brute_force_return(2, 2, budget=255)
 
 
+def test_brute_force_refuses_far_over_budget_by_size():
+    # within 64 bits of the budget the count is formed and shown in full,
+    # beyond that its size alone refuses it, shown as a power of two
+    with pytest.raises(InputError, match=fr"needs about {4 ** 36} paths "
+                       r"\(budget is 255\)$"):
+        brute_force_return(2, 18, budget=255)
+    with pytest.raises(InputError, match=r"half_steps=19 needs about 2\^76 "
+                       r"paths \(budget is 255\)$"):
+        brute_force_return(2, 19, budget=255)
+    with pytest.raises(InputError, match=fr"dim=3, half_steps={10 ** 30} "
+                       r"needs about 2\^516992500144231\d{16} paths"):
+        brute_force_return(3, 10 ** 30)
+
+
 def test_probability_range_and_monotonicity():
     for dim in (1, 2, 3):
         values = [return_probability(dim, n) for n in range(1, 11)]
@@ -339,19 +356,34 @@ def test_simulate_beta_chunk_works_in_one_buffer():
     assert peak < 8 * 2 ** 20
 
 
+def test_simulation_blocks_keep_the_working_set_small():
+    # 2^14-trial blocks: a few arrays of 2^14 words live at once
+    for sim in (lambda: simulate_walk(WalkSpec(3, 10), 1 << 17, seed=1),
+                lambda: simulate_beta_moment(3, 10, 1 << 17, seed=1)):
+        assert _peak_traced_bytes(sim) < 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("dim", range(1, 12))
+def test_row_sums_match_numpys_row_sum(dim):
+    variates = -np.cos(np.pi * _block_rng(dim, 0).random((1 << 14, dim)))
+    reference = variates.sum(axis=1)
+    got = _row_sums(variates)
+    if dim < 8:  # numpy adds a row shorter than 8 in order
+        assert np.array_equal(got, reference)
+    else:  # and a longer one by partial sums: dim roundings of |v| <= 1
+        assert np.abs(got - reference).max() <= dim * dim * 2.0 ** -52
+
+
 def _twin_streams(seed=2024):
-    return _worker_rng(seed, 0), _worker_rng(seed, 0)
+    return _block_rng(seed, 0), _block_rng(seed, 0)
 
 
-@pytest.mark.parametrize("c", [0, 1, 2, 63, 64])
-def test_fair_coin_count_has_the_binomial_law(c):
-    draws = 200_000
-    counts = _fair_coin_counts(_worker_rng(c, 0), np.full(draws, c))
-    if c == 0:
-        assert not counts.any()
-        return
+def _assert_law(counts, probabilities):
+    """Chi-square test of draws ``counts`` against the law on 0..c."""
+    draws = counts.size
+    c = len(probabilities) - 1
     observed = np.bincount(counts, minlength=c + 1)
-    expected = [draws * math.comb(c, k) / 2 ** c for k in range(c + 1)]
+    expected = [draws * float(q) for q in probabilities]
     # pool each tail until its expected count reaches 5
     lo, hi = 0, c
     while sum(expected[:lo + 1]) < 5:
@@ -364,6 +396,52 @@ def test_fair_coin_count_has_the_binomial_law(c):
     chi2 = sum((o - e) ** 2 / e for o, e in pairs)
     df = len(pairs) - 1
     assert chi2 < df + 6 * math.sqrt(2 * df), (c, chi2, df)
+
+
+def _binomial_law(c, p):
+    return [math.comb(c, k) * p ** k * (1 - p) ** (c - k)
+            for k in range(c + 1)]
+
+
+@pytest.mark.parametrize("c", [0, 1, 2, 63, 64])
+def test_fair_coin_count_has_the_binomial_law(c):
+    counts = _fair_coin_counts(_block_rng(c, 0), np.full(200_000, c))
+    if c == 0:
+        assert not counts.any()
+        return
+    _assert_law(counts, _binomial_law(c, Fraction(1, 2)))
+
+
+def test_inverse_table_is_the_floored_cdf():
+    assert _inverse_table(2, Fraction(1, 3)) == [
+        math.floor(2 ** 64 * Fraction(4, 9)),
+        math.floor(2 ** 64 * Fraction(8, 9))]
+    for c, p in [(1, Fraction(1, 2)), (20, Fraction(1, 3)),
+                 (64, Fraction(1, 199))]:
+        table = _inverse_table(c, p)
+        cdf = itertools.accumulate(_binomial_law(c, p))
+        assert table == [math.floor(2 ** 64 * q)
+                         for q in itertools.islice(cdf, c)]
+        assert table == sorted(table) and table[-1] < 2 ** 64
+
+
+@pytest.mark.parametrize("c, dim", [(20, 3), (64, 199)])
+def test_inverted_count_has_the_binomial_law(c, dim):
+    p = Fraction(1, dim)
+    table = np.array(_inverse_table(c, p), np.uint64)
+    counts = _inverted_counts(_block_rng(c, 0), table, 200_000)
+    _assert_law(counts, _binomial_law(c, p))
+
+
+def test_inverted_count_is_one_word_per_draw():
+    rng, twin = _twin_streams()
+    table = _inverse_table(20, Fraction(1, 3))
+    words = twin.bit_generator.random_raw(1000)
+    expected = [sum(t <= int(w) for t in table) for w in words]
+    got = _inverted_counts(rng, np.array(table, np.uint64), 1000)
+    assert got.tolist() == expected
+    # both streams stand at the same place afterwards
+    assert rng.random() == twin.random()
 
 
 @pytest.mark.parametrize("c", [1, 2, 63, 64])
@@ -385,7 +463,7 @@ def test_fair_coin_count_above_64_is_numpys_binomial():
 
 
 def test_power_by_squaring_matches_numpy_power():
-    x = -np.cos(np.pi * _worker_rng(5, 0).random((1 << 14, 3))).mean(axis=1)
+    x = -np.cos(np.pi * _block_rng(5, 0).random((1 << 14, 3))).mean(axis=1)
     square = _power_by_squaring(x.copy(), 2, np.empty_like(x))
     assert np.array_equal(square, x * x)
     for power in range(2, 201, 2):
@@ -407,7 +485,7 @@ def test_simulations_over_the_count_budget_draw_nothing(monkeypatch):
     def no_draws(*args):
         raise AssertionError("a generator was made")
 
-    monkeypatch.setattr(walks, "_worker_rng", no_draws)
+    monkeypatch.setattr(walks, "_block_rng", no_draws)
     # 2n = 2^63 - 2 fits int64, but its exact reference is over budget
     with pytest.raises(InputError, match="limb operations"):
         simulate_walk(WalkSpec(1, 2 ** 62 - 1), 10, seed=1)
@@ -418,17 +496,19 @@ def test_simulations_over_the_count_budget_draw_nothing(monkeypatch):
 
 
 def test_multi_worker_multi_chunk_draws_are_pinned(monkeypatch):
-    # three workers of 3334, 3333 and 3333 trials, each in 4 chunks of at
-    # most 1000: the stream rule, chunking and merge order, value for value
+    # ten blocks of 1000 trials, each from its own stream: the stream rule,
+    # blocking and merge order, value for value, at every worker count
     monkeypatch.setattr(walks, "_CHUNK", 1000)
-    walk = simulate_walk(WalkSpec(3, 4), 10_000, 2024, workers=3)
-    beta = simulate_beta_moment(3, 4, 10_000, 2024, workers=3)
     reference = Fraction(2485, 93312)
-    assert walk == SimulationResult(10_000, 281, 0.0281, 0.0016525855499791835,
-                                    reference, 0.8888573994818969, 2024, 3)
-    assert beta == SimulationResult(10_000, None, 0.02648428947585772,
-                                    0.0009339206597546987, reference,
-                                    -0.1571842621031439, 2024, 3)
+    for workers in (1, 2, 3):
+        walk = simulate_walk(WalkSpec(3, 4), 10_000, 2024, workers=workers)
+        beta = simulate_beta_moment(3, 4, 10_000, 2024, workers=workers)
+        assert walk == SimulationResult(
+            10_000, 281, 0.0281, 0.0016525855499791835, reference,
+            0.8888573994818969, 2024, workers)
+        assert beta == SimulationResult(
+            10_000, None, 0.02577769537089868, 0.0009262788504343394,
+            reference, -0.9213119076672224, 2024, workers)
 
 
 def test_simulate_walk_different_seed_differs():
@@ -500,7 +580,7 @@ def test_simulation_refusals_start_no_reference_and_no_pool(monkeypatch):
     import concurrent.futures
 
     monkeypatch.setattr(walks, "return_probability", _no_work)
-    monkeypatch.setattr(walks, "_worker_rng", _no_work)
+    monkeypatch.setattr(walks, "_block_rng", _no_work)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _no_work)
     started = time.perf_counter()
     for sim in (lambda t, w: simulate_walk(WalkSpec(3, 1), t, 0, workers=w),
@@ -545,7 +625,7 @@ def test_pool_has_at_most_one_thread_per_cpu(monkeypatch):
     got = [simulate_walk(WalkSpec(2, 2), 5000, 9, workers=5),
            simulate_beta_moment(2, 2, 5000, 9, workers=5)]
     assert RecordingPool.sizes == [2, 2]
-    assert got == expected  # each worker keeps its stream; merge order holds
+    assert got == expected  # each block keeps its stream; merge order holds
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     simulate_walk(WalkSpec(2, 2), 100, 9, workers=3)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
