@@ -18,8 +18,8 @@ from importlib import import_module
 _EXPORTS = {
     "catalog": ("CATALOG", "CatalogEntry"),
     "exact": ("PiRational", "as_fraction", "beta_half", "gamma_half"),
-    "moments": ("IdentityReport", "even_moment", "lhs_master", "rhs_master",
-                "verify_equal_coeff_form", "verify_master"),
+    "moments": ("IdentityReport", "even_moment", "verify_equal_coeff_form",
+                "verify_master"),
     "numeric": ("FloatVerification", "SeriesEvaluation", "evaluate_series",
                 "verify_master_float"),
     "walks": ("PathCount", "SimulationResult", "WalkSpec",

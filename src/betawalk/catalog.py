@@ -16,7 +16,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 from .exact import PiRational, as_fraction, beta_half, gamma_half
 from .moments import (UPPER_LIMIT_NOTE, IdentityReport, _egf, _raw_moments,
-                      _series_coefficient, rhs_master)
+                      _series_coefficient, verify_master)
 from .render import InputError
 from .walks import closed_form_2d, return_probability
 
@@ -219,7 +219,7 @@ def verify_two_dim_remark(n: int) -> IdentityReport:
 def _two_dim_counterexample() -> IdentityReport:
     # the stated shape: at p=2 the underlying moment no longer matches
     n = 1
-    moment_at_2 = rhs_master(n, (Fraction(1, 2), Fraction(1, 2)), 2)
+    moment_at_2 = verify_master(n, (Fraction(1, 2), Fraction(1, 2)), 2).rhs
     return _report("two-dim-remark", {"n": n, "p": "2"},
                    moment_at_2, PiRational(closed_form_2d(n)),
                    notes=(_TWO_DIM_ERRATUM,), variant="printed")

@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple, Optional
 # they run, so a command loads only what it uses: without cached bytecode each
 # module loaded is compiled from source at every start.
 from .render import (DEFAULT_PATH_BUDGET, SERIES_MAX_TERMS, SERIES_VARIANTS,
-                     InputError, decimal15, fraction_str)
+                     InputError, brief, decimal15, fraction_str)
 
 Z_LIMIT = 4.0
 
@@ -65,6 +65,16 @@ def _parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except ValueError as exc:
         raise InputError(str(exc)) from None
+
+
+def _parse_int(text: str) -> int:
+    """An integer option, read as argparse's ``type=int`` reads it; a
+    refusal quotes the argument by ``_quote``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {_quote(text)}") from None
 
 
 def _parse_real(text: str) -> float:
@@ -287,8 +297,8 @@ def _even_steps(args) -> tuple[int, bool]:
     if args.steps % 2:
         if not args.allow_odd:
             raise InputError(
-                f"steps={args.steps} is odd (parity forces probability 0); "
-                f"pass --allow-odd to print the exact 0")
+                f"steps={brief(args.steps)} is odd (parity forces "
+                f"probability 0); pass --allow-odd to print the exact 0")
         return args.steps, True
     return args.steps // 2, False
 
@@ -515,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     vm.add_argument("--p", required=True, help="beta shape (a/b; decimal in float mode)")
     vm.add_argument("--mode", choices=("exact", "float"), default="exact")
     vm.add_argument("--tolerance", type=float, default=1e-10)
-    vm.add_argument("--threads", type=int, default=1,
+    vm.add_argument("--threads", type=_parse_int, default=1,
                     help="echoed in the output; every run uses one thread")
     _add_format(vm)
     vm.set_defaults(handler=_cmd_verify_master)
@@ -525,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--n", required=True, help="N or LO..HI")
     ve.add_argument("--k", required=True, help="N or LO..HI")
     ve.add_argument("--p", required=True)
-    ve.add_argument("--threads", type=int, default=1,
+    ve.add_argument("--threads", type=_parse_int, default=1,
                     help="echoed in the output; exact runs use one thread")
     _add_format(ve)
     ve.set_defaults(handler=_cmd_verify_equal_coeff)
@@ -537,20 +547,21 @@ def build_parser() -> argparse.ArgumentParser:
                            ("moment", "even moment of the centered beta")):
         cp = csub.add_parser(what, help=helptext)
         if what == "moment":
-            cp.add_argument("--n", type=int)
+            cp.add_argument("--n", type=_parse_int)
             cp.add_argument("--p")
         else:
-            cp.add_argument("--dim", type=int)
-            cp.add_argument("--steps", type=int)
+            cp.add_argument("--dim", type=_parse_int)
+            cp.add_argument("--steps", type=_parse_int)
             cp.add_argument("--allow-odd", action="store_true")
         _add_format(cp)
         cp.set_defaults(handler=_cmd_compute)
 
     oracle = sub.add_parser("oracle",
                             help="exhaustive path-enumeration cross-check")
-    oracle.add_argument("--dim", type=int, required=True)
-    oracle.add_argument("--steps", type=int, required=True)
-    oracle.add_argument("--budget", type=int, default=DEFAULT_PATH_BUDGET)
+    oracle.add_argument("--dim", type=_parse_int, required=True)
+    oracle.add_argument("--steps", type=_parse_int, required=True)
+    oracle.add_argument("--budget", type=_parse_int,
+                        default=DEFAULT_PATH_BUDGET)
     _add_format(oracle)
     oracle.set_defaults(handler=_cmd_oracle)
 
@@ -559,12 +570,12 @@ def build_parser() -> argparse.ArgumentParser:
     for kind, helptext in (("walk", "simulate lattice walks"),
                            ("beta", "sample the matching beta moment")):
         sp = ssub.add_parser(kind, help=helptext)
-        sp.add_argument("--dim", type=int, required=True)
-        sp.add_argument("--n", type=int, required=True,
+        sp.add_argument("--dim", type=_parse_int, required=True)
+        sp.add_argument("--n", type=_parse_int, required=True,
                         help="half the walk length")
-        sp.add_argument("--trials", type=int, required=True)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=1,
+        sp.add_argument("--trials", type=_parse_int, required=True)
+        sp.add_argument("--seed", type=_parse_int, default=0)
+        sp.add_argument("--threads", type=_parse_int, default=1,
                         help="threads that draw the blocks; the estimate "
                              "does not depend on it (default: 1)")
         _add_format(sp)
@@ -583,9 +594,10 @@ def build_parser() -> argparse.ArgumentParser:
     series = sub.add_parser("series",
                             help="partial-sum diagnostics for the "
                                  "central-binomial ratio series")
-    series.add_argument("--n", type=int, required=True)
+    series.add_argument("--n", type=_parse_int, required=True)
     series.add_argument("--variant", choices=SERIES_VARIANTS, required=True)
-    series.add_argument("--max-terms", type=int, default=SERIES_MAX_TERMS)
+    series.add_argument("--max-terms", type=_parse_int,
+                        default=SERIES_MAX_TERMS)
     series.add_argument("--cutoff", type=float, default=1e-12)
     _add_format(series)
     series.set_defaults(handler=_cmd_series)

@@ -51,41 +51,19 @@ class PiRational(_PiRationalFields):
 
     The exponent is kept in units of sqrt(pi) because Gamma(1/2) = sqrt(pi)
     makes that the natural atom.  Zero is canonical: coeff == 0 forces the
-    exponent to 0, so equality is plain field equality.  Addition is defined
-    only between values with equal exponents (or with zero); anything else
-    would leave the exact closure and raises.
+    exponent to 0, so equality is plain field equality.  The values are
+    closed under multiplication, division and integer powers.
     """
 
     __slots__ = ()
+    # no addition: a sum would leave the closure, and tuple concatenation
+    # must not stand in for one
+    __add__ = None
 
     def __new__(cls, coeff: RationalLike, sqrt_pi_pow: int = 0):
         if not isinstance(coeff, Fraction):
             coeff = as_fraction(coeff)
         return tuple.__new__(cls, (coeff, sqrt_pi_pow if coeff else 0))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeff == 0
-
-    def __add__(self, other: "PiRational") -> "PiRational":
-        if not isinstance(other, PiRational):
-            return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.sqrt_pi_pow != other.sqrt_pi_pow:
-            raise ValueError(
-                "cannot add exact pi-powers with different exponents: "
-                f"pi^({self.sqrt_pi_pow}/2) vs pi^({other.sqrt_pi_pow}/2)"
-            )
-        return PiRational(self.coeff + other.coeff, self.sqrt_pi_pow)
-
-    def __sub__(self, other: "PiRational") -> "PiRational":
-        return self + (-other)
-
-    def __neg__(self) -> "PiRational":
-        return PiRational(-self.coeff, self.sqrt_pi_pow)
 
     def __mul__(self, other: Union["PiRational", RationalLike]) -> "PiRational":
         if isinstance(other, PiRational):
@@ -129,10 +107,6 @@ class PiRational(_PiRationalFields):
             "coeff": fraction_str(self.coeff),
             "sqrtPiPow": self.sqrt_pi_pow,
         }
-
-
-PiRational.ZERO = PiRational(Fraction(0))
-PiRational.ONE = PiRational(Fraction(1))
 
 
 # ---------------------------------------------------------------------------

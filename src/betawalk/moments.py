@@ -34,21 +34,18 @@ is a pure function.
 from __future__ import annotations
 
 import math
-import time
 from collections import Counter
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Sequence
 
 from .exact import PiRational, as_fraction, beta_half
-from .render import InputError, check_work
+from .render import InputError, brief, check_work
 
 __all__ = [
     "MOMENT_WORK_BUDGET",
     "IdentityReport",
     "even_moment",
-    "lhs_master",
-    "rhs_master",
     "verify_master",
     "verify_equal_coeff_form",
 ]
@@ -73,7 +70,6 @@ class IdentityReport(NamedTuple):
     lhs: PiRational
     rhs: PiRational
     verified: bool
-    elapsed: float = 0.0
     notes: tuple[str, ...] = ()
 
     def to_json_obj(self) -> dict:
@@ -135,7 +131,7 @@ def even_moment(n: int, p) -> PiRational:
     if n < 1:
         raise InputError("n must be >= 1")
     p = _shape(p)
-    what = f"even moment at n={n}"
+    what = f"even moment at n={brief(n)}"
     check_work(what, n * _step_work(Fraction(1)), MOMENT_WORK_BUDGET)
     half, shift = Fraction(1, 2), p + Fraction(1, 2)
     value, work = Fraction(1), 0
@@ -192,9 +188,17 @@ def _master_work(n: int, k: int, weight_bits: int, p: Fraction) -> int:
 
 
 def _beta_work(p: Fraction, k: int) -> int:
-    """Cost of B(p, p)^k at a half-integer p: quadratic in the limbs of the
-    power, which has k times the bits of (2p)!, at most 2p bits(2p)."""
-    limbs = k * int(2 * p) * int(2 * p).bit_length() // 64 + 1
+    """Cost of B(p, p)^k at a half-integer p, quadratic in the limbs of the
+    larger operand: the gamma values that make B(p, p), the size of (2p)!,
+    at most 2p bits(2p) bits, or the power, k times the size of B(p, p).
+    That size is charged as the bits of (2p)!; at p = m + 1/2, where
+    B(p, p) = pi C(2m, m) / 16^m has at most 6m + 2 bits, as 6m + 2 once
+    that is fewer (m >= 2)."""
+    two_p = int(2 * p)
+    fact_bits = two_p * two_p.bit_length()
+    beta_bits = (fact_bits if p.denominator == 1
+                 else min(fact_bits, 6 * (two_p // 2) + 2))
+    limbs = max(fact_bits, k * beta_bits) // 64 + 1
     return limbs * limbs
 
 
@@ -282,11 +286,22 @@ def _rhs(n: int, coeffs: Sequence[Fraction], p: Fraction) -> Fraction:
     return math.factorial(2 * n) * _series_coefficient(powers, n)
 
 
-def _record(n: int, coeffs, p) -> tuple[tuple[Fraction, ...], Fraction]:
-    """The checked weights and shape of one master record.
+def _check_lengths(n: int, k: int, p: Fraction, weight_bits: int = 0
+                   ) -> None:
+    """Refuse a master record of k weights whose ``_master_work`` exceeds
+    ``MOMENT_WORK_BUDGET``; at ``weight_bits`` 0 that is its series lengths
+    alone, asked before the weights are summed, or built at all."""
+    check_work(f"master record at n={brief(n)}, k={brief(k)}",
+               _master_work(n, k, weight_bits, p), MOMENT_WORK_BUDGET)
 
-    A record whose ``_master_work`` exceeds ``MOMENT_WORK_BUDGET`` raises
-    InputError before any arithmetic.
+
+def verify_master(n: int, coeffs, p) -> IdentityReport:
+    """Check the two expansions against each other, bit-exactly.
+
+    The weights and shape are checked first, then a record over
+    ``MOMENT_WORK_BUDGET`` raises InputError before any arithmetic.  A
+    failed comparison is reported, never raised.  The floating-point
+    check for arbitrary real p > 0 is ``numeric.verify_master_float``.
     """
     if n < 1:
         raise InputError("n must be >= 1")
@@ -297,40 +312,9 @@ def _record(n: int, coeffs, p) -> tuple[tuple[Fraction, ...], Fraction]:
         raise InputError("coefficients must be positive")
     p = _shape(p)
     _check_lengths(n, len(cs), p)
-    weight_bits = max(map(_bits, (*cs, sum(cs))))
-    check_work(f"master record at n={n}, k={len(cs)}",
-               _master_work(n, len(cs), weight_bits, p), MOMENT_WORK_BUDGET)
-    return cs, p
-
-
-def _check_lengths(n: int, k: int, p: Fraction) -> None:
-    """Refuse a master record of k weights on its series lengths alone,
-    before the weights are summed, or built at all."""
-    check_work(f"master record at n={n}, k={k}", _master_work(n, k, 0, p),
-               MOMENT_WORK_BUDGET)
-
-
-def lhs_master(n: int, coeffs, p) -> PiRational:
-    """E[(sum c_i U_i)^(2n)] by the raw (alternating) expansion."""
-    return PiRational(_lhs(n, *_record(n, coeffs, p)))
-
-
-def rhs_master(n: int, coeffs, p) -> PiRational:
-    """E[(sum c_i U_i)^(2n)] by the even-moment expansion."""
-    return PiRational(_rhs(n, *_record(n, coeffs, p)))
-
-
-def verify_master(n: int, coeffs, p) -> IdentityReport:
-    """Check the two expansions against each other, bit-exactly.
-
-    A failed comparison is reported, never raised.  The floating-point
-    check for arbitrary real p > 0 is ``numeric.verify_master_float``.
-    """
-    cs, p = _record(n, coeffs, p)
-    start = time.perf_counter()
+    _check_lengths(n, len(cs), p, max(map(_bits, (*cs, sum(cs)))))
     lhs = PiRational(_lhs(n, cs, p))
     rhs = PiRational(_rhs(n, cs, p))
-    elapsed = time.perf_counter() - start
     return IdentityReport(
         identity_name="master",
         parameters={"n": str(n), "k": str(len(cs)), "p": str(p),
@@ -338,7 +322,6 @@ def verify_master(n: int, coeffs, p) -> IdentityReport:
         lhs=lhs,
         rhs=rhs,
         verified=lhs == rhs,
-        elapsed=elapsed,
     )
 
 
@@ -362,26 +345,24 @@ def verify_equal_coeff_form(n: int, k: int, p) -> IdentityReport:
     if p.denominator > 2:
         raise InputError(f"verify equal-coeff prints the unnormalized sides "
                          f"with their powers of pi and needs a half-integer "
-                         f"--p, got {p}")
-    check_work(f"equal-coeff record at n={n}, k={k}",
+                         f"--p, got {brief(p.numerator)}/"
+                         f"{brief(p.denominator)}")
+    check_work(f"equal-coeff record at n={brief(n)}, k={brief(k)}",
                sum(_master_work(n, k, max(_bits(c), _bits(k * c)), p)
                    for c in _EQUAL_WEIGHTS) + _beta_work(p, k),
                MOMENT_WORK_BUDGET)
     norm = beta_half(p, p) ** k
-    start = time.perf_counter()
     sides = [(_lhs(n, (c,) * k, p), _rhs(n, (c,) * k, p))
              for c in _EQUAL_WEIGHTS]
     lhs, rhs = sides[0]  # weight 1
     verified = lhs == rhs and all(
         side == (lhs * c ** (2 * n), rhs * c ** (2 * n))
         for c, side in zip(_EQUAL_WEIGHTS, sides))
-    elapsed = time.perf_counter() - start
     return IdentityReport(
         identity_name="equal-coeff",
         parameters={"n": str(n), "k": str(k), "p": str(p)},
         lhs=norm * lhs,
         rhs=norm * rhs,
         verified=verified,
-        elapsed=elapsed,
         notes=("scale invariance checked for equal weights in {1/4, 1, 7/3}",),
     )

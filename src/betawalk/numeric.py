@@ -23,7 +23,7 @@ from fractions import Fraction
 from operator import add, mul
 from typing import NamedTuple, Sequence
 
-from .render import (SERIES_MAX_TERMS, SERIES_VARIANTS, InputError,
+from .render import (SERIES_MAX_TERMS, SERIES_VARIANTS, InputError, brief,
                      check_work, fraction_str)
 
 __all__ = [
@@ -129,8 +129,8 @@ def _check_terms(n: int, k: int) -> None:
     three such passes per weight; on a 2-vCPU machine records at the
     budget take 1.3-4.1 s for n = 1..200.
     """
-    check_work(f"float record at n={n}, k={k}", k * (2 * n + 1) * (n + 9),
-               FLOAT_WORK_BUDGET, "terms")
+    check_work(f"float record at n={brief(n)}, k={brief(k)}",
+               k * (2 * n + 1) * (n + 9), FLOAT_WORK_BUDGET, "terms")
 
 
 def verify_master_float(n: int, coeffs: Sequence[float], p: float,
@@ -204,6 +204,9 @@ _CONVERGE_WINDOW = 8   # trailing terms that must be nonincreasing
 _DIVERGE_WINDOW = 16   # consecutive term increases before giving up
 _EXACT_WINDOW = 4096   # leading terms kept as exact rationals
 _LIST_CAP = 200        # longest list to_json_obj writes in full
+# the largest n: forming the exact target C(2n, n)^2 / 4^(2n) takes time
+# that grows like n^2, about 1 s at 10^5 on a 2-vCPU machine
+SERIES_MAX_N = 10 ** 5
 
 
 class SeriesEvaluation(NamedTuple):
@@ -268,12 +271,14 @@ def evaluate_series(n: int, variant: str,
     the window advances in floats via the exact integer term ratio).
     Exhausting ``max_terms`` without meeting the convergence rule reports
     converged=False; it never raises.  Every term is kept, so a
-    ``max_terms`` above ``SERIES_MAX_TERMS`` raises InputError, as do a
-    cutoff that is negative or not finite and an exact term too long to
-    print (``fraction_str``).
+    ``max_terms`` above ``SERIES_MAX_TERMS`` raises InputError, as do an
+    n above ``SERIES_MAX_N``, a cutoff that is negative or not finite and
+    an exact term too long to print (``fraction_str``).
     """
     if n < 0:
         raise InputError("n must be >= 0")
+    if n > SERIES_MAX_N:
+        raise InputError(f"n must be at most {SERIES_MAX_N}")
     if max_terms < 1:
         raise InputError("max_terms must be >= 1")
     if max_terms > SERIES_MAX_TERMS:

@@ -1,14 +1,16 @@
 """Leaf helpers shared by the CLI and the library.
 
 Serialization of exact integers and rationals and 15-digit decimals, the
-values the CLI parser shows as defaults or choices, and the error the
-library raises for an input it rejects, with the check that raises it for
-work over a budget.  This module imports nothing from
+short form a message gives an integer, the values the CLI parser shows as
+defaults or choices, and the error the library raises for an input it
+rejects, with the check that raises it for work over a budget.  This
+module imports nothing from
 the package, so the parser is built without loading a library layer.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 # brute_force_return's default budget and the oracle command's --budget
@@ -17,6 +19,8 @@ DEFAULT_PATH_BUDGET = 10_000_000
 SERIES_VARIANTS = ("printed", "over-k-factorial", "over-k-factorial-squared")
 # the most terms numeric.evaluate_series keeps, and series --max-terms' default
 SERIES_MAX_TERMS = 10 ** 6
+# the most digits a message shows of an integer
+BRIEF_DIGITS = 40
 
 
 class InputError(ValueError):
@@ -36,11 +40,20 @@ def check_work(what: str, work: int, budget: int,
     """Refuse a computation whose estimated ``work`` exceeds ``budget``.
 
     Called before the computation starts; the InputError names ``what``,
-    the estimate and the budget.
+    the estimate and the budget, each rendered by ``brief``.
     """
     if work > budget:
-        raise InputError(f"{what} needs about {work} {unit} "
-                         f"(budget is {budget})")
+        raise InputError(f"{what} needs about {brief(work)} {unit} "
+                         f"(budget is {brief(budget)})")
+
+
+def brief(value: int) -> str:
+    """An integer as a message shows it: in full up to ``BRIEF_DIGITS``
+    digits, beyond that as 10^x, x = log10 |value| to one decimal, so a
+    message stays one short line however large the number."""
+    if abs(value) < 10 ** BRIEF_DIGITS:
+        return str(value)
+    return f"{'-' if value < 0 else ''}10^{math.log10(abs(value)):.1f}"
 
 
 def int_str(value: int) -> str:

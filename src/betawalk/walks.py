@@ -40,8 +40,8 @@ from itertools import product
 from operator import add, mul, neg
 from typing import NamedTuple, Optional
 
-from .render import (DEFAULT_PATH_BUDGET, InputError, check_work, decimal15,
-                     fraction_str, int_str)
+from .render import (DEFAULT_PATH_BUDGET, InputError, brief, check_work,
+                     decimal15, fraction_str, int_str)
 
 __all__ = [
     "WalkSpec",
@@ -188,7 +188,7 @@ def path_count(dim: int, half_steps: int) -> PathCount:
     if dim < 1 or half_steps < 1:
         raise InputError("dim and half_steps must be >= 1")
     n = half_steps
-    check_work(f"path count at dim={dim}, half_steps={n}",
+    check_work(f"path count at dim={brief(dim)}, half_steps={brief(n)}",
                _count_work(dim, n), COUNT_WORK_BUDGET)
     t, row = [1], [1]
     if dim > 1:  # T_1 = 1 needs no recurrence
@@ -220,7 +220,7 @@ def path_count_odd(dim: int, steps: int) -> PathCount:
     """No closed path has odd length: 0 out of (2 dim)^steps, whose
     limbs^2 is held to ``COUNT_WORK_BUDGET`` as in ``path_count``."""
     return_probability_odd(dim, steps)
-    check_work(f"path total at dim={dim}, steps={steps}",
+    check_work(f"path total at dim={brief(dim)}, steps={brief(steps)}",
                _limbs(dim, steps) ** 2, COUNT_WORK_BUDGET)
     return PathCount(0, (2 * dim) ** steps)
 
@@ -254,12 +254,12 @@ def brute_force_return(dim: int, half_steps: int,
     """
     if dim < 1 or half_steps < 1:
         raise InputError("dim and half_steps must be >= 1")
-    what = f"enumeration at dim={dim}, half_steps={half_steps}"
+    what = f"enumeration at dim={brief(dim)}, half_steps={brief(half_steps)}"
     num, den = math.log2(2 * dim).as_integer_ratio()
     bits = 2 * half_steps * num // den  # floor of 2n log2(2k)
     if bits > budget.bit_length() + 64:
-        raise InputError(f"{what} needs about 2^{bits} paths "
-                         f"(budget is {budget})")
+        raise InputError(f"{what} needs about 2^{brief(bits)} paths "
+                         f"(budget is {brief(budget)})")
     total = (2 * dim) ** (2 * half_steps)
     check_work(what, total, budget, "paths")
 
@@ -364,8 +364,8 @@ def _check_simulation(trials: int, dim: int, workers: int) -> None:
         raise InputError("workers must be >= 1")
     if workers > MAX_WORKERS:
         raise InputError(f"workers must be at most {MAX_WORKERS}")
-    check_work(f"simulation of {trials} trials at dim={dim}", trials * dim,
-               SIMULATION_WORK_BUDGET, "draws")
+    check_work(f"simulation of {brief(trials)} trials at dim={brief(dim)}",
+               trials * dim, SIMULATION_WORK_BUDGET, "draws")
 
 
 def _draw(chunk, trials: int, seed: int, workers: int) -> list:

@@ -12,6 +12,7 @@ import pytest
 
 from betawalk import catalog
 from betawalk.cli import main
+from betawalk.render import brief
 from betawalk.walks import MAX_WORKERS
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -281,6 +282,57 @@ def test_verify_equal_coeff(capsys):
                            "--k", "1..2", "--p", "1/2")
     assert code == 0
     assert all("verified=true" in line for line in out.strip().splitlines())
+
+
+def test_verify_equal_coeff_charges_b_p_p_by_its_size(capsys):
+    # B(p, p)^12 at p = 1000 + 1/2 has about 72000 bits, (2p)!^12 about
+    # 264000: the record fits the budget, and its sides, over 4300 digits
+    # long, print only under a raised int-to-str limit
+    argv = ["verify", "equal-coeff", "--n", "1", "--k", "12",
+            "--p", "2001/2"]
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out.count("\n")) == (0, 1)
+        assert out.endswith(" verified=true\n")
+        sys.set_int_max_str_digits(4300)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("betawalk: error: Exceeds the limit (4300 "
+                              "digits) for integer string conversion")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["simulate", "walk", "--dim", "1", "--n", "1"], "--trials"),
+    (["compute", "path-count", "--dim", "2"], "--steps"),
+    (["oracle", "--dim", "2", "--steps", "4"], "--budget"),
+])
+def test_an_integer_option_quotes_a_prefix_of_its_argument(capsys, argv,
+                                                           option):
+    # argparse prints the usage and one error line; a long argument changes
+    # only the quoted text from what a short one prints
+    errors = {}
+    for text in ("x", "7" * 5000):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, option, text])
+        out, errors[text] = capsys.readouterr()
+        assert (info.value.code, out) == (2, "")
+        assert "Traceback" not in errors[text]
+    assert errors["x"].endswith(f"argument {option}: invalid int value: "
+                                "'x'\n")
+    assert errors["7" * 5000] == errors["x"].replace(
+        "'x'", f"'{'7' * 40}'... (5000 characters)")
+    assert len(errors["7" * 5000].splitlines()[-1]) < 300
+
+
+def test_brief_shows_an_integer_in_full_up_to_40_digits():
+    assert brief(10 ** 40 - 1) == "9" * 40
+    assert brief(-(10 ** 40 - 1)) == "-" + "9" * 40
+    assert brief(10 ** 40) == "10^40.0"
+    assert brief(-7 * 10 ** 4999) == "-10^4999.8"
 
 
 def test_verify_equal_coeff_needs_half_integer_p(capsys):
@@ -591,6 +643,7 @@ def test_rejected_inputs_keep_exit_2_and_their_message(capsys):
     # an InputError; from the path count to the series, each holds a
     # number over the int-to-str limit, printed or parsed
     long_int = "7" * 5000
+    huge = "1" + "0" * 4000  # 10^4000, which parses
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
@@ -655,6 +708,59 @@ def test_rejected_inputs_keep_exit_2_and_their_message(capsys):
             (["catalog", "verify", long_int],
              f"unknown catalog entry '{long_int[:40]}'... "
              "(5000 characters)"),
+            # a number past 40 digits, the caller's or an estimate, is
+            # shown as 10^x
+            (["compute", "path-count", "--dim", "2", "--steps", "2" + huge[1:]],
+             "path count at dim=2, half_steps=10^4000.0 needs about "
+             "10^11998.8 limb operations (budget is 50000000)"),
+            (["verify", "master", "--n", huge, "--coeffs", "1", "--p", "1/2"],
+             "master record at n=10^4000.0, k=1 needs about 10^12002.7 limb "
+             "operations (budget is 16000000)"),
+            (["verify", "equal-coeff", "--n", "1", "--k", huge, "--p", "1/2"],
+             "equal-coeff record at n=1, k=10^4000.0 needs about 10^7996.4 "
+             "limb operations (budget is 16000000)"),
+            (["simulate", "walk", "--dim", "1", "--n", "1", "--trials", huge],
+             "simulation of 10^4000.0 trials at dim=1 needs about 10^4000.0 "
+             "draws (budget is 250000000)"),
+            (["simulate", "beta", "--dim", huge, "--n", "1", "--trials", "10"],
+             "simulation of 10 trials at dim=10^4000.0 needs about 10^4001.0 "
+             "draws (budget is 250000000)"),
+            (["verify", "master", "--n", "1", "--k", huge, "--p", "1/2"],
+             "master record at n=1, k=10^4000.0 needs about 10^4002.4 limb "
+             "operations (budget is 16000000)"),
+            (["verify", "master", "--n", huge, "--coeffs", "1", "--p", "0.5",
+              "--mode", "float"],
+             "float record at n=10^4000.0, k=1 needs about 10^8000.3 terms "
+             "(budget is 4000000)"),
+            (["compute", "moment", "--n", huge, "--p", "1/3"],
+             "even moment at n=10^4000.0 needs about 10^4002.0 limb "
+             "operations (budget is 16000000)"),
+            (["compute", "return-prob", "--dim", huge, "--steps", "2"],
+             "path count at dim=10^4000.0, half_steps=1 needs about "
+             "10^4003.1 limb operations (budget is 50000000)"),
+            (["compute", "path-count", "--dim", "2", "--steps", huge + "1",
+              "--allow-odd"],
+             "path total at dim=2, steps=10^4001.0 needs about 10^7999.0 "
+             "limb operations (budget is 50000000)"),
+            (["compute", "path-count", "--dim", "2", "--steps", huge + "1"],
+             "steps=10^4001.0 is odd (parity forces probability 0); pass "
+             "--allow-odd to print the exact 0"),
+            (["oracle", "--dim", huge, "--steps", "2"],
+             "enumeration at dim=10^4000.0, half_steps=1 needs about "
+             "2^26577 paths (budget is 10000000)"),
+            (["oracle", "--dim", "2", "--steps", "4", "--budget", "-" + huge],
+             "enumeration at dim=2, half_steps=2 needs about 256 paths "
+             "(budget is -10^4000.0)"),
+            (["oracle", "--dim", "2", "--steps", huge],
+             "enumeration at dim=2, half_steps=10^3999.7 needs about "
+             "2^10^4000.3 paths (budget is 10000000)"),
+            (["verify", "equal-coeff", "--n", "1", "--k", "1",
+              "--p", "1/3" + huge[1:]],
+             "verify equal-coeff prints the unnormalized sides with their "
+             "powers of pi and needs a half-integer --p, got 1/10^4000.5"),
+            # refused before the exact target C(2n, n)^2 / 16^n is formed
+            (["series", "--n", "1" + "0" * 25, "--variant", "printed",
+              "--max-terms", "3"], "n must be at most 100000"),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, ""), argv
@@ -756,6 +862,8 @@ def test_odd_path_count_prints_every_format(capsys):
      "max_terms must be at most 1000000"),
     (["verify", "equal-coeff", "--n", "1", "--k", "1", "--p", "2000001/2"],
      "equal-coeff record at n=1, k=1 needs about"),
+    (["series", "--n", "100001", "--variant", "printed", "--max-terms", "3"],
+     "n must be at most 100000"),
 ])
 def test_inputs_beyond_a_library_bound_exit_2_at_once(capsys, argv, message):
     # each is refused before any work starts

@@ -98,7 +98,7 @@ print(json.dumps(report))
 def test_public_names_resolve_to_their_submodule_objects():
     report = run_fresh(PUBLIC_NAMES, json.dumps(LAYERS))
     assert report["import"] == ["betawalk"]
-    assert len(report["all"]) == len(set(report["all"])) == 27
+    assert len(report["all"]) == len(set(report["all"])) == 25
     assert set(report["all"]) <= set(report["dir"])
     assert set(LAYERS) <= set(report["dir"])
     # each exported name is the very object its one home module exports
@@ -279,3 +279,33 @@ def test_no_module_keeps_an_unused_import_or_an_unnamed_definition():
                         and name not in named and name not in exported]
     assert unused == []
     assert unnamed == []
+
+
+def test_every_export_and_class_attribute_is_read_by_program_code():
+    # a name in a module's __all__, or an attribute a module sets on a
+    # class, is public surface; the export lists hold names as strings,
+    # so each must also be read as a name or an attribute somewhere in
+    # the package
+    modules = {path.stem: parsed(path)
+               for path in sorted(PACKAGE.glob("*.py"))}
+    read = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+    surface = []
+    for stem, tree in modules.items():
+        for node in tree.body:
+            if "__all__" in _defined(node):
+                surface += [(stem, const.value)
+                            for const in ast.walk(node.value)
+                            if isinstance(const, ast.Constant)]
+            elif isinstance(node, ast.Assign):
+                surface += [(stem, target.attr) for target in node.targets
+                            if isinstance(target, ast.Attribute)]
+    assert surface
+    assert [f"{stem}.{name}" for stem, name in surface
+            if name not in read] == []
