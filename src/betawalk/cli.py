@@ -31,8 +31,9 @@ from typing import Iterable, NamedTuple, Optional
 # Handlers import their library layers, and the emitter its serializer, when
 # they run, so a command loads only what it uses: without cached bytecode each
 # module loaded is compiled from source at every start.
-from .render import (DEFAULT_PATH_BUDGET, SERIES_MAX_TERMS, SERIES_VARIANTS,
-                     InputError, brief, decimal15, fraction_str)
+from .render import (DEFAULT_PATH_BUDGET, MAX_WORKERS, SERIES_MAX_TERMS,
+                     SERIES_VARIANTS, InputError, brief, decimal15,
+                     fraction_str)
 
 Z_LIMIT = 4.0
 
@@ -67,14 +68,19 @@ def _parse_rational(text: str) -> Fraction:
         raise InputError(str(exc)) from None
 
 
-def _parse_int(text: str) -> int:
-    """An integer option, read as argparse's ``type=int`` reads it; a
-    refusal quotes the argument by ``_quote``."""
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {_quote(text)}") from None
+def _parse_as(kind):
+    """An option read as argparse's ``type=kind`` reads it, for kind int
+    or float; a refusal quotes the argument by ``_quote``."""
+    def parse(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {_quote(text)}") from None
+    return parse
+
+
+_parse_int, _parse_float = _parse_as(int), _parse_as(float)
 
 
 def _parse_real(text: str) -> float:
@@ -109,9 +115,11 @@ def _parse_range(text: str) -> range:
 
 
 def _threads(args) -> int:
-    """--threads (default 1)."""
+    """--threads (default 1), from 1 to ``MAX_WORKERS`` on every command."""
     if args.threads < 1:
         raise InputError("--threads must be >= 1")
+    if args.threads > MAX_WORKERS:
+        raise InputError(f"workers must be at most {MAX_WORKERS}")
     return args.threads
 
 
@@ -524,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     vm.add_argument("--k", help="dimension range (unit weights), e.g. 1..4")
     vm.add_argument("--p", required=True, help="beta shape (a/b; decimal in float mode)")
     vm.add_argument("--mode", choices=("exact", "float"), default="exact")
-    vm.add_argument("--tolerance", type=float, default=1e-10)
+    vm.add_argument("--tolerance", type=_parse_float, default=1e-10)
     vm.add_argument("--threads", type=_parse_int, default=1,
                     help="echoed in the output; every run uses one thread")
     _add_format(vm)
@@ -598,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     series.add_argument("--variant", choices=SERIES_VARIANTS, required=True)
     series.add_argument("--max-terms", type=_parse_int,
                         default=SERIES_MAX_TERMS)
-    series.add_argument("--cutoff", type=float, default=1e-12)
+    series.add_argument("--cutoff", type=_parse_float, default=1e-12)
     _add_format(series)
     series.set_defaults(handler=_cmd_series)
 

@@ -21,6 +21,8 @@ SERIES_VARIANTS = ("printed", "over-k-factorial", "over-k-factorial-squared")
 SERIES_MAX_TERMS = 10 ** 6
 # the most digits a message shows of an integer
 BRIEF_DIGITS = 40
+# the most workers a simulation takes, and the most --threads any command takes
+MAX_WORKERS = 1024
 
 
 class InputError(ValueError):

@@ -9,25 +9,21 @@ positive and negative steps on every axis, so with i_j round trips on axis j,
 
 computed here as an exact rational by an integer recurrence in n, with its
 binomials from Pascal's rule and math.comb (so the walk commands never load
-``exact``); a count whose estimated work exceeds
-``COUNT_WORK_BUDGET`` is refused before it starts.  Two independent oracles
-back it up:
-an exhaustive count of every step sequence, and seeded Monte Carlo.  The
-count enumerates each sequence of n steps once, tallies where it ends, and
-pairs every first half ending at v with every second half ending at -v.  The
+``exact``); a count whose estimated work exceeds ``COUNT_WORK_BUDGET`` is
+refused before it starts.  Two independent oracles back it up: an
+exhaustive count of every step sequence, and seeded Monte Carlo.  The count
+enumerates each sequence of n steps once, tallies where it ends, and pairs
+every first half ending at v with every second half ending at -v.  The
 walk sampler draws no path: it draws each walk's per-axis step counts,
 Multinomial(2n; 1/k, .., 1/k), and the plus steps on each axis,
-Binomial(count, 1/2), and the walk is home when every axis balances.  A
-Binomial(c, 1/2) draw with c <= 64 is a fair-coin count, the ones among c
-bits of one raw 64-bit Philox word, and at dim >= 3 the first axis count
-of a walk of 2n <= 64 steps inverts one raw word against a table of its
-CDF; a draw call in which some c exceeds 64 uses numpy's binomial instead,
-which is constant time per draw.  The beta
-sampler draws the matching arcsine-beta moment.  Both samplers refuse
-more than ``SIMULATION_WORK_BUDGET`` draws or ``MAX_WORKERS`` workers
-before they start.  Only the Monte Carlo functions use numpy, and they
-import it when they run, so the exact functions load neither numpy nor a
-thread pool.
+Binomial(count, 1/2), and the walk is home when every axis balances; most
+draws take one raw 64-bit word each.  The beta sampler draws the matching
+arcsine-beta moment from float32 variates, one axis at a time.  Each block
+of trials draws from its own PCG64DXSM stream, keyed by seed and block.
+Both samplers refuse more than ``SIMULATION_WORK_BUDGET`` draws or
+``MAX_WORKERS`` workers before they start.  Only the Monte Carlo functions
+use numpy, and they import it when they run, so the exact functions load
+neither numpy nor a thread pool.
 """
 
 from __future__ import annotations
@@ -40,8 +36,8 @@ from itertools import product
 from operator import add, mul, neg
 from typing import NamedTuple, Optional
 
-from .render import (DEFAULT_PATH_BUDGET, InputError, brief, check_work,
-                     decimal15, fraction_str, int_str)
+from .render import (DEFAULT_PATH_BUDGET, MAX_WORKERS, InputError, brief,
+                     check_work, decimal15, fraction_str, int_str)
 
 __all__ = [
     "WalkSpec",
@@ -60,14 +56,13 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 14  # trials per block, each block with its own stream
+_GUIDE_SHIFT = 52  # a first-axis word's guide cell is its top 12 bits
 _INT64_MAX = (1 << 63) - 1  # the samplers count steps in int64
 # path_count's default bound on _count_work: under 1 s on a 2-vCPU machine
 COUNT_WORK_BUDGET = 50_000_000
-# a simulation's bound on trials * dim, one draw per trial and axis: 40-70 ns
-# each at one worker on a 2-vCPU machine, so 10-20 s
+# bound on trials * dim, one draw per trial and axis: at one worker (2 vCPUs)
+# 6-15 ns each (2-4 s), 80-120 ns for walks over 64 steps (20-30 s)
 SIMULATION_WORK_BUDGET = 250_000_000
-# the most workers a simulation takes
-MAX_WORKERS = 1024
 
 
 class _WalkSpecFields(NamedTuple):
@@ -283,7 +278,7 @@ def _block_rng(seed: int, block: int) -> "np.random.Generator":
 
     root = np.random.SeedSequence(entropy=seed & 0xFFFFFFFFFFFFFFFF,
                                   spawn_key=(block,))
-    return np.random.Generator(np.random.Philox(root))
+    return np.random.Generator(np.random.PCG64DXSM(root))
 
 
 def _fair_coin_counts(rng, counts):
@@ -316,13 +311,29 @@ def _inverse_table(c: int, p: Fraction) -> list[int]:
     return table
 
 
-def _inverted_counts(rng, table, m: int):
-    """m draws of the law whose ``_inverse_table`` is ``table``, one raw
-    64-bit word each."""
+def _guide(table):
+    """For each cell of the words that share their top 12 bits, the count
+    ``searchsorted(table, w, side="right")`` of all its words w, or -1
+    where the cell holds a threshold of ``table``."""
     import numpy as np
 
-    return np.searchsorted(table, rng.bit_generator.random_raw(m),
-                           side="right")
+    cells = np.arange(4096, dtype=np.uint64) << _GUIDE_SHIFT
+    guide = np.searchsorted(table, cells, side="right")
+    guide[table >> _GUIDE_SHIFT] = -1
+    return guide
+
+
+def _inverted_counts(rng, table, guide, m: int):
+    """m draws of the law whose ``_inverse_table`` is ``table``, one raw
+    64-bit word each: ``_guide(table)`` gives a word its count, and only
+    the words of a cell holding a threshold search ``table`` for it."""
+    import numpy as np
+
+    words = rng.bit_generator.random_raw(m)
+    counts = guide.take((words >> _GUIDE_SHIFT).view(np.int64))
+    unsure = np.flatnonzero(counts < 0)
+    counts[unsure] = np.searchsorted(table, words[unsure], side="right")
+    return counts
 
 
 def _power_by_squaring(base, exponent: int, out):
@@ -339,19 +350,6 @@ def _power_by_squaring(base, exponent: int, out):
         if exponent:
             base *= base
     return out
-
-
-def _row_sums(matrix):
-    """``matrix.sum(axis=1)``, added a column at a time, which is faster.
-
-    numpy adds a row of fewer than 8 entries in order, so up to 7 columns
-    the sums are the same, bit for bit; longer rows it adds in partial
-    sums, so the two differ in rounding.
-    """
-    total = matrix[:, 0].copy()
-    for column in matrix.T[1:]:
-        total += column
-    return total
 
 
 def _check_simulation(trials: int, dim: int, workers: int) -> None:
@@ -372,10 +370,10 @@ def _draw(chunk, trials: int, seed: int, workers: int) -> list:
     """``chunk(rng, m)`` for every block of trials, in block order.
 
     Block b holds the trials from b * ``_CHUNK`` on, at most ``_CHUNK`` of
-    them, and draws from its own counter-based (Philox) stream, derived
-    from (seed, b).  One worker runs the blocks in a loop; more share a
-    pool of at most one thread per CPU.  So for fixed (seed, trials)
-    every run is bit-identical, whatever the worker count.
+    them, and draws from its own PCG64DXSM stream, seeded by the
+    SeedSequence of (seed, b).  One worker runs the blocks in a loop; more
+    share a pool of at most one thread per CPU.  So for fixed (seed,
+    trials) every run is bit-identical, whatever the worker count.
     """
     def run(block: int):
         return chunk(_block_rng(seed, block),
@@ -402,12 +400,10 @@ def simulate_walk(spec: WalkSpec, trials: int, seed: int,
     unbalanced on an earlier axis is dropped and draws nothing more; its
     indicator is 0 whatever the later draws, so the law of ``hits`` is the
     same.  Every Binomial(c, 1/2) -- the plus steps, and the axis count
-    when two axes are left -- counts the ones among c bits of one raw
-    64-bit word; a draw call with some c above 64 (a long walk) uses
-    numpy's binomial for that call.  The first axis count,
-    Binomial(2n, 1/dim), is the same law for every trial, so at dim >= 3
-    and 2n <= 64 it inverts one raw word against the CDF table made once
-    by ``_inverse_table``.  The trial and worker counts are
+    when two axes are left -- is a ``_fair_coin_counts`` draw.  The first
+    axis count, Binomial(2n, 1/dim), is the same law for every trial, so
+    at dim >= 3 and 2n <= 64 it inverts one raw word against the CDF table
+    and its guide, made once per run.  The trial and worker counts are
     checked first, then the exact reference is computed, so a count over
     its work budget fails before anything is drawn.
     """
@@ -420,12 +416,13 @@ def simulate_walk(spec: WalkSpec, trials: int, seed: int,
 
     table = (np.array(_inverse_table(steps, Fraction(1, dim)), np.uint64)
              if dim >= 3 and steps <= 64 else None)
+    guide = None if table is None else _guide(table)
 
     def chunk(rng, m: int) -> int:
         left = np.full(m, steps)  # steps not yet assigned to an axis
         for a in range(dim - 1):
             if a == 0 and table is not None:
-                count = _inverted_counts(rng, table, m)
+                count = _inverted_counts(rng, table, guide, m)
             elif dim - a == 2:
                 count = _fair_coin_counts(rng, left)
             else:
@@ -446,12 +443,14 @@ def simulate_beta_moment(dim: int, half_steps: int, trials: int, seed: int,
                          workers: int = 1) -> SimulationResult:
     """Estimate the matching arcsine-beta moment by direct sampling.
 
-    Each variate is V = -cos(pi W) with W uniform on (0, 1) -- the exact
-    inverse CDF of the centered arcsine law, one uniform and one cosine per
-    draw.  The estimate averages ((V_1+..+V_k)/k)^(2n), the power taken by
-    repeated squaring; chunk sums merge through math.fsum, which is exact
-    compensated summation.  As in ``simulate_walk``, the counts are
-    checked and the exact reference computed before any draw.
+    Each variate is V = -cos(pi W) with W uniform on [0, 1) -- the exact
+    inverse CDF of the centered arcsine law.  W is a float32 multiple of
+    2^-24 and the cosine is float32, which moves E V^2j by about 1e-7
+    relative for j <= 10.  The estimate averages ((V_1+..+V_k)/k)^(2n) in
+    float64, the power taken by repeated squaring; chunk sums merge through
+    math.fsum, which is exact compensated summation.  As in
+    ``simulate_walk``, the counts are checked and the exact reference
+    computed before any draw.
     """
     if dim < 1 or half_steps < 1:
         raise InputError("dim and half_steps must be >= 1")
@@ -462,16 +461,15 @@ def simulate_beta_moment(dim: int, half_steps: int, trials: int, seed: int,
     power = 2 * half_steps
 
     def chunk(rng, m: int) -> tuple[float, float]:
-        # -cos(pi U) in place: the same operations in the same order, so
-        # the same values, in one buffer
-        variates = rng.random((m, dim))
-        np.multiply(variates, np.pi, out=variates)
-        np.cos(variates, out=variates)
-        np.negative(variates, out=variates)
-        sample = _row_sums(variates)
+        # one axis at a time: the block never holds an (m, dim) matrix
+        variates = np.empty(m, np.float32)
+        sample = np.zeros(m)
+        for _ in range(dim):
+            rng.random(out=variates, dtype=np.float32)
+            variates *= np.float32(math.pi)
+            sample -= np.cos(variates, out=variates)
         sample /= dim
-        # the consumed variate block holds the power
-        sample = _power_by_squaring(sample, power, variates.reshape(-1)[:m])
+        sample = _power_by_squaring(sample, power, np.empty(m))
         total = float(sample.sum())
         sample *= sample
         return total, float(sample.sum())

@@ -328,6 +328,26 @@ def test_an_integer_option_quotes_a_prefix_of_its_argument(capsys, argv,
     assert len(errors["7" * 5000].splitlines()[-1]) < 300
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["verify", "master", "--n", "1", "--coeffs", "1", "--p", "0.5",
+      "--mode", "float"], "--tolerance"),
+    (["series", "--n", "1", "--variant", "printed"], "--cutoff"),
+])
+def test_a_float_option_quotes_a_prefix_of_its_argument(capsys, argv,
+                                                        option):
+    errors = {}
+    for text in ("x", "x" * 5000):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, option, text])
+        out, errors[text] = capsys.readouterr()
+        assert (info.value.code, out) == (2, "")
+    assert errors["x"].endswith(f"argument {option}: invalid float value: "
+                                "'x'\n")
+    assert errors["x" * 5000] == errors["x"].replace(
+        "'x'", f"'{'x' * 40}'... (5000 characters)")
+    assert len(errors["x" * 5000]) < 400
+
+
 def test_brief_shows_an_integer_in_full_up_to_40_digits():
     assert brief(10 ** 40 - 1) == "9" * 40
     assert brief(-(10 ** 40 - 1)) == "-" + "9" * 40
@@ -583,12 +603,22 @@ def test_thread_count_defaults_to_one_worker(capsys, monkeypatch):
 
 
 def test_thread_counts_above_the_worker_maximum(capsys):
-    # an explicit count above the maximum is refused by the simulation
-    # before its exact reference, so no pool is ever started
-    code, out, err = run_cli(capsys, "simulate", "walk", "--dim", "1", "--n",
-                             "1", "--trials", "100", "--threads", "5000")
-    assert (code, out, err) == (
-        2, "", f"betawalk: error: workers must be at most {MAX_WORKERS}\n")
+    # an explicit count above the maximum is refused on every command
+    # before any work, so no pool is ever started and no long count echoed
+    commands = [
+        ["simulate", "walk", "--dim", "1", "--n", "1", "--trials", "100"],
+        ["verify", "master", "--n", "1", "--coeffs", "1", "--p", "1/2",
+         "--format", "json"],
+        ["verify", "equal-coeff", "--n", "1", "--k", "1", "--p", "1/2"],
+    ]
+    for argv in commands:
+        for threads in (str(MAX_WORKERS + 1), "5000", "1" + "0" * 4000):
+            code, out, err = run_cli(capsys, *argv, "--threads", threads)
+            assert (code, out, err) == (
+                2, "",
+                f"betawalk: error: workers must be at most {MAX_WORKERS}\n")
+        code, out, _ = run_cli(capsys, *argv, "--threads", str(MAX_WORKERS))
+        assert code == 0 and out
 
 
 def test_usage_error_goes_to_argparse(capsys):

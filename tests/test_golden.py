@@ -8,14 +8,17 @@ must be declared.  Regenerate with
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import csv
 import json
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from betawalk.cli import main
+from betawalk.cli import Z_LIMIT, main
+from betawalk.walks import return_probability
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -66,6 +69,35 @@ def test_golden_output(command, capsys):
     code = main(command.split())
     assert code == codes[name]
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+
+
+def _simulate_record(path: Path) -> dict:
+    """dim, n, exact and z of a pinned ``simulate`` output, in any format."""
+    text = path.read_text()
+    if path.stem.endswith("_json"):
+        obj = json.loads(text)
+        return dict(obj["parameters"], exact=obj["payload"]["exactReference"],
+                    z=obj["payload"]["zScore"])
+    if path.stem.endswith("_csv"):
+        row = next(csv.DictReader(text.splitlines()))
+        return dict(row, z=row["z_score"])
+    return dict(kv.split("=", 1) for kv in text.split()[1:])
+
+
+SIMULATE_GOLDENS = sorted(GOLDEN.glob("simulate_*.out"))
+
+
+@pytest.mark.parametrize("path", SIMULATE_GOLDENS, ids=lambda p: p.stem)
+def test_simulate_goldens_pin_a_passing_verdict(path):
+    # a regenerated golden must still agree with the exact value
+    record = _simulate_record(path)
+    assert abs(float(record["z"])) < Z_LIMIT
+    assert Fraction(record["exact"]) == return_probability(
+        int(record["dim"]), int(record["n"]))
+
+
+def test_every_simulate_format_is_pinned():
+    assert len(SIMULATE_GOLDENS) == 6
 
 
 def _regenerate() -> None:

@@ -28,11 +28,11 @@ from betawalk.walks import (
     _block_rng,
     _count_work,
     _fair_coin_counts,
+    _guide,
     _inverse_table,
     _inverted_counts,
     _limbs,
     _power_by_squaring,
-    _row_sums,
 )
 
 from compositions import weak_compositions
@@ -363,15 +363,36 @@ def test_simulation_blocks_keep_the_working_set_small():
         assert _peak_traced_bytes(sim) < 2 * 2 ** 20
 
 
-@pytest.mark.parametrize("dim", range(1, 12))
-def test_row_sums_match_numpys_row_sum(dim):
-    variates = -np.cos(np.pi * _block_rng(dim, 0).random((1 << 14, dim)))
-    reference = variates.sum(axis=1)
-    got = _row_sums(variates)
-    if dim < 8:  # numpy adds a row shorter than 8 in order
-        assert np.array_equal(got, reference)
-    else:  # and a longer one by partial sums: dim roundings of |v| <= 1
-        assert np.abs(got - reference).max() <= dim * dim * 2.0 ** -52
+def test_simulate_beta_memory_does_not_grow_with_dim():
+    # one float32 axis at a time: a (2^14 x dim) float64 block matrix
+    # would be 39 MB at dim 300
+    peak = _peak_traced_bytes(
+        lambda: simulate_beta_moment(300, 1, 2 ** 14, 5))
+    assert peak < 2 ** 20
+
+
+def test_float32_variates_keep_the_arcsine_moments():
+    # numpy's float32 uniforms are the 2^24 values k 2^-24; averaged over
+    # all of them, (-cos pi U)^2j formed as the kernel forms it keeps the
+    # central-binomial moment C(2j, j) / 4^j to float32 rounding
+    draws = _block_rng(3, 0).random(1 << 16, dtype=np.float32) * 2 ** 24
+    assert np.array_equal(draws, np.floor(draws)) and draws.max() < 2 ** 24
+    powers = (2, 4, 10, 20)
+    sums = {power: [] for power in powers}
+    for start in range(0, 1 << 24, 1 << 20):
+        u = np.arange(start, start + (1 << 20), dtype=np.float32)
+        u *= np.float32(2.0 ** -24)
+        u *= np.float32(math.pi)
+        sample = np.zeros(u.size)
+        sample -= np.cos(u, out=u)
+        for power in powers:
+            got = _power_by_squaring(sample.copy(), power,
+                                     np.empty_like(sample))
+            sums[power].append(float(got.sum()))
+    for power in powers:
+        mean = math.fsum(sums[power]) / 2 ** 24
+        exact = Fraction(math.comb(power, power // 2), 2 ** power)
+        assert abs(mean / float(exact) - 1) < 1e-6, power
 
 
 def _twin_streams(seed=2024):
@@ -429,7 +450,7 @@ def test_inverse_table_is_the_floored_cdf():
 def test_inverted_count_has_the_binomial_law(c, dim):
     p = Fraction(1, dim)
     table = np.array(_inverse_table(c, p), np.uint64)
-    counts = _inverted_counts(_block_rng(c, 0), table, 200_000)
+    counts = _inverted_counts(_block_rng(c, 0), table, _guide(table), 200_000)
     _assert_law(counts, _binomial_law(c, p))
 
 
@@ -438,10 +459,38 @@ def test_inverted_count_is_one_word_per_draw():
     table = _inverse_table(20, Fraction(1, 3))
     words = twin.bit_generator.random_raw(1000)
     expected = [sum(t <= int(w) for t in table) for w in words]
-    got = _inverted_counts(rng, np.array(table, np.uint64), 1000)
+    table = np.array(table, np.uint64)
+    got = _inverted_counts(rng, table, _guide(table), 1000)
     assert got.tolist() == expected
     # both streams stand at the same place afterwards
     assert rng.random() == twin.random()
+
+
+class _Words:
+    """A stand-in generator whose raw words are given."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self.words = words
+
+    def random_raw(self, m):
+        assert m == self.words.size
+        return self.words.copy()
+
+
+@pytest.mark.parametrize("c, p", [(20, Fraction(1, 3)),
+                                  (64, Fraction(1, 199)),
+                                  (2, Fraction(1, 3))])
+def test_guided_count_is_the_searched_count(c, p):
+    table = _inverse_table(c, p)
+    edges = {t + d for t in table for d in (-1, 0, 1)}
+    edges |= {(i << 52) + d for i in range(4096) for d in (-1, 0)}
+    words = np.concatenate([
+        np.array(sorted(w for w in edges if 0 <= w < 2 ** 64), np.uint64),
+        _block_rng(c, 1).bit_generator.random_raw(1 << 20)])
+    table = np.array(table, np.uint64)
+    got = _inverted_counts(_Words(words), table, _guide(table), words.size)
+    assert np.array_equal(got, np.searchsorted(table, words, side="right"))
 
 
 @pytest.mark.parametrize("c", [1, 2, 63, 64])
@@ -504,11 +553,11 @@ def test_multi_worker_multi_chunk_draws_are_pinned(monkeypatch):
         walk = simulate_walk(WalkSpec(3, 4), 10_000, 2024, workers=workers)
         beta = simulate_beta_moment(3, 4, 10_000, 2024, workers=workers)
         assert walk == SimulationResult(
-            10_000, 281, 0.0281, 0.0016525855499791835, reference,
-            0.8888573994818969, 2024, workers)
+            10_000, 261, 0.0261, 0.0015943271307984443, reference,
+            -0.33311049869556614, 2024, workers)
         assert beta == SimulationResult(
-            10_000, None, 0.02577769537089868, 0.0009262788504343394,
-            reference, -0.9213119076672224, 2024, workers)
+            10_000, None, 0.029474140337473368, 0.0010292335606637997,
+            reference, 2.762301328393927, 2024, workers)
 
 
 def test_simulate_walk_different_seed_differs():
