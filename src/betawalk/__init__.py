@@ -20,8 +20,7 @@ _EXPORTS = {
     "exact": ("PiRational", "as_fraction", "beta_half", "gamma_half"),
     "moments": ("IdentityReport", "even_moment", "verify_equal_coeff_form",
                 "verify_master"),
-    "numeric": ("FloatVerification", "SeriesEvaluation", "evaluate_series",
-                "verify_master_float"),
+    "numeric": ("SeriesEvaluation", "evaluate_series"),
     "walks": ("PathCount", "SimulationResult", "WalkSpec",
               "brute_force_return", "closed_form_2d", "path_count",
               "path_count_odd", "return_probability", "return_probability_odd",

@@ -5,11 +5,14 @@ CSV), all human-readable decoration (banners, timing) goes to standard
 error, so the tool composes in pipelines.  Exit codes: 0 success,
 1 exact-identity violation or oracle mismatch, 2 usage error (a bad
 argument, or an input the library rejects: a range, sign or shape out of
-bounds, a path or work budget too small, a walk length beyond int64, a
-float result beyond the double range, an exact value too long to print),
-3 statistical-tolerance failure, or a float check that doubles cannot
-decide, 70 internal error (any other exception, reported as one
-``betawalk: internal error: ...`` line).
+bounds, a path or work budget too small, a walk length beyond int64, an
+exact value too long to print; or a float-mode side beyond the double
+range), 3 statistical-tolerance failure of a simulation, 70 internal
+error (any other exception, reported as one ``betawalk: internal error:
+...`` line).
+
+Float mode reads each decimal as its exact value and runs the exact
+engine; its record shows the exact verdict in doubles.
 
 The CLI turns text into values and checks only what that needs: the
 number syntax, which options go together, and odd walk lengths; every
@@ -20,7 +23,6 @@ the library.
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import signal
 import sys
@@ -45,6 +47,9 @@ EXIT_INTERNAL = 70  # EX_SOFTWARE in sysexits.h
 
 
 _RATIONAL = r"-?\d+(/[1-9]\d*)?"  # an integer or "a/b"
+# a finite decimal, e.g. 0.7, .5 or -1e-3; at most three exponent digits,
+# so 1e-1000000000 is refused before its power of ten is built
+_DECIMAL = r"-?(\d+\.?\d*|\.\d+)([eE][-+]?\d{1,3})?"
 _QUOTED = 40  # the most characters of an argument a parse error quotes
 
 
@@ -56,16 +61,27 @@ def _quote(text: str) -> str:
     return f"{text[:_QUOTED]!r}... ({len(text)} characters)"
 
 
-def _parse_rational(text: str) -> Fraction:
-    """Strict command-line rational: an integer or "a/b", no decimals, no
-    longer than Python's int-to-str limit (refused with its message)."""
-    if not re.fullmatch(_RATIONAL, text):
-        raise InputError("expected an integer or a/b rational, "
-                         f"got {_quote(text)}")
+def _fraction(text: str, syntax: str, expected: str) -> Fraction:
+    """``text`` as its exact value once it matches ``syntax``; a number
+    longer than Python's int-to-str limit is refused with its message."""
+    if not re.fullmatch(syntax, text):
+        raise InputError(f"expected {expected}, got {_quote(text)}")
     try:
         return Fraction(text)
     except ValueError as exc:
         raise InputError(str(exc)) from None
+
+
+def _parse_rational(text: str) -> Fraction:
+    """Strict command-line rational: an integer or "a/b", no decimals."""
+    return _fraction(text, _RATIONAL, "an integer or a/b rational")
+
+
+def _parse_decimal(text: str) -> Fraction:
+    """Float-mode value: rational syntax or a finite decimal, read exactly
+    (0.7 is 7/10)."""
+    return _fraction(text, f"{_RATIONAL}|{_DECIMAL}",
+                     "a rational or a finite decimal")
 
 
 def _parse_as(kind):
@@ -81,22 +97,6 @@ def _parse_as(kind):
 
 
 _parse_int, _parse_float = _parse_as(int), _parse_as(float)
-
-
-def _parse_real(text: str) -> float:
-    """Float-mode value: rational syntax, read by ``_parse_rational``, or a
-    decimal, finite as a double."""
-    number = _parse_rational(text) if re.fullmatch(_RATIONAL, text) else text
-    try:
-        value = float(number)
-    except OverflowError:
-        value = math.inf
-    except ValueError:
-        raise InputError(f"expected a number, got {_quote(text)}") \
-            from None
-    if not math.isfinite(value):
-        raise InputError(f"expected a finite number, got {_quote(text)}")
-    return value
 
 
 def _parse_range(text: str) -> range:
@@ -141,7 +141,7 @@ class Record(NamedTuple):
 
     parameters: dict
     payload: object
-    status: str  # "ok" | "violated" | "inconclusive"
+    status: str  # "ok" | "violated"
     row: dict
 
 
@@ -207,12 +207,32 @@ def _erratum_banner(entry) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _in_doubles(n: int, rep) -> dict:
+    """A float record's payload: the exact sides as doubles, their exact
+    relative difference as a double, and the exact verdict.
+
+    A side beyond the double range, overflowing or nonzero below the
+    smallest normal double, raises InputError.
+    """
+    lhs, rhs = rep.lhs.coeff, rep.rhs.coeff
+    beyond = f"float evaluation at n={n} exceeds the double range"
+    try:
+        doubles = float(lhs), float(rhs)
+    except OverflowError:
+        raise InputError(f"{beyond} (overflow)") from None
+    if any(0 < abs(side) < sys.float_info.min for side in (lhs, rhs)):
+        raise InputError(f"{beyond} (underflow)")
+    return {"lhs": doubles[0], "rhs": doubles[1],
+            "relDiff": float(abs(lhs - rhs) / max(abs(lhs), abs(rhs))),
+            "passed": rep.verified}
+
+
 def _cmd_verify_master(args) -> Output:
     threads = _threads(args)
     n_values = _parse_range(args.n)
     if (args.coeffs is None) == (args.k is None):
         raise InputError("give exactly one of --coeffs or --k")
-    parse = _parse_rational if args.mode == "exact" else _parse_real
+    parse = _parse_rational if args.mode == "exact" else _parse_decimal
     p = parse(args.p)
 
     weights = None  # the --coeffs vector; --k gives unit weights
@@ -225,49 +245,38 @@ def _cmd_verify_master(args) -> Output:
     else:
         k_values = _parse_range(args.k)
 
+    from .moments import _check_lengths, verify_master
     columns = ["n", "k", "p", "coeffs", "mode", "lhs", "rhs"]
     if args.mode == "exact":
-        from .moments import _check_lengths, verify_master
         out = Emitter(args.format, "verify master", columns + ["verified"],
                       "master n={n} k={k} p={p} coeffs={coeffs} "
                       "lhs={lhs} rhs={rhs} verified={verified}")
     else:
-        from .numeric import _check_terms, verify_master_float
         out = Emitter(args.format, "verify master",
-                      columns + ["abs_diff", "rel_diff", "condition_number",
-                                 "tolerance", "passed"],
+                      columns + ["rel_diff", "passed"],
                       "master-float n={n} k={k} p={p} coeffs={coeffs} "
                       "lhs={lhs} rhs={rhs} relDiff={rel_diff} "
-                      "cond={condition_number} passed={passed}")
+                      "passed={passed}")
     started = time.perf_counter()
     records = []
-    one = Fraction(1) if args.mode == "exact" else 1.0
     for n in n_values:
         for k in k_values:
             if weights is None:  # asked before the k unit weights exist
-                if args.mode == "exact":
-                    _check_lengths(n, k, p)
-                else:
-                    _check_terms(n, k)
-            cs = weights or (one,) * k
+                _check_lengths(n, k, p)
+            cs = weights or (Fraction(1),) * k
             coeff_text = ",".join(str(c) for c in cs)
             params = {"n": n, "k": len(cs), "p": str(p), "coeffs": coeff_text,
                       "mode": args.mode, "threads": threads}
-            row = dict(params)
-            if args.mode == "exact":
-                rep = verify_master(n, cs, p)
-                status = _status(rep.verified)
-                row.update(lhs=rep.lhs, rhs=rep.rhs,
-                           verified=_bool(rep.verified))
-            else:
-                rep = verify_master_float(n, cs, p, tolerance=args.tolerance)
-                status = ("inconclusive" if rep.inconclusive
-                          else _status(rep.passed))
-                row.update(lhs=rep.lhs, rhs=rep.rhs, abs_diff=rep.abs_diff,
-                           rel_diff=rep.rel_diff,
-                           condition_number=rep.condition_number,
-                           tolerance=rep.tolerance, passed=_bool(rep.passed))
-            records.append(Record(params, rep, status, row))
+            rep = verify_master(n, cs, p)
+            payload, row = rep, dict(params, lhs=rep.lhs, rhs=rep.rhs,
+                                     verified=_bool(rep.verified))
+            if args.mode == "float":
+                payload = _in_doubles(n, rep)
+                row.update(lhs=payload["lhs"], rhs=payload["rhs"],
+                           rel_diff=payload["relDiff"],
+                           passed=_bool(rep.verified))
+            records.append(Record(params, payload, _status(rep.verified),
+                                  row))
     out.note = (f"# verify master: {time.perf_counter() - started:.3f}s, "
                 f"threads={threads}")
     return out, records
@@ -531,8 +540,9 @@ def build_parser() -> argparse.ArgumentParser:
     vm.add_argument("--coeffs", help="comma-separated weights, e.g. 1/3,1/3")
     vm.add_argument("--k", help="dimension range (unit weights), e.g. 1..4")
     vm.add_argument("--p", required=True, help="beta shape (a/b; decimal in float mode)")
-    vm.add_argument("--mode", choices=("exact", "float"), default="exact")
-    vm.add_argument("--tolerance", type=_parse_float, default=1e-10)
+    vm.add_argument("--mode", choices=("exact", "float"), default="exact",
+                    help="float: read decimals exactly and show the exact "
+                         "verdict in doubles")
     vm.add_argument("--threads", type=_parse_int, default=1,
                     help="echoed in the output; every run uses one thread")
     _add_format(vm)
@@ -630,10 +640,9 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
     sys.stdout.write(text)
     if out.note:
         _note(out.note)
-    statuses = {record.status for record in records}
-    if "violated" in statuses:
+    if any(record.status == "violated" for record in records):
         return EXIT_STATISTICAL if args.command == "simulate" else EXIT_VIOLATED
-    return EXIT_STATISTICAL if "inconclusive" in statuses else EXIT_OK
+    return EXIT_OK
 
 
 def entry_point() -> None:

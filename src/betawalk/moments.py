@@ -300,8 +300,8 @@ def verify_master(n: int, coeffs, p) -> IdentityReport:
 
     The weights and shape are checked first, then a record over
     ``MOMENT_WORK_BUDGET`` raises InputError before any arithmetic.  A
-    failed comparison is reported, never raised.  The floating-point
-    check for arbitrary real p > 0 is ``numeric.verify_master_float``.
+    failed comparison is reported, never raised.  A decimal p is the
+    rational it writes, so the CLI's float mode runs this check too.
     """
     if n < 1:
         raise InputError("n must be >= 1")

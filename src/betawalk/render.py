@@ -29,10 +29,10 @@ class InputError(ValueError):
     """An input the library documents as out of its range.
 
     ``moments``, ``numeric`` and ``walks`` raise it for a bad argument, a
-    path or work budget that is too small, a walk length beyond int64 and
-    a float result beyond the double range; ``int_str`` and
-    ``fraction_str`` for an exact value too long to print; the CLI for
-    text it cannot parse.  The CLI reports it as a usage error; any other
+    path or work budget that is too small and a walk length beyond int64;
+    ``int_str`` and ``fraction_str`` for an exact value too long to print;
+    the CLI for text it cannot parse and a float-mode side beyond the
+    double range.  The CLI reports it as a usage error; any other
     exception is an internal fault.
     """
 

@@ -61,8 +61,10 @@ _INT64_MAX = (1 << 63) - 1  # the samplers count steps in int64
 # path_count's default bound on _count_work: under 1 s on a 2-vCPU machine
 COUNT_WORK_BUDGET = 50_000_000
 # bound on trials * dim, one draw per trial and axis: at one worker (2 vCPUs)
-# 6-15 ns each (2-4 s), 80-120 ns for walks over 64 steps (20-30 s)
+# 6-15 ns each (2-4 s); a walk over 64 steps draws numpy's binomial, about
+# 120 ns, so each of its draws is charged _WIDE_DRAW (0.7-3 s at the budget)
 SIMULATION_WORK_BUDGET = 250_000_000
+_WIDE_DRAW = 10
 
 
 class _WalkSpecFields(NamedTuple):
@@ -352,10 +354,12 @@ def _power_by_squaring(base, exponent: int, out):
     return out
 
 
-def _check_simulation(trials: int, dim: int, workers: int) -> None:
+def _check_simulation(trials: int, dim: int, workers: int,
+                      draw_cost: int = 1) -> None:
     """Refuse, before the exact reference and any draw, a trial count whose
-    trials * dim exceeds ``SIMULATION_WORK_BUDGET`` and a worker count
-    outside 1..``MAX_WORKERS``."""
+    trials * dim draws, each charged ``draw_cost``, exceed
+    ``SIMULATION_WORK_BUDGET`` and a worker count outside
+    1..``MAX_WORKERS``."""
     if trials < 1:
         raise InputError("trials must be >= 1")
     if workers < 1:
@@ -363,7 +367,7 @@ def _check_simulation(trials: int, dim: int, workers: int) -> None:
     if workers > MAX_WORKERS:
         raise InputError(f"workers must be at most {MAX_WORKERS}")
     check_work(f"simulation of {brief(trials)} trials at dim={brief(dim)}",
-               trials * dim, SIMULATION_WORK_BUDGET, "draws")
+               trials * dim * draw_cost, SIMULATION_WORK_BUDGET, "draws")
 
 
 def _draw(chunk, trials: int, seed: int, workers: int) -> list:
@@ -404,11 +408,12 @@ def simulate_walk(spec: WalkSpec, trials: int, seed: int,
     axis count, Binomial(2n, 1/dim), is the same law for every trial, so
     at dim >= 3 and 2n <= 64 it inverts one raw word against the CDF table
     and its guide, made once per run.  The trial and worker counts are
-    checked first, then the exact reference is computed, so a count over
+    checked first, each draw of a walk over 64 steps charged as
+    ``_WIDE_DRAW``, then the exact reference is computed, so a count over
     its work budget fails before anything is drawn.
     """
     dim, steps = spec.dimension, 2 * spec.half_steps
-    _check_simulation(trials, dim, workers)
+    _check_simulation(trials, dim, workers, 1 if steps <= 64 else _WIDE_DRAW)
     if steps > _INT64_MAX:
         raise InputError(f"the walk length 2n must be at most {_INT64_MAX}")
     reference = return_probability(dim, spec.half_steps)

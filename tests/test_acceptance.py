@@ -4,15 +4,18 @@ Run with  pytest tests/test_acceptance.py -s  to see the per-criterion
 lines and timings.
 """
 
+import contextlib
+import io
 import json
 import math
 import time
 from fractions import Fraction
 
 from betawalk.catalog import CATALOG
+from betawalk.cli import main
 from betawalk.exact import PiRational
 from betawalk.moments import verify_master
-from betawalk.numeric import evaluate_series, verify_master_float
+from betawalk.numeric import evaluate_series
 from betawalk.walks import (
     WalkSpec,
     brute_force_return,
@@ -160,28 +163,42 @@ def test_criterion_5_monte_carlo_statistics():
             "10^6 trials, byte-identical reruns, " + " ".join(checked))
 
 
+def _float_records(argv):
+    """The payloads of ``verify master --mode float``, which exits 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", "master", *argv, "--mode", "float",
+                     "--format", "json"])
+    assert code == 0, argv
+    return [json.loads(line)["payload"] for line in out.getvalue().splitlines()]
+
+
 def test_criterion_6_float_path_calibration():
-    # At every half-integer grid point the positive-term expansion must
-    # match the exact value to 1e-12 and the two-sided check must pass at
-    # its cancellation-scaled tolerance.  (The alternating side alone
-    # cannot meet 1e-12 in doubles: its condition number reaches ~1.5e8
-    # on this grid, so ~1e-8 is the information-theoretic floor there.)
+    # Float mode reads each decimal as the rational it writes and runs the
+    # exact engine: at every grid point, and at the decimal shapes 0.3,
+    # 0.7 and 2.4 over the same weights, both sides are the exact moment
+    # rounded once and the verdict is exact.  (Summed in doubles, the
+    # alternating side has a condition number up to ~1.5e8 on this grid,
+    # and 1.3e19 at n = 20, k = 1.)
     started = time.perf_counter()
-    worst = 0.0
-    for n, k, p, coeffs in _grid_points():
-        exact = float(verify_master(n, coeffs, p).rhs)
-        floats = verify_master_float(n, [float(c) for c in coeffs], float(p))
-        rel = abs(floats.rhs - exact) / exact
-        worst = max(worst, rel)
-        assert rel <= 1e-12, (n, k, str(p), coeffs, rel)
-        assert floats.passed, (n, k, str(p), coeffs)
-    for p in (0.3, 0.7, 2.4):
-        for coeffs in ([1.0], [1.0, 2.0]):
-            for n in range(1, 5):
-                assert verify_master_float(n, coeffs, p).passed, (n, p)
+    points = 0
+    for p_text in (*map(str, P_GRID), "0.3", "0.7", "2.4"):
+        p = Fraction(p_text)
+        for k in range(1, 5):
+            for coeffs in _coeff_choices(k):
+                records = _float_records(
+                    ["--n", "1..6", "--coeffs", ",".join(map(str, coeffs)),
+                     "--p", p_text])
+                for n, record in enumerate(records, 1):
+                    exact = float(verify_master(n, coeffs, p).lhs)
+                    assert record == {"lhs": exact, "rhs": exact,
+                                      "relDiff": 0.0, "passed": True}, \
+                        (n, k, p_text, coeffs)
+                points += len(records)
     elapsed = time.perf_counter() - started
     _report("6 float-path-calibration",
-            f"worst relDiff {worst:.2e} <= 1e-12, general-p points pass, "
+            f"{points} records, each side the exact value rounded once, "
             f"{elapsed:.1f}s")
 
 

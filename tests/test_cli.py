@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from betawalk import catalog
-from betawalk.cli import main
+from betawalk.cli import _parse_decimal, main
+from betawalk.moments import verify_master
 from betawalk.render import brief
 from betawalk.walks import MAX_WORKERS
 
@@ -172,13 +173,65 @@ def test_verify_master_float_mode(capsys):
     code, out, _ = run_cli(capsys, "verify", "master", "--n", "2",
                            "--coeffs", "1,2", "--p", "0.7", "--mode", "float")
     assert code == 0
-    assert "passed=true" in out
+    assert "p=7/10 coeffs=1,2 " in out
+    assert "relDiff=0.0 passed=true" in out
+
+
+def test_verify_master_float_verdict_is_exact_at_every_record(capsys):
+    # float mode reads 0.7 as 7/10 and runs the exact engine, so every
+    # record passes, however badly an alternating sum in doubles would
+    # cancel (condition number 1.3e19 at n = 20, k = 1), and shows the
+    # exact sides rounded once
+    code, out, _ = run_cli(capsys, "verify", "master", "--n", "1..20",
+                           "--k", "1..3", "--p", "0.7", "--mode", "float",
+                           "--format", "json")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == 0
+    assert len(records) == 60
+    for record in records:
+        n, k = record["parameters"]["n"], record["parameters"]["k"]
+        exact = verify_master(n, (1,) * k, Fraction(7, 10)).lhs.coeff
+        assert record["status"] == "ok"
+        assert record["payload"] == {"lhs": float(exact), "rhs": float(exact),
+                                     "relDiff": 0.0, "passed": True}
+
+
+def test_verify_master_float_cancellation_is_inconclusive(capsys):
+    # an alternating sum in doubles puts this lhs near 1e27 against a true
+    # 2.78e20, so a double engine could only call it inconclusive; the
+    # exact engine decides it, and no record is inconclusive any more
+    exact = float(verify_master(25, (1, 1, 1), Fraction(7, 10)).lhs.coeff)
+    code, out, _ = run_cli(capsys, "verify", "master", "--n", "25",
+                           "--coeffs", "1,1,1", "--p", "0.7", "--mode", "float")
+    assert code == 0
+    assert "passed=true" in out and "passed=false" not in out
+    code, out, _ = run_cli(capsys, "verify", "master", "--n", "25",
+                           "--coeffs", "1,1,1", "--p", "0.7", "--mode", "float",
+                           "--format", "json")
+    record = json.loads(out)
+    assert code == 0
+    assert record["status"] == "ok"
+    assert record["payload"] == {"lhs": exact, "rhs": exact, "relDiff": 0.0,
+                                 "passed": True}
+
+
+def test_verify_master_float_large_case_is_quick_and_inconclusive(capsys):
+    # C(88, 8) + C(47, 7) terms at n = 40, where the sums in doubles lose
+    # every digit; the exact engine passes the whole run 25..40 quickly
+    for coeffs in ("1,1,1", "1,1,1,1,1,1,1,1"):
+        started = time.perf_counter()
+        code, out, _ = run_cli(capsys, "verify", "master", "--n", "25..40",
+                               "--coeffs", coeffs, "--p", "0.7",
+                               "--mode", "float")
+        assert time.perf_counter() - started < 2.0
+        assert code == 0
+        assert out.count("passed=true") == 16
 
 
 def test_verify_master_float_overflow_is_a_usage_error(capsys):
-    # 40..80 overflows at n=45: the records for smaller n are not printed;
-    # 1e308,1e308 overflows the weight sum, 1e308 its powers; the sides at
-    # 1e-200 (about 1e-800) underflow to 0
+    # 40..80 overflows at n=52: the records for smaller n are not printed;
+    # 1e308,1e308 and 1e308 overflow at n=2; the sides at 1e-200 (about
+    # 1e-800) are nonzero below the smallest normal double
     for n, coeffs in (("200", "1000"), ("40..80", "1000"),
                       ("2", "1e308,1e308"), ("2", "1e308"), ("2", "1e-200")):
         code, out, err = run_cli(capsys, "verify", "master", "--n", n,
@@ -190,70 +243,10 @@ def test_verify_master_float_overflow_is_a_usage_error(capsys):
         assert err.count("\n") == 1
 
 
-def test_verify_master_float_cancellation_is_inconclusive(capsys):
-    # the raw side's lhs comes out near 1e27 against a true 2.78e20
-    code, out, _ = run_cli(capsys, "verify", "master", "--n", "25",
-                           "--coeffs", "1,1,1", "--p", "0.7", "--mode", "float")
-    assert code == 3
-    assert "passed=false" in out and "passed=true" not in out
-    code, out, _ = run_cli(capsys, "verify", "master", "--n", "25",
-                           "--coeffs", "1,1,1", "--p", "0.7", "--mode", "float",
-                           "--format", "json")
-    record = json.loads(out)
-    assert code == 3
-    assert record["status"] == "inconclusive"
-    assert record["payload"]["passed"] is False
-
-
-def test_verify_master_float_large_case_is_quick_and_inconclusive(capsys):
-    # C(88, 8) + C(47, 7) terms summed one by one; two series products here
-    started = time.perf_counter()
-    code, out, _ = run_cli(capsys, "verify", "master", "--n", "40",
-                           "--coeffs", "1,1,1,1,1,1,1,1", "--p", "0.7",
-                           "--mode", "float")
-    assert time.perf_counter() - started < 1.0
-    assert code == 3
-    assert "passed=false" in out
-
-
-def test_verify_master_float_violation_outranks_inconclusive(capsys,
-                                                            monkeypatch):
-    from betawalk import numeric
-    violated = numeric.FloatVerification(1.0, 2.0, 1.0, 0.5, 1.0, 1e-10, False,
-                                         1e-15)
-    inconclusive = numeric.FloatVerification(1.0, 2.0, 1.0, 0.5, 1e11, 1e-10,
-                                             False, 1e-15)
-    argv = ("verify", "master", "--coeffs", "1", "--p", "0.7", "--mode",
-            "float", "--format", "json", "--n")
-    monkeypatch.setattr(numeric, "verify_master_float",
-                        lambda n, *_, **__: (violated if n == 1
-                                             else inconclusive))
-    code, out, _ = run_cli(capsys, *argv, "1..2")
-    assert [json.loads(line)["status"] for line in out.splitlines()] == [
-        "violated", "inconclusive"]
-    assert code == 1
-    assert run_cli(capsys, *argv, "2")[0] == 3
-
-
-@pytest.mark.parametrize("argv", [
-    # the rounding noise, 16 (n + k) 2^-53 * cond, reaches 1 at cond 3.75e24
-    ["--n", "25", "--coeffs", "1,1,1", "--tolerance", "1e-30"],
-    # relDiff / cond stays below 1.3e-17, inside the rounding noise
-    ["--n", "1..4", "--coeffs", "1,2,3", "--tolerance", "0"],
-])
-def test_verify_master_float_below_rounding_is_inconclusive(capsys, argv):
-    code, out, _ = run_cli(capsys, "verify", "master", *argv, "--p", "0.7",
-                           "--mode", "float", "--format", "json")
-    records = [json.loads(line) for line in out.splitlines()]
-    assert code == 3
-    assert records and all(r["status"] == "inconclusive" for r in records)
-    assert not any(r["payload"]["passed"] for r in records)
-
-
 @pytest.mark.parametrize("argv", [
     ["--coeffs", "1,2", "--p", "inf"],
     ["--coeffs", "1,2", "--p", "nan"],
-    ["--coeffs", "1,2", "--p", "1e999"],
+    ["--coeffs", "1,2", "--p", "Infinity"],
     ["--coeffs", "1,inf", "--p", "0.7"],
     ["--coeffs", "1,-inf", "--p", "0.7"],
 ])
@@ -262,19 +255,58 @@ def test_verify_master_float_non_finite_input_is_a_usage_error(capsys, argv):
                              "--mode", "float")
     assert code == 2
     assert out == ""
-    assert "expected a finite number" in err
+    assert "expected a rational or a finite decimal" in err
     assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1e-10"])
 def test_verify_master_float_bad_tolerance_is_a_usage_error(capsys, tolerance):
-    code, out, err = run_cli(capsys, "verify", "master", "--n", "2",
-                             "--coeffs", "1,2", "--p", "0.7", "--mode", "float",
-                             f"--tolerance={tolerance}")
-    assert code == 2
-    assert out == ""
-    assert "--tolerance must be finite and >= 0" in err
-    assert err.count("\n") == 1
+    # float mode decides by exact equality, so --tolerance is gone: any
+    # value, a bad one too, is an unknown argument
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "master", "--n", "2", "--coeffs", "1,2", "--p", "0.7",
+              "--mode", "float", f"--tolerance={tolerance}"])
+    out, err = capsys.readouterr()
+    assert (info.value.code, out) == (2, "")
+    assert err.endswith(f"unrecognized arguments: --tolerance={tolerance}\n")
+
+
+@pytest.mark.parametrize("text, value", [
+    ("0.7", Fraction(7, 10)), (".5", Fraction(1, 2)),
+    ("1e999", Fraction(10 ** 999)), ("7/10", Fraction(7, 10)),
+    ("-1e-3", Fraction(-1, 1000)), ("2.", Fraction(2)),
+])
+def test_parse_decimal_reads_the_exact_value(text, value):
+    assert _parse_decimal(text) == value
+
+
+@pytest.mark.parametrize("text, message", [
+    ("nan", "expected a rational or a finite decimal, got 'nan'"),
+    ("inf", "expected a rational or a finite decimal, got 'inf'"),
+    ("1e1000", "expected a rational or a finite decimal, got '1e1000'"),
+    ("0x1p-3", "expected a rational or a finite decimal, got '0x1p-3'"),
+    ("1_0", "expected a rational or a finite decimal, got '1_0'"),
+    ("7" * 5000 + ".5", "Exceeds the limit (4300 digits) for integer "
+                        "string conversion"),
+    # refused on its syntax, before 10^1000000000 is built
+    ("1e-1000000000",
+     "expected a rational or a finite decimal, got '1e-1000000000'"),
+], ids=["nan", "inf", "1e1000", "hex", "underscore", "5002-characters",
+        "huge-exponent"])
+def test_parse_decimal_refuses_with_one_line(capsys, text, message):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    started = time.perf_counter()
+    try:
+        code, out, err = run_cli(capsys, "verify", "master", "--n", "1",
+                                 "--coeffs", "1", "--p", text,
+                                 "--mode", "float")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert time.perf_counter() - started < 2.0
+    assert (code, out) == (2, "")
+    assert err.startswith(f"betawalk: error: {message}")
+    assert err.count("\n") == 1 and len(err) < 300
 
 
 def test_verify_equal_coeff(capsys):
@@ -329,8 +361,6 @@ def test_an_integer_option_quotes_a_prefix_of_its_argument(capsys, argv,
 
 
 @pytest.mark.parametrize("argv, option", [
-    (["verify", "master", "--n", "1", "--coeffs", "1", "--p", "0.5",
-      "--mode", "float"], "--tolerance"),
     (["series", "--n", "1", "--variant", "printed"], "--cutoff"),
 ])
 def test_a_float_option_quotes_a_prefix_of_its_argument(capsys, argv,
@@ -725,8 +755,8 @@ def test_rejected_inputs_keep_exit_2_and_their_message(capsys):
             # a parse error quotes a prefix of the argument
             (["verify", "master", "--n", "1", "--coeffs", "1",
               "--p", f"{long_int}.5", "--mode", "float"],
-             f"expected a finite number, got '{long_int[:40]}'... "
-             "(5002 characters)"),
+             "Exceeds the limit (4300 digits) for integer string "
+             "conversion"),
             (["verify", "master", "--n", "1", "--coeffs", "1",
               "--p", f"{long_int}.5"],
              f"expected an integer or a/b rational, got '{long_int[:40]}'"
@@ -760,8 +790,13 @@ def test_rejected_inputs_keep_exit_2_and_their_message(capsys):
              "operations (budget is 16000000)"),
             (["verify", "master", "--n", huge, "--coeffs", "1", "--p", "0.5",
               "--mode", "float"],
-             "float record at n=10^4000.0, k=1 needs about 10^8000.3 terms "
-             "(budget is 4000000)"),
+             "master record at n=10^4000.0, k=1 needs about 10^12002.7 limb "
+             "operations (budget is 16000000)"),
+            # a walk over 64 steps draws numpy's binomial, charged as 10
+            (["simulate", "walk", "--dim", "1", "--n", "33", "--trials",
+              "25000001"],
+             "simulation of 25000001 trials at dim=1 needs about 250000010 "
+             "draws (budget is 250000000)"),
             (["compute", "moment", "--n", huge, "--p", "1/3"],
              "even moment at n=10^4000.0 needs about 10^4002.0 limb "
              "operations (budget is 16000000)"),
@@ -887,7 +922,7 @@ def test_odd_path_count_prints_every_format(capsys):
      "workers must be at most 1024"),
     (["verify", "master", "--n", "1", "--k", "100000000", "--p", "0.5",
       "--mode", "float"],
-     "float record at n=1, k=100000000 needs about"),
+     "master record at n=1, k=100000000 needs about"),
     (["series", "--n", "0", "--variant", "printed", "--max-terms", "1000001"],
      "max_terms must be at most 1000000"),
     (["verify", "equal-coeff", "--n", "1", "--k", "1", "--p", "2000001/2"],
@@ -908,7 +943,7 @@ def test_inputs_beyond_a_library_bound_exit_2_at_once(capsys, argv, message):
 @pytest.mark.parametrize("shape, refusal", [
     (["--p", "1/2"], "master record at n=1, k=100000000 needs about"),
     (["--mode", "float", "--p", "0.5"],
-     "float record at n=1, k=100000000 needs about"),
+     "master record at n=1, k=100000000 needs about"),
 ], ids=["exact", "float"])
 def test_huge_k_is_refused_before_its_weights_exist(shape, refusal):
     # the child alone runs under a 256 MiB address-space limit: the 10^8
@@ -952,15 +987,10 @@ def test_cli_checks_keep_exit_2_and_their_message(capsys):
          "n must be >= 1"),
         (["verify", "master", "--n", "0..1", "--coeffs", "1", "--p", "0.5",
           "--mode", "float"], "n must be >= 1"),
-        (master + ["--coeffs", "1", "--p", "0.5", "--mode", "float",
-                   "--tolerance=-1"], "--tolerance must be finite and >= 0"),
         # a negative value given as a separate argument is a value too
         (master + ["--coeffs", "1", "--p", "-1/2"], "p must be > 0"),
         (master + ["--coeffs", "-1/2", "--p", "1/2"],
          "coefficients must be positive"),
-        (master + ["--coeffs", "1", "--p", "0.5", "--mode", "float",
-                   "--tolerance", "-1e-3"],
-         "--tolerance must be finite and >= 0"),
         (["verify", "equal-coeff", "--n", "1", "--k", "1", "--p", "-1/2"],
          "p must be > 0"),
         (["compute", "moment", "--n", "2", "--p", "-1/2"], "p must be > 0"),
@@ -1007,8 +1037,8 @@ def test_cli_checks_keep_exit_2_and_their_message(capsys):
     (["verify", "equal-coeff", "--n", "1", "--k", "1"], "--p", "-1/2"),
     (["compute", "moment", "--n", "1"], "--p", "-1/2"),
     (["verify", "master", "--n", "1", "--p", "1/2"], "--coeffs", "-1/2"),
-    (["verify", "master", "--n", "1", "--coeffs", "1", "--p", "0.5",
-      "--mode", "float"], "--tolerance", "-1e-3"),
+    (["verify", "master", "--n", "1", "--coeffs", "1", "--mode", "float"],
+     "--p", "-1e-3"),
     (["series", "--n", "1", "--variant", "printed"], "--cutoff", "-1e-5"),
 ])
 def test_negative_value_as_a_separate_argument_is_its_equals_form(

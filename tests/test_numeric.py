@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import math
 from fractions import Fraction
 
@@ -5,14 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betawalk.moments import verify_master
 from betawalk import numeric
-from betawalk.numeric import (
-    FLOAT_WORK_BUDGET,
-    SERIES_VARIANTS,
-    evaluate_series,
-    verify_master_float,
-)
+from betawalk.cli import main
+from betawalk.moments import verify_master
+from betawalk.numeric import SERIES_VARIANTS, evaluate_series
 from betawalk.render import SERIES_MAX_TERMS, InputError
 
 from compositions import pochhammer
@@ -29,71 +28,89 @@ def series_term_oracle(n: int, k: int, variant: str) -> Fraction:
     return value
 
 
+# Float mode has no engine of its own: it reads each decimal as the rational
+# it writes, runs the exact engine, and shows the sides as doubles.
+
+
+def float_run(n, coeffs, p):
+    """Exit code and JSON payloads of ``verify master --mode float``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", "master", "--n", str(n), "--coeffs",
+                     ",".join(coeffs), "--p", p, "--mode", "float",
+                     "--format", "json"])
+    return code, [json.loads(line)["payload"]
+                  for line in out.getvalue().splitlines()]
+
+
+def float_record(n, coeffs, p):
+    """The one record of a float-mode run that exits 0."""
+    code, (payload,) = float_run(n, coeffs, p)
+    assert code == 0
+    return payload
+
+
 def test_verify_master_float_against_quadrature_oracle():
     mpmath = pytest.importorskip("mpmath")
-    n, p = 2, 0.3
+    n = 2
     with mpmath.workdps(40):
         pf = mpmath.mpf("0.3")
         integral = mpmath.quad(
             lambda x: (2 * x - 1) ** (2 * n) * x ** (pf - 1)
             * (1 - x) ** (pf - 1), [0, 0.5, 1])
         oracle = float(integral / mpmath.beta(pf, pf))
-    result = verify_master_float(n, [1.0], p)
-    assert result.passed
-    assert result.lhs == pytest.approx(oracle, rel=1e-10)
-    assert result.rhs == pytest.approx(oracle, rel=1e-12)
+    result = float_record(n, ["1"], "0.3")
+    assert result["passed"]
+    assert result["lhs"] == result["rhs"] == pytest.approx(oracle, rel=1e-14)
 
 
 def test_verify_master_float_known_exact_values():
-    result = verify_master_float(1, [1.0], 1.0)
-    assert result.passed
-    assert result.rhs == pytest.approx(1 / 3, rel=1e-13)
-
-    result = verify_master_float(3, [0.5, 0.5], 0.5)
-    assert result.passed
+    assert float_record(1, ["1"], "1")["rhs"] == 1 / 3
+    result = float_record(3, ["0.5", "0.5"], "0.5")
     exact = verify_master(3, [Fraction(1, 2)] * 2, "1/2").rhs
     assert exact.coeff == Fraction(25, 256)
-    assert result.rhs == pytest.approx(float(exact), rel=1e-13)
-    assert result.lhs == pytest.approx(float(exact), rel=1e-9)
+    assert result["lhs"] == result["rhs"] == 25 / 256
 
 
 def test_verify_master_float_calibration_subgrid():
-    # well-conditioned side must match bit-exact values to 1e-12
+    # each side is the exact value rounded once
     for n in (1, 2, 3):
-        for p in (Fraction(1, 2), Fraction(1), Fraction(2)):
-            for coeffs in ([Fraction(1)], [Fraction(1), Fraction(2)]):
+        for p in ("1/2", "1", "2"):
+            for coeffs in (["1"], ["1", "2"]):
                 exact = float(verify_master(n, coeffs, p).rhs)
-                fv = verify_master_float(n, [float(c) for c in coeffs],
-                                         float(p))
-                assert fv.passed
-                assert abs(fv.rhs - exact) / exact <= 1e-12
-
-
-def test_verify_master_float_general_p_points():
-    for p in (0.3, 0.7, 2.4):
-        for coeffs in ([1.0], [1.0, 2.0]):
-            for n in (1, 2, 3, 4):
-                assert verify_master_float(n, coeffs, p).passed
-
-
-def test_verify_master_float_pass_rule_is_condition_scaled():
-    fv = verify_master_float(4, [1.0, 1.0, 1.0], 0.5)
-    scaled = fv.tolerance * fv.condition_number
-    assert fv.passed == (scaled < 1 and fv.rel_diff <= scaled)
-    assert fv.inconclusive == (scaled >= 1)
-    assert fv.condition_number >= 1.0
-    assert fv.abs_diff == abs(fv.lhs - fv.rhs)
+                result = float_record(n, coeffs, p)
+                assert result == {"lhs": exact, "rhs": exact, "relDiff": 0.0,
+                                  "passed": True}
 
 
 def test_verify_master_float_cancellation_is_inconclusive():
-    # the alternating side loses every digit: its lhs is off by orders of
-    # magnitude, and the condition number, taken against the positive rhs,
-    # says so
-    fv = verify_master_float(25, [1.0, 1.0, 1.0], 0.7)
+    # the alternating side, summed in doubles, loses every digit here; read
+    # exactly, both sides are the exact value rounded once and the record
+    # passes instead of being left inconclusive
     exact = float(verify_master(25, [1, 1, 1], Fraction(7, 10)).lhs)
-    assert fv.rhs == pytest.approx(exact, rel=1e-13)
-    assert fv.tolerance * fv.condition_number >= 1
-    assert fv.inconclusive and not fv.passed
+    assert exact == pytest.approx(2.776429657378975e20, rel=1e-15)
+    assert float_record(25, ["1", "1", "1"], "0.7") == {
+        "lhs": exact, "rhs": exact, "relDiff": 0.0, "passed": True}
+
+
+@pytest.mark.parametrize("tolerance", [-1.0, math.nan, math.inf])
+def test_verify_master_float_refuses_a_bad_tolerance(capsys, tolerance):
+    # a float record is decided by exact equality, so there is no tolerance
+    # to check: --tolerance, given as a separate argument, is a usage error
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "master", "--n", "2", "--coeffs", "1,2", "--p", "0.7",
+              "--mode", "float", "--tolerance", str(tolerance)])
+    out, err = capsys.readouterr()
+    assert (info.value.code, out) == (2, "")
+    assert err.endswith(f"unrecognized arguments: --tolerance {tolerance}\n")
+
+
+def test_verify_master_float_general_p_points():
+    for p in ("0.3", "0.7", "2.4"):
+        for coeffs in (["1"], ["1", "2"]):
+            for n in (1, 2, 3, 4):
+                assert float_record(n, coeffs, p)["passed"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -105,27 +122,12 @@ def test_float_verdict_is_honest_against_the_exact_value(p_hundredths,
     # decimal p and weights as typed are exact rationals, so the exact
     # engine gives the true value of both sides
     p_text = f"{p_hundredths / 100:.2f}"
-    coeffs = [Fraction(w, 10) for w in weights]
-    fv = verify_master_float(n, [float(c) for c in coeffs], float(p_text))
-    scaled = fv.tolerance * fv.condition_number
-    assert not (fv.passed and scaled >= 1)
-    assert fv.inconclusive == (scaled >= 1)
-    if fv.passed:
-        exact = float(verify_master(n, coeffs, Fraction(p_text)).lhs)
-        assert abs(fv.lhs - exact) <= scaled * exact
-        assert abs(fv.rhs - exact) <= scaled * exact
-
-
-def test_verify_master_float_rounding_floor():
-    fv = verify_master_float(1, [1.0, 2.0, 3.0], 0.7, tolerance=0.0)
-    assert fv.rounding_bound == 16 * (1 + 3) * 2.0 ** -53
-    assert 0 < fv.rel_diff <= fv.rounding_bound * fv.condition_number
-    assert fv.inconclusive and not fv.passed
-    # above the rounding floor the tolerance decides, as before
-    assert verify_master_float(1, [1.0, 2.0, 3.0], 0.7).passed
-    # a difference beyond tolerance and floor is a violation
-    fv = fv._replace(rel_diff=1e-10)
-    assert not fv.inconclusive and not fv.passed
+    coeffs = [f"{w / 10:.1f}" for w in weights]
+    result = float_record(n, coeffs, p_text)
+    exact = float(verify_master(n, [Fraction(c) for c in coeffs],
+                                Fraction(p_text)).lhs)
+    assert result == {"lhs": exact, "rhs": exact, "relDiff": 0.0,
+                      "passed": True}
 
 
 @settings(max_examples=60, deadline=None)
@@ -134,74 +136,31 @@ def test_verify_master_float_rounding_floor():
        n=st.integers(1, 40))
 def test_float_verdict_at_zero_tolerance_never_violated(p_hundredths,
                                                          weights, n):
-    # the identity holds for the doubles as given, so at any tolerance a
-    # record is passed or inconclusive, never violated
-    coeffs = [w / 10 for w in weights]
-    try:
-        fv = verify_master_float(n, coeffs, p_hundredths / 100,
-                                 tolerance=0.0)
-    except ValueError:  # beyond the double range
-        return
-    assert fv.passed or fv.inconclusive
+    # the verdict is exact equality, so a record passes or, beyond the
+    # double range, is refused; it is never violated
+    code, records = float_run(n, [f"{w / 10:.1f}" for w in weights],
+                              f"{p_hundredths / 100:.2f}")
+    assert code in (0, 2)
+    assert all(r["passed"] and r["relDiff"] == 0.0 for r in records)
 
 
 def test_verify_master_float_validation():
-    with pytest.raises(ValueError):
-        verify_master_float(0, [1.0], 1.0)
-    with pytest.raises(ValueError):
-        verify_master_float(1, [1.0], 0.0)
-    with pytest.raises(ValueError):
-        verify_master_float(1, [], 1.0)
-    with pytest.raises(ValueError):
-        verify_master_float(1, [0.0], 1.0)
+    for n, coeffs, p in ((0, ["1"], "1"), (1, ["1"], "0.0"),
+                         (1, [], "1"), (1, ["0.0"], "1")):
+        assert float_run(n, coeffs, p) == (2, [])
 
 
-def _moment_product_by_comb(factors):
-    """The binomial convolution with each C(d, i) from math.comb, term by
-    term: the shared double rows must give the very same doubles."""
-    product = factors[0]
-    for factor in factors[1:]:
-        product = [math.fsum(math.comb(d, i) * product[i] * factor[d - i]
-                             for i in range(d + 1))
-                   for d in range(len(product))]
-    return product
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 60).flatmap(lambda length: st.lists(
-    st.lists(st.floats(-1e30, 1e30), min_size=length, max_size=length),
-    min_size=1, max_size=5)))
-def test_moment_product_equals_the_comb_convolution(factors):
-    rows = numeric._binomial_rows(len(factors[0]))
-    assert numeric._moment_product(factors, rows) == \
-        _moment_product_by_comb(factors)
-
-
-@pytest.mark.parametrize("tolerance", [-1.0, math.nan, math.inf])
-def test_verify_master_float_refuses_a_bad_tolerance(tolerance):
-    with pytest.raises(InputError, match="--tolerance must be finite"):
-        verify_master_float(2, [1.0, 2.0], 0.7, tolerance=tolerance)
-
-
-def _float_charge(n, k):
-    return k * (2 * n + 1) * (n + 9)
-
-
-def test_float_budget_holds_at_its_edge(monkeypatch):
-    # the constant's edge at n = 10, asked without building a weight
-    last = FLOAT_WORK_BUDGET // _float_charge(10, 1)
-    assert last == 10025
-    numeric._check_terms(10, last)
-    with pytest.raises(InputError, match="float record at n=10, k=10026"):
-        numeric._check_terms(10, last + 1)
-    # a whole record at an edge small enough to run: the last admitted k
-    # gives a verdict, the next is refused before any series exists
-    monkeypatch.setattr(numeric, "FLOAT_WORK_BUDGET", _float_charge(3, 5))
-    assert verify_master_float(3, [1.0] * 5, 0.5).passed
-    monkeypatch.setattr(numeric, "_binomial_rows", None)  # never reached
-    with pytest.raises(InputError, match=f"float record at n=3, k=6 needs "
-                                         f"about {_float_charge(3, 6)} terms"):
-        verify_master_float(3, [1.0] * 6, 0.5)
+def test_float_budget_holds_at_its_edge():
+    # a float record is charged as the exact record it runs: at --coeffs 1
+    # --p 0.7 the last admitted n is 233
+    assert float_record(233, ["1"], "0.7")["passed"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["verify", "master", "--n", "234", "--coeffs", "1",
+                     "--p", "0.7", "--mode", "float"]) == 2
+    assert err.getvalue() == (
+        "betawalk: error: master record at n=234, k=1 needs about 16001620 "
+        "limb operations (budget is 16000000)\n")
 
 
 def test_series_terms_match_rising_factorial_oracle():

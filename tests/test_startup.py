@@ -67,12 +67,21 @@ def test_exact_verify_master_loads_no_float_walk_or_catalog_layer():
                          "betawalk.catalog"}
 
 
-def test_float_verify_master_loads_no_exact_moment_layer():
+def test_float_verify_master_loads_the_exact_layers_alone():
+    # float mode runs the exact engine; the series layer stays unloaded
     loaded = loaded_after("verify", "master", "--n", "2", "--coeffs", "1,2",
                           "--p", "0.7", "--mode", "float", "--threads", "1")
-    assert "betawalk.numeric" in loaded
-    assert not loaded & {"betawalk.moments", "betawalk.walks",
+    assert {"betawalk.moments", "betawalk.exact"} <= loaded
+    assert not loaded & {"betawalk.numeric", "betawalk.walks",
                          "betawalk.catalog"}
+
+
+def test_series_loads_numeric_but_no_moment_layer():
+    loaded = loaded_after("series", "--n", "0", "--variant", "printed",
+                          "--max-terms", "10")
+    assert "betawalk.numeric" in loaded
+    assert not loaded & {"betawalk.moments", "betawalk.exact",
+                         "betawalk.walks"}
 
 
 PUBLIC_NAMES = """
@@ -98,7 +107,7 @@ print(json.dumps(report))
 def test_public_names_resolve_to_their_submodule_objects():
     report = run_fresh(PUBLIC_NAMES, json.dumps(LAYERS))
     assert report["import"] == ["betawalk"]
-    assert len(report["all"]) == len(set(report["all"])) == 25
+    assert len(report["all"]) == len(set(report["all"])) == 23
     assert set(report["all"]) <= set(report["dir"])
     assert set(LAYERS) <= set(report["dir"])
     # each exported name is the very object its one home module exports
@@ -126,6 +135,8 @@ report = {"import": loaded()}
 for argv in (
     ["verify", "master", "--n", "1..3", "--coeffs", "1,2", "--p", "1/2",
      "--threads", "1"],
+    ["verify", "master", "--n", "2", "--coeffs", "1,2", "--p", "0.7",
+     "--mode", "float", "--threads", "1"],
     ["compute", "path-count", "--dim", "3", "--steps", "4"],
     ["oracle", "--dim", "2", "--steps", "4"],
     ["catalog", "verify", "all"],
@@ -191,13 +202,13 @@ def stdlib_loaded_after(argv):
 def test_library_commands_load_no_dataclasses_or_inspect():
     # the records are NamedTuples; of these modules only numpy, in a
     # simulation, still loads inspect
-    assert stdlib_loaded_after(EXACT_MASTER) == ["betawalk.exact"]
-    assert stdlib_loaded_after(CATALOG_ALL) == ["betawalk.exact"]
+    for argv in (EXACT_MASTER, FLOAT_MASTER, CATALOG_ALL):
+        assert stdlib_loaded_after(argv) == ["betawalk.exact"], argv
 
 
-def test_walk_and_float_commands_load_no_exact_layer():
-    # walks and numeric take binomials from math.comb
-    for argv in (PATH_COUNT, ORACLE, FLOAT_MASTER):
+def test_walk_commands_load_no_exact_layer():
+    # walks takes binomials from math.comb
+    for argv in (PATH_COUNT, ORACLE):
         assert stdlib_loaded_after(argv) == [], argv
 
 
@@ -218,7 +229,7 @@ def test_the_package_defines_one_exception_class():
     assert errors == ["render.InputError"]
 
 
-def test_the_cli_imports_no_private_library_name_but_the_two_prechecks():
+def test_the_cli_imports_no_private_library_name_but_the_precheck():
     # the library owns every rule; the CLI reaches past a module's public
     # names only to ask a budget before it builds k unit weights
     private = set()
@@ -227,7 +238,7 @@ def test_the_cli_imports_no_private_library_name_but_the_two_prechecks():
             private.update(f"{node.module}.{alias.name}"
                            for alias in node.names
                            if alias.name.startswith("_"))
-    assert private == {"moments._check_lengths", "numeric._check_terms"}
+    assert private == {"moments._check_lengths"}
 
 
 def _bound(node):

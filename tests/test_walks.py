@@ -659,6 +659,11 @@ def test_simulation_bounds_hold_at_their_edge(monkeypatch):
         simulate_beta_moment(3, 1, 1001, 0, workers=3)
     with pytest.raises(InputError, match="workers must be at most 3"):
         simulate_walk(WalkSpec(3, 1), 1000, 0, workers=4)
+    # a walk over 64 steps draws numpy's binomial, each draw charged as 10
+    assert simulate_walk(WalkSpec(3, 32), 1000, 0).trials == 1000
+    assert simulate_walk(WalkSpec(3, 33), 100, 0).trials == 100
+    with pytest.raises(InputError, match="needs about 3030 draws"):
+        simulate_walk(WalkSpec(3, 33), 101, 0)
 
 
 def test_pool_has_at_most_one_thread_per_cpu(monkeypatch):
