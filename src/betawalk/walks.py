@@ -20,10 +20,10 @@ Binomial(count, 1/2), and the walk is home when every axis balances; most
 draws take one raw 64-bit word each.  The beta sampler draws the matching
 arcsine-beta moment from float32 variates, one axis at a time.  Each block
 of trials draws from its own PCG64DXSM stream, keyed by seed and block.
-Both samplers refuse more than ``SIMULATION_WORK_BUDGET`` draws or
-``MAX_WORKERS`` workers before they start.  Only the Monte Carlo functions
-use numpy, and they import it when they run, so the exact functions load
-neither numpy nor a thread pool.
+Both samplers refuse more than ``SIMULATION_WORK_BUDGET`` draws,
+``MAX_WORKERS`` workers or a seed outside 0..2^64-1 before they start.
+Only the Monte Carlo functions use numpy, and they import it when they run,
+so the exact functions load no numpy and start no thread.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ __all__ = [
 _CHUNK = 1 << 14  # trials per block, each block with its own stream
 _GUIDE_SHIFT = 52  # a first-axis word's guide cell is its top 12 bits
 _INT64_MAX = (1 << 63) - 1  # the samplers count steps in int64
+_SEED_MAX = (1 << 64) - 1  # a seed is one 64-bit word
 # path_count's default bound on _count_work: under 1 s on a 2-vCPU machine
 COUNT_WORK_BUDGET = 50_000_000
 # bound on trials * dim, one draw per trial and axis: at one worker (2 vCPUs)
@@ -278,8 +279,7 @@ def brute_force_return(dim: int, half_steps: int,
 def _block_rng(seed: int, block: int) -> "np.random.Generator":
     import numpy as np
 
-    root = np.random.SeedSequence(entropy=seed & 0xFFFFFFFFFFFFFFFF,
-                                  spawn_key=(block,))
+    root = np.random.SeedSequence(entropy=seed, spawn_key=(block,))
     return np.random.Generator(np.random.PCG64DXSM(root))
 
 
@@ -354,14 +354,18 @@ def _power_by_squaring(base, exponent: int, out):
     return out
 
 
-def _check_simulation(trials: int, dim: int, workers: int,
+def _check_simulation(trials: int, dim: int, seed: int, workers: int,
                       draw_cost: int = 1) -> None:
     """Refuse, before the exact reference and any draw, a trial count whose
     trials * dim draws, each charged ``draw_cost``, exceed
-    ``SIMULATION_WORK_BUDGET`` and a worker count outside
+    ``SIMULATION_WORK_BUDGET``, a seed outside 0..``_SEED_MAX`` (one
+    stream per seed, none shared by two seeds) and a worker count outside
     1..``MAX_WORKERS``."""
     if trials < 1:
         raise InputError("trials must be >= 1")
+    if not 0 <= seed <= _SEED_MAX:
+        raise InputError(f"seed must lie in 0..{_SEED_MAX}, "
+                         f"got {brief(seed)}")
     if workers < 1:
         raise InputError("workers must be >= 1")
     if workers > MAX_WORKERS:
@@ -375,22 +379,42 @@ def _draw(chunk, trials: int, seed: int, workers: int) -> list:
 
     Block b holds the trials from b * ``_CHUNK`` on, at most ``_CHUNK`` of
     them, and draws from its own PCG64DXSM stream, seeded by the
-    SeedSequence of (seed, b).  One worker runs the blocks in a loop; more
-    share a pool of at most one thread per CPU.  So for fixed (seed,
+    SeedSequence of (seed, b).  One worker runs the blocks in a loop.  More
+    run on T = min(workers, CPUs) threads, the caller and T - 1 helpers:
+    thread t takes blocks t, t + T, t + 2T, ..., stores each result at its
+    block's index, and an exception raised in any thread is raised again
+    in the caller once every helper has ended.  So for fixed (seed,
     trials) every run is bit-identical, whatever the worker count.
     """
     def run(block: int):
         return chunk(_block_rng(seed, block),
                      min(_CHUNK, trials - block * _CHUNK))
 
-    blocks = range(-(-trials // _CHUNK))
+    blocks = -(-trials // _CHUNK)
     if workers == 1:
-        return list(map(run, blocks))
-    from concurrent.futures import ThreadPoolExecutor
+        return list(map(run, range(blocks)))
+    import threading  # numpy has loaded it already
 
-    threads = min(workers, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, blocks))
+    stride = min(workers, os.cpu_count() or 1)
+    results, errors = [None] * blocks, []
+
+    def stripe(first: int) -> None:
+        try:
+            for block in range(first, blocks, stride):
+                results[block] = run(block)
+        except BaseException as exc:  # raised again in the caller
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=stripe, args=(t,))
+               for t in range(1, stride)]
+    for helper in helpers:
+        helper.start()
+    stripe(0)
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def simulate_walk(spec: WalkSpec, trials: int, seed: int,
@@ -413,7 +437,8 @@ def simulate_walk(spec: WalkSpec, trials: int, seed: int,
     its work budget fails before anything is drawn.
     """
     dim, steps = spec.dimension, 2 * spec.half_steps
-    _check_simulation(trials, dim, workers, 1 if steps <= 64 else _WIDE_DRAW)
+    _check_simulation(trials, dim, seed, workers,
+                      1 if steps <= 64 else _WIDE_DRAW)
     if steps > _INT64_MAX:
         raise InputError(f"the walk length 2n must be at most {_INT64_MAX}")
     reference = return_probability(dim, spec.half_steps)
@@ -459,7 +484,7 @@ def simulate_beta_moment(dim: int, half_steps: int, trials: int, seed: int,
     """
     if dim < 1 or half_steps < 1:
         raise InputError("dim and half_steps must be >= 1")
-    _check_simulation(trials, dim, workers)
+    _check_simulation(trials, dim, seed, workers)
     reference = return_probability(dim, half_steps)
     import numpy as np
 

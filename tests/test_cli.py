@@ -1,5 +1,8 @@
+import errno
+import io
 import json
 import os
+import re
 import resource
 import signal
 import subprocess
@@ -10,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from betawalk import catalog
+from betawalk import catalog, cli
 from betawalk.cli import _parse_decimal, main
 from betawalk.moments import verify_master
 from betawalk.render import brief
@@ -797,6 +800,15 @@ def test_rejected_inputs_keep_exit_2_and_their_message(capsys):
               "25000001"],
              "simulation of 25000001 trials at dim=1 needs about 250000010 "
              "draws (budget is 250000000)"),
+            # a seed is one 64-bit word: no two seeds share a stream
+            *((["simulate", kind, "--dim", "2", "--n", "2", "--trials",
+                "1000", "--seed", seed], "seed must lie in "
+               f"0..18446744073709551615, got {shown}")
+              for kind in ("walk", "beta")
+              for seed, shown in (("-1", "-1"),
+                                  ("18446744073709551616",
+                                   "18446744073709551616"),
+                                  ("9" * 300, "10^300.0"))),
             (["compute", "moment", "--n", huge, "--p", "1/3"],
              "even moment at n=10^4000.0 needs about 10^4002.0 limb "
              "operations (budget is 16000000)"),
@@ -1065,3 +1077,62 @@ def test_closed_stdout_pipe_ends_without_traceback(tmp_path):
     assert first.startswith(b"{")
     assert b"Traceback" not in (tmp_path / "stderr").read_bytes()
     assert proc.returncode == -signal.SIGPIPE
+
+
+def run_module(argv, **kwargs):
+    """``python -m betawalk.cli`` on argv as a process, bytes out."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "betawalk.cli", *argv],
+                          env=env, timeout=60, **kwargs)
+
+
+README_MASTER = ["verify", "master", "--n", "1..6", "--coeffs",
+                 "1/3,1/3,1/3", "--p", "1/2"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    *((README_MASTER + ["--format", fmt], 0)
+      for fmt in ("plain", "json", "csv")),
+    (["compute", "return-prob", "--dim", "2", "--steps", "5"], 2),
+    (["simulate", "walk", "--dim", "1", "--n", "1", "--trials", "1",
+      "--seed", "1"], 3),
+], ids=["plain", "json", "csv", "usage", "statistical"])
+def test_the_process_exits_as_main_returns(capsys, argv, code):
+    # the process ends at os._exit once flushed: same bytes, same code
+    expected = run_cli(capsys, *argv)
+    proc = run_module(argv, capture_output=True)
+    timing = re.compile(r"\d+\.\d{3}s")  # a verify note's elapsed time
+    assert expected[0] == code
+    assert (proc.returncode, proc.stdout,
+            timing.sub("", proc.stderr.decode())) == (
+        code, expected[1].encode(), timing.sub("", expected[2]))
+
+
+def test_a_large_output_redirected_to_a_file_arrives_whole(capsys,
+                                                           tmp_path):
+    argv = ["catalog", "verify", "all", "--format", "json"]
+    code, expected, _ = run_cli(capsys, *argv)
+    assert (code, len(expected) > 150_000) == (0, True)
+    with open(tmp_path / "out", "wb") as out:
+        proc = run_module(argv, stdout=out, stderr=subprocess.PIPE)
+    assert (proc.returncode, b"Traceback" in proc.stderr) == (0, False)
+    assert (tmp_path / "out").read_bytes() == expected.encode()
+
+
+def test_a_failed_flush_takes_the_normal_exit(monkeypatch):
+    class Full(io.StringIO):
+        def flush(self):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def no_exit(code):
+        raise AssertionError("os._exit after a failed flush")
+
+    monkeypatch.setattr(signal, "signal", lambda *args: None)
+    monkeypatch.setattr(cli, "main", lambda: 3)
+    monkeypatch.setattr(sys, "stdout", Full())
+    monkeypatch.setattr(os, "_exit", no_exit)
+    with pytest.raises(SystemExit) as info:
+        cli.entry_point()
+    assert info.value.code == 3

@@ -157,22 +157,49 @@ def test_exact_commands_do_not_load_numpy():
     assert "numpy" in report["simulate"]
 
 
-POOL_LOADED = """
-import contextlib, io, json, sys
+LEFT_BEHIND = """
+import atexit, contextlib, io, json, sys, threading
+
+hooks = atexit._ncallbacks()
 from betawalk import cli
 
-with contextlib.redirect_stdout(io.StringIO()), \\
-        contextlib.redirect_stderr(io.StringIO()):
-    for kind in ("walk", "beta"):
-        assert cli.main(["simulate", kind, "--dim", "3", "--n", "10",
-                         "--trials", "1000", "--seed", "1",
-                         "--threads", "1"]) == 0, kind
-print(json.dumps("concurrent.futures" in sys.modules))
+report = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    report.append([code, atexit._ncallbacks() - hooks,
+                   threading.enumerate() == [threading.main_thread()],
+                   [m for m in ("concurrent.futures", "logging")
+                    if m in sys.modules]])
+print(json.dumps(report))
 """
 
+# every command kind; each simulation at one and two threads, over three
+# blocks of trials so that a helper thread draws some
+EVERY_COMMAND = [
+    ["verify", "master", "--n", "1..3", "--coeffs", "1,2", "--p", "1/2"],
+    ["verify", "master", "--n", "2", "--coeffs", "1,2", "--p", "0.7",
+     "--mode", "float"],
+    ["verify", "equal-coeff", "--n", "1..2", "--k", "1..2", "--p", "1/2"],
+    ["compute", "return-prob", "--dim", "2", "--steps", "10"],
+    ["compute", "path-count", "--dim", "3", "--steps", "4"],
+    ["compute", "moment", "--n", "3", "--p", "1"],
+    ["oracle", "--dim", "2", "--steps", "4"],
+    ["catalog", "list"],
+    ["catalog", "verify", "all"],
+    ["series", "--n", "0", "--variant", "printed", "--max-terms", "10"],
+    *(["simulate", kind, "--dim", "3", "--n", "10", "--trials", "40000",
+       "--seed", "1", "--threads", threads]
+      for kind in ("walk", "beta") for threads in ("1", "2")),
+]
 
-def test_single_worker_simulations_load_no_thread_pool():
-    assert run_fresh(POOL_LOADED) is False
+
+def test_no_command_leaves_an_exit_hook_a_thread_or_a_pool():
+    # entry_point ends the process with os._exit once the output is
+    # flushed, so a command must leave nothing that teardown would finish
+    report = run_fresh(LEFT_BEHIND, json.dumps(EVERY_COMMAND))
+    assert report == [[0, 0, True, []]] * len(EVERY_COMMAND)
 
 
 STDLIB_LOADED = """
@@ -214,6 +241,24 @@ def test_walk_commands_load_no_exact_layer():
 
 def parsed(path):
     return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_no_module_imports_what_the_fast_exit_would_skip():
+    # os._exit runs no atexit hook, flushes no logging handler and joins
+    # no concurrent.futures worker, so the package imports none of them
+    skipped = {"atexit", "logging", "concurrent"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parsed(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.stem}: {name}" for name in names
+                      if name.partition(".")[0] in skipped]
+    assert found == []
 
 
 def test_the_package_defines_one_exception_class():

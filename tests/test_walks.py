@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import re
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -603,22 +606,18 @@ def test_simulation_json_serialization():
 # ---------------------------------------------------------------------------
 
 
-class RecordingPool:
-    """A stand-in thread pool: records its size, runs the tasks in order."""
+REAL_THREAD = threading.Thread
 
-    sizes: list = []
 
-    def __init__(self, max_workers):
-        RecordingPool.sizes.append(max_workers)
+def recording_threads(monkeypatch, started):
+    """Make ``threading.Thread`` a real thread that appends itself to
+    ``started`` as it starts."""
+    class Recording(REAL_THREAD):
+        def start(self):
+            started.append(self)
+            super().start()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return list(map(fn, items))
+    monkeypatch.setattr(threading, "Thread", Recording)
 
 
 def _no_work(*args, **kwargs):
@@ -626,18 +625,28 @@ def _no_work(*args, **kwargs):
 
 
 def test_simulation_refusals_start_no_reference_and_no_pool(monkeypatch):
-    import concurrent.futures
-
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(threading, "Thread", _no_work)
+    # an admitted run at two workers does reach the patched thread
+    with pytest.raises(AssertionError, match="started its work"):
+        simulate_walk(WalkSpec(1, 1), 2 * walks._CHUNK, 0, workers=2)
     monkeypatch.setattr(walks, "return_probability", _no_work)
     monkeypatch.setattr(walks, "_block_rng", _no_work)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _no_work)
     started = time.perf_counter()
-    for sim in (lambda t, w: simulate_walk(WalkSpec(3, 1), t, 0, workers=w),
-                lambda t, w: simulate_beta_moment(3, 1, t, 0, workers=w)):
-        with pytest.raises(InputError, match=r"simulation of 1000000000000 "
-                           r"trials at dim=3 needs about 3000000000000 draws "
-                           r"\(budget is 250000000\)"):
-            sim(10 ** 12, 1)
+    for sim in (lambda t, w, s=0: simulate_walk(WalkSpec(3, 1), t, s,
+                                                workers=w),
+                lambda t, w, s=0: simulate_beta_moment(3, 1, t, s,
+                                                       workers=w)):
+        for workers in (1, 2):
+            with pytest.raises(InputError, match=r"simulation of "
+                               r"1000000000000 trials at dim=3 needs about "
+                               r"3000000000000 draws \(budget is 250000000\)"):
+                sim(10 ** 12, workers)
+            for seed, shown in ((-1, "-1"), (2 ** 64, str(2 ** 64)),
+                                (-10 ** 300, "-10^300.0")):
+                with pytest.raises(InputError, match=re.escape(
+                        f"seed must lie in 0..{2 ** 64 - 1}, got {shown}")):
+                    sim(10, workers, seed)
         for workers in (MAX_WORKERS + 1, 10 ** 6):
             with pytest.raises(InputError,
                                match=f"workers must be at most {MAX_WORKERS}"):
@@ -659,6 +668,7 @@ def test_simulation_bounds_hold_at_their_edge(monkeypatch):
         simulate_beta_moment(3, 1, 1001, 0, workers=3)
     with pytest.raises(InputError, match="workers must be at most 3"):
         simulate_walk(WalkSpec(3, 1), 1000, 0, workers=4)
+    assert simulate_walk(WalkSpec(3, 1), 10, 2 ** 64 - 1).seed == 2 ** 64 - 1
     # a walk over 64 steps draws numpy's binomial, each draw charged as 10
     assert simulate_walk(WalkSpec(3, 32), 1000, 0).trials == 1000
     assert simulate_walk(WalkSpec(3, 33), 100, 0).trials == 100
@@ -667,22 +677,51 @@ def test_simulation_bounds_hold_at_their_edge(monkeypatch):
 
 
 def test_pool_has_at_most_one_thread_per_cpu(monkeypatch):
-    import concurrent.futures
-    import os
-
-    expected = [simulate_walk(WalkSpec(2, 2), 5000, 9, workers=5),
-                simulate_beta_moment(2, 2, 5000, 9, workers=5)]
-    RecordingPool.sizes = []
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                        RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    got = [simulate_walk(WalkSpec(2, 2), 5000, 9, workers=5),
-           simulate_beta_moment(2, 2, 5000, 9, workers=5)]
-    assert RecordingPool.sizes == [2, 2]
-    assert got == expected  # each block keeps its stream; merge order holds
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    simulate_walk(WalkSpec(2, 2), 100, 9, workers=3)
+    # five blocks, so every stripe of up to five threads holds one
+    trials = 4 * walks._CHUNK + 7
+    runs = (lambda w: simulate_walk(WalkSpec(2, 2), trials, 9, workers=w),
+            lambda w: simulate_beta_moment(2, 2, trials, 9, workers=w))
+    expected = [run(1)._replace(workers=5) for run in runs]
+    for cpus, helpers in ((2, 1), (None, 0), (64, 4)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        for run, want in zip(runs, expected):
+            started = []
+            recording_threads(monkeypatch, started)
+            # each block keeps its stream, and the merge its order
+            assert run(5) == want, cpus
+            assert len(started) == helpers, cpus
+            assert not any(thread.is_alive() for thread in started)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    started = []
+    recording_threads(monkeypatch, started)
     simulate_walk(WalkSpec(2, 2), 100, 9, workers=3)
-    simulate_walk(WalkSpec(2, 2), 100, 9, workers=1)  # no pool at all
-    assert RecordingPool.sizes == [2, 2, 1, 3]
+    assert len(started) == 2  # one block: the helpers find no work
+    simulate_walk(WalkSpec(2, 2), 100, 9, workers=1)
+    assert len(started) == 2  # one worker starts no thread
+
+
+def test_a_fault_in_a_helper_thread_exits_70_with_one_line(capsys,
+                                                          monkeypatch):
+    from betawalk.cli import main
+
+    block_rng, raised_in = walks._block_rng, []
+
+    def faulty(seed, block):
+        if block == 1:
+            raised_in.append(threading.current_thread())
+            raise RuntimeError("block 1 failed\nsecond line")
+        return block_rng(seed, block)
+
+    monkeypatch.setattr(walks, "_block_rng", faulty)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for kind in ("walk", "beta"):
+        code = main(["simulate", kind, "--dim", "2", "--n", "2", "--trials",
+                     str(2 * walks._CHUNK), "--seed", "1", "--threads", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (70, ""), kind
+        assert captured.err == ("betawalk: internal error: RuntimeError: "
+                                "block 1 failed second line\n"), kind
+    # block 1 is the helper's, and the helper has ended
+    assert len(raised_in) == 2
+    assert threading.main_thread() not in raised_in
+    assert not any(thread.is_alive() for thread in raised_in)
