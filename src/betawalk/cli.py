@@ -23,6 +23,7 @@ the library.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import re
 import signal
@@ -595,8 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--trials", type=_parse_int, required=True)
         sp.add_argument("--seed", type=_parse_int, default=0)
         sp.add_argument("--threads", type=_parse_int, default=1,
-                        help="threads that draw the blocks; the estimate "
-                             "does not depend on it (default: 1)")
+                        help="echoed in the output; every run uses one thread")
         _add_format(sp)
         sp.set_defaults(handler=_cmd_simulate)
 
@@ -631,6 +631,9 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
         out, records = args.handler(args)
         # render all before printing, so a refused value leaves stdout empty
         text = "".join(map(out.emit, records))
+        # a full disk fails the write or the flush, whatever the buffering
+        sys.stdout.write(text)
+        sys.stdout.flush()
     except InputError as exc:
         print(f"betawalk: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -638,7 +641,6 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
         message = " ".join(f"{type(exc).__name__}: {exc}".split())
         print(f"betawalk: internal error: {message}", file=sys.stderr)
         return EXIT_INTERNAL
-    sys.stdout.write(text)
     if out.note:
         _note(out.note)
     if any(record.status == "violated" for record in records):
@@ -651,16 +653,18 @@ def entry_point() -> None:
     # it ends `cat`, instead of a BrokenPipeError traceback on stderr.
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    # No command makes a BLAS call, yet numpy's OpenBLAS starts a pool of
+    # worker threads at import unless told not to; a caller's value is kept.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # The process is short and builds no reference cycle, and it ends in
+    # os._exit, so the cyclic collector would only pay for numpy's imports.
+    gc.disable()
     code = main()
-    # Once the output is flushed the process has nothing left to do, so it
+    # main has flushed stdout, so the process has nothing left to do and
     # ends here: interpreter teardown (module finalization, a last garbage
     # collection, freeing every object) would cost 8-20 ms, and no atexit
-    # hook runs.  A flush that fails takes the normal exit, which reports it.
-    try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except OSError:
-        sys.exit(code)
+    # hook runs.
+    sys.stderr.flush()
     os._exit(code)
 
 

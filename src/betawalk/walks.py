@@ -19,17 +19,17 @@ Multinomial(2n; 1/k, .., 1/k), and the plus steps on each axis,
 Binomial(count, 1/2), and the walk is home when every axis balances; most
 draws take one raw 64-bit word each.  The beta sampler draws the matching
 arcsine-beta moment from float32 variates, one axis at a time.  Each block
-of trials draws from its own PCG64DXSM stream, keyed by seed and block.
-Both samplers refuse more than ``SIMULATION_WORK_BUDGET`` draws,
-``MAX_WORKERS`` workers or a seed outside 0..2^64-1 before they start.
-Only the Monte Carlo functions use numpy, and they import it when they run,
-so the exact functions load no numpy and start no thread.
+of trials draws from its own PCG64DXSM stream, keyed by seed and block,
+and every block is drawn in order on the calling thread; the worker count
+is validated and recorded, not used.  Both samplers refuse more than
+``SIMULATION_WORK_BUDGET`` draws, ``MAX_WORKERS`` workers or a seed outside
+0..2^64-1 before they start.  Only the Monte Carlo functions use numpy, and
+they import it when they run, so the exact functions load no numpy.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -61,7 +61,7 @@ _INT64_MAX = (1 << 63) - 1  # the samplers count steps in int64
 _SEED_MAX = (1 << 64) - 1  # a seed is one 64-bit word
 # path_count's default bound on _count_work: under 1 s on a 2-vCPU machine
 COUNT_WORK_BUDGET = 50_000_000
-# bound on trials * dim, one draw per trial and axis: at one worker (2 vCPUs)
+# bound on trials * dim, one draw per trial and axis: on one thread
 # 6-15 ns each (2-4 s); a walk over 64 steps draws numpy's binomial, about
 # 120 ns, so each of its draws is charged _WIDE_DRAW (0.7-3 s at the budget)
 SIMULATION_WORK_BUDGET = 250_000_000
@@ -374,47 +374,17 @@ def _check_simulation(trials: int, dim: int, seed: int, workers: int,
                trials * dim * draw_cost, SIMULATION_WORK_BUDGET, "draws")
 
 
-def _draw(chunk, trials: int, seed: int, workers: int) -> list:
-    """``chunk(rng, m)`` for every block of trials, in block order.
+def _draw(chunk, trials: int, seed: int) -> list:
+    """``chunk(rng, m)`` for every block of trials, in block order, on the
+    calling thread.
 
     Block b holds the trials from b * ``_CHUNK`` on, at most ``_CHUNK`` of
     them, and draws from its own PCG64DXSM stream, seeded by the
-    SeedSequence of (seed, b).  One worker runs the blocks in a loop.  More
-    run on T = min(workers, CPUs) threads, the caller and T - 1 helpers:
-    thread t takes blocks t, t + T, t + 2T, ..., stores each result at its
-    block's index, and an exception raised in any thread is raised again
-    in the caller once every helper has ended.  So for fixed (seed,
-    trials) every run is bit-identical, whatever the worker count.
+    SeedSequence of (seed, b).  So for fixed (seed, trials) every run is
+    bit-identical.
     """
-    def run(block: int):
-        return chunk(_block_rng(seed, block),
-                     min(_CHUNK, trials - block * _CHUNK))
-
-    blocks = -(-trials // _CHUNK)
-    if workers == 1:
-        return list(map(run, range(blocks)))
-    import threading  # numpy has loaded it already
-
-    stride = min(workers, os.cpu_count() or 1)
-    results, errors = [None] * blocks, []
-
-    def stripe(first: int) -> None:
-        try:
-            for block in range(first, blocks, stride):
-                results[block] = run(block)
-        except BaseException as exc:  # raised again in the caller
-            errors.append(exc)
-
-    helpers = [threading.Thread(target=stripe, args=(t,))
-               for t in range(1, stride)]
-    for helper in helpers:
-        helper.start()
-    stripe(0)
-    for helper in helpers:
-        helper.join()
-    if errors:
-        raise errors[0]
-    return results
+    return [chunk(_block_rng(seed, b), min(_CHUNK, trials - b * _CHUNK))
+            for b in range(-(-trials // _CHUNK))]
 
 
 def simulate_walk(spec: WalkSpec, trials: int, seed: int,
@@ -431,10 +401,12 @@ def simulate_walk(spec: WalkSpec, trials: int, seed: int,
     when two axes are left -- is a ``_fair_coin_counts`` draw.  The first
     axis count, Binomial(2n, 1/dim), is the same law for every trial, so
     at dim >= 3 and 2n <= 64 it inverts one raw word against the CDF table
-    and its guide, made once per run.  The trial and worker counts are
-    checked first, each draw of a walk over 64 steps charged as
-    ``_WIDE_DRAW``, then the exact reference is computed, so a count over
-    its work budget fails before anything is drawn.
+    and its guide, made once per run.  ``workers`` is validated and
+    recorded in the result, not used: every block is drawn on the calling
+    thread.  The trial and worker counts are checked first, each draw of a
+    walk over 64 steps charged as ``_WIDE_DRAW``, then the exact reference
+    is computed, so a count over its work budget fails before anything is
+    drawn.
     """
     dim, steps = spec.dimension, 2 * spec.half_steps
     _check_simulation(trials, dim, seed, workers,
@@ -461,7 +433,7 @@ def simulate_walk(spec: WalkSpec, trials: int, seed: int,
             left = (left - count)[balanced]
         return int(np.count_nonzero(2 * _fair_coin_counts(rng, left) == left))
 
-    hits = sum(_draw(chunk, trials, seed, workers))
+    hits = sum(_draw(chunk, trials, seed))
     estimate = hits / trials
     std_error = math.sqrt(estimate * (1.0 - estimate) / trials)
     z_score = _z_score(estimate, std_error, reference)
@@ -479,8 +451,8 @@ def simulate_beta_moment(dim: int, half_steps: int, trials: int, seed: int,
     relative for j <= 10.  The estimate averages ((V_1+..+V_k)/k)^(2n) in
     float64, the power taken by repeated squaring; chunk sums merge through
     math.fsum, which is exact compensated summation.  As in
-    ``simulate_walk``, the counts are checked and the exact reference
-    computed before any draw.
+    ``simulate_walk``, ``workers`` is recorded, not used, and the counts
+    are checked and the exact reference computed before any draw.
     """
     if dim < 1 or half_steps < 1:
         raise InputError("dim and half_steps must be >= 1")
@@ -504,7 +476,7 @@ def simulate_beta_moment(dim: int, half_steps: int, trials: int, seed: int,
         sample *= sample
         return total, float(sample.sum())
 
-    sums, squares = zip(*_draw(chunk, trials, seed, workers))
+    sums, squares = zip(*_draw(chunk, trials, seed))
     total, total_sq = math.fsum(sums), math.fsum(squares)
     estimate = total / trials
     if trials > 1:

@@ -1,4 +1,5 @@
 import errno
+import gc
 import io
 import json
 import os
@@ -1121,18 +1122,49 @@ def test_a_large_output_redirected_to_a_file_arrives_whole(capsys,
     assert (tmp_path / "out").read_bytes() == expected.encode()
 
 
-def test_a_failed_flush_takes_the_normal_exit(monkeypatch):
+def test_a_failed_flush_exits_70_with_one_line(capsys, monkeypatch):
     class Full(io.StringIO):
         def flush(self):
             raise OSError(errno.ENOSPC, "No space left on device")
 
-    def no_exit(code):
-        raise AssertionError("os._exit after a failed flush")
+    def exit_now(code):
+        raise SystemExit(f"os._exit({code})")
 
     monkeypatch.setattr(signal, "signal", lambda *args: None)
-    monkeypatch.setattr(cli, "main", lambda: 3)
+    monkeypatch.setattr(gc, "disable", lambda: None)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(sys, "argv", ["betawalk", "compute", "return-prob",
+                                      "--dim", "2", "--steps", "4"])
     monkeypatch.setattr(sys, "stdout", Full())
-    monkeypatch.setattr(os, "_exit", no_exit)
+    monkeypatch.setattr(os, "_exit", exit_now)
     with pytest.raises(SystemExit) as info:
         cli.entry_point()
-    assert info.value.code == 3
+    assert info.value.code == "os._exit(70)"
+    assert capsys.readouterr().err == (
+        "betawalk: internal error: OSError: [Errno 28] No space left on "
+        "device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False],
+                         ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [
+    ["compute", "return-prob", "--dim", "2", "--steps", "4"],
+    ["catalog", "verify", "all", "--format", "json"],
+], ids=["small", "large"])
+def test_a_write_to_a_full_disk_exits_70_with_one_line(monkeypatch, argv,
+                                                      unbuffered):
+    # a small output fails at the flush when buffered, a large one at the
+    # write; unbuffered, every output fails at the write
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    else:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    with open("/dev/full", "wb") as full:
+        proc = run_module(argv, stdout=full, stderr=subprocess.PIPE)
+    # besides the catalog's erratum banners, stderr holds one line
+    lines = [line for line in proc.stderr.splitlines()
+             if not line.startswith(b"ERRATUM ")]
+    assert (proc.returncode, lines) == (70, [
+        b"betawalk: internal error: OSError: [Errno 28] No space left on "
+        b"device"])

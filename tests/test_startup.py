@@ -15,6 +15,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 PACKAGE = SRC / "betawalk"
 LAYERS = ("catalog", "exact", "moments", "numeric", "walks")
@@ -176,7 +178,10 @@ print(json.dumps(report))
 """
 
 # every command kind; each simulation at one and two threads, over three
-# blocks of trials so that a helper thread draws some
+# blocks of trials
+SIMULATIONS = [["simulate", kind, "--dim", "3", "--n", "10", "--trials",
+                "40000", "--seed", "1", "--threads", threads]
+               for kind in ("walk", "beta") for threads in ("1", "2")]
 EVERY_COMMAND = [
     ["verify", "master", "--n", "1..3", "--coeffs", "1,2", "--p", "1/2"],
     ["verify", "master", "--n", "2", "--coeffs", "1,2", "--p", "0.7",
@@ -189,9 +194,7 @@ EVERY_COMMAND = [
     ["catalog", "list"],
     ["catalog", "verify", "all"],
     ["series", "--n", "0", "--variant", "printed", "--max-terms", "10"],
-    *(["simulate", kind, "--dim", "3", "--n", "10", "--trials", "40000",
-       "--seed", "1", "--threads", threads]
-      for kind in ("walk", "beta") for threads in ("1", "2")),
+    *SIMULATIONS,
 ]
 
 
@@ -200,6 +203,46 @@ def test_no_command_leaves_an_exit_hook_a_thread_or_a_pool():
     # flushed, so a command must leave nothing that teardown would finish
     report = run_fresh(LEFT_BEHIND, json.dumps(EVERY_COMMAND))
     assert report == [[0, 0, True, []]] * len(EVERY_COMMAND)
+
+
+AS_A_PROGRAM = """
+import gc, json, os, sys
+from betawalk import cli
+
+def observed():
+    code = main()
+    print(json.dumps([code, len(os.listdir("/proc/self/task")),
+                      gc.isenabled(), os.environ.get("OPENBLAS_NUM_THREADS")]),
+          flush=True)
+    return code
+
+main, cli.main = cli.main, observed
+cli.entry_point()
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="no /proc/self/task")
+@pytest.mark.parametrize("blas", [None, "1", "2"])
+def test_a_simulation_runs_on_one_os_thread_with_the_collector_off(blas):
+    # numpy's OpenBLAS would start a worker thread at import; entry_point
+    # pins its pool unless the caller set the variable, which it keeps
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    if blas is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas
+    for argv in SIMULATIONS:
+        result = subprocess.run([sys.executable, "-c", AS_A_PROGRAM, *argv],
+                                env=env, capture_output=True, text=True,
+                                timeout=120)
+        code, threads, collecting, kept = json.loads(
+            result.stdout.splitlines()[-1])
+        assert (result.returncode, code, collecting, kept) == (
+            0, 0, False, blas or "1"), argv
+        if blas != "2":
+            assert threads == 1, argv
 
 
 STDLIB_LOADED = """

@@ -1,8 +1,6 @@
 import itertools
 import math
-import os
 import re
-import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -606,30 +604,11 @@ def test_simulation_json_serialization():
 # ---------------------------------------------------------------------------
 
 
-REAL_THREAD = threading.Thread
-
-
-def recording_threads(monkeypatch, started):
-    """Make ``threading.Thread`` a real thread that appends itself to
-    ``started`` as it starts."""
-    class Recording(REAL_THREAD):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(threading, "Thread", Recording)
-
-
 def _no_work(*args, **kwargs):
     raise AssertionError("a refused simulation started its work")
 
 
-def test_simulation_refusals_start_no_reference_and_no_pool(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(threading, "Thread", _no_work)
-    # an admitted run at two workers does reach the patched thread
-    with pytest.raises(AssertionError, match="started its work"):
-        simulate_walk(WalkSpec(1, 1), 2 * walks._CHUNK, 0, workers=2)
+def test_simulation_refusals_start_no_reference_and_no_draw(monkeypatch):
     monkeypatch.setattr(walks, "return_probability", _no_work)
     monkeypatch.setattr(walks, "_block_rng", _no_work)
     started = time.perf_counter()
@@ -674,54 +653,3 @@ def test_simulation_bounds_hold_at_their_edge(monkeypatch):
     assert simulate_walk(WalkSpec(3, 33), 100, 0).trials == 100
     with pytest.raises(InputError, match="needs about 3030 draws"):
         simulate_walk(WalkSpec(3, 33), 101, 0)
-
-
-def test_pool_has_at_most_one_thread_per_cpu(monkeypatch):
-    # five blocks, so every stripe of up to five threads holds one
-    trials = 4 * walks._CHUNK + 7
-    runs = (lambda w: simulate_walk(WalkSpec(2, 2), trials, 9, workers=w),
-            lambda w: simulate_beta_moment(2, 2, trials, 9, workers=w))
-    expected = [run(1)._replace(workers=5) for run in runs]
-    for cpus, helpers in ((2, 1), (None, 0), (64, 4)):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        for run, want in zip(runs, expected):
-            started = []
-            recording_threads(monkeypatch, started)
-            # each block keeps its stream, and the merge its order
-            assert run(5) == want, cpus
-            assert len(started) == helpers, cpus
-            assert not any(thread.is_alive() for thread in started)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    started = []
-    recording_threads(monkeypatch, started)
-    simulate_walk(WalkSpec(2, 2), 100, 9, workers=3)
-    assert len(started) == 2  # one block: the helpers find no work
-    simulate_walk(WalkSpec(2, 2), 100, 9, workers=1)
-    assert len(started) == 2  # one worker starts no thread
-
-
-def test_a_fault_in_a_helper_thread_exits_70_with_one_line(capsys,
-                                                          monkeypatch):
-    from betawalk.cli import main
-
-    block_rng, raised_in = walks._block_rng, []
-
-    def faulty(seed, block):
-        if block == 1:
-            raised_in.append(threading.current_thread())
-            raise RuntimeError("block 1 failed\nsecond line")
-        return block_rng(seed, block)
-
-    monkeypatch.setattr(walks, "_block_rng", faulty)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    for kind in ("walk", "beta"):
-        code = main(["simulate", kind, "--dim", "2", "--n", "2", "--trials",
-                     str(2 * walks._CHUNK), "--seed", "1", "--threads", "2"])
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (70, ""), kind
-        assert captured.err == ("betawalk: internal error: RuntimeError: "
-                                "block 1 failed second line\n"), kind
-    # block 1 is the helper's, and the helper has ended
-    assert len(raised_in) == 2
-    assert threading.main_thread() not in raised_in
-    assert not any(thread.is_alive() for thread in raised_in)
