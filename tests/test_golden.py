@@ -1,15 +1,20 @@
 """Golden CLI output: stdout byte for byte and the exit code.
 
 Every README command plus ``catalog verify all`` runs in each output
-format, together with a few larger exact runs and usage errors.  The data
-under ``tests/golden/`` pins the current output; a change that alters it
-must be declared.  Regenerate with
+format, together with a few larger exact runs and usage errors.  The
+parser's own output is pinned too: ``--help`` at every level of the
+command tree, and argparse's message for a missing or unknown word or
+option.  The data under ``tests/golden/`` pins the current output; a
+change that alters it must be declared.  Regenerate with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
 import csv
+import io
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -71,6 +76,39 @@ def test_golden_output(command, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
 
 
+# every level of the command tree, then argparse's own usage errors
+HELP_LEVELS = ["", "verify", "compute", "simulate", "catalog",
+               "verify master", "verify equal-coeff", "compute return-prob",
+               "compute path-count", "compute moment", "oracle",
+               "simulate walk", "simulate beta", "catalog list",
+               "catalog verify", "series"]
+PARSER_CASES = ([f"{level} --help".strip() for level in HELP_LEVELS] + [
+    "verify", "verify bogus", "bogus", "verify master",
+    "simulate walk --dim 2", "series --n 1 --variant nope"])
+# argparse wraps help to the terminal's width, read from COLUMNS
+PARSER_COLUMNS = "80"
+
+
+def _parse_only(command: str) -> dict:
+    """What argparse alone prints for ``command``, and its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(command.split())
+        except SystemExit as exc:
+            code = exc.code
+        else:
+            raise AssertionError(f"{command!r} ran past the parser")
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.mark.parametrize("command", PARSER_CASES)
+def test_parser_output_is_pinned(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", PARSER_COLUMNS)
+    pinned = json.loads((GOLDEN / "parser.json").read_text())
+    assert _parse_only(command) == pinned[command]
+
+
 def _simulate_record(path: Path) -> dict:
     """dim, n, exact and z of a pinned ``simulate`` output, in any format."""
     text = path.read_text()
@@ -101,9 +139,6 @@ def test_every_simulate_format_is_pinned():
 
 
 def _regenerate() -> None:
-    import contextlib
-    import io
-
     GOLDEN.mkdir(exist_ok=True)
     codes = {}
     for command in CASES:
@@ -114,6 +149,10 @@ def _regenerate() -> None:
         (GOLDEN / f"{case_name(command)}.out").write_text(out.getvalue())
     (GOLDEN / "exit_codes.json").write_text(
         json.dumps(codes, indent=1, sort_keys=True) + "\n")
+    os.environ["COLUMNS"] = PARSER_COLUMNS
+    (GOLDEN / "parser.json").write_text(json.dumps(
+        {command: _parse_only(command) for command in PARSER_CASES},
+        indent=1) + "\n")
 
 
 if __name__ == "__main__":
