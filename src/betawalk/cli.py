@@ -14,10 +14,15 @@ error (any other exception, reported as one ``betawalk: internal error:
 Float mode reads each decimal as its exact value and runs the exact
 engine; its record shows the exact verdict in doubles.
 
+Each command is one row of ``COMMANDS``: its words, help, handler,
+options, CSV columns and plain template.  The parser, the handler it calls
+and the emitter that serializes the handler's records are all read from
+that row.
+
 The CLI turns text into values and checks only what that needs: the
 number syntax, which options go together, and odd walk lengths; every
-range, sign and shape rule, and the worker count's default of 1, belong to
-the library.
+range, sign and shape rule belongs to the library.  The parser sets each
+option's default, ``--threads``' 1 among them.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import signal
 import sys
 import time
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 # Handlers import their library layers, and the emitter its serializer, when
 # they run, so a command loads only what it uses: without cached bytecode each
@@ -155,8 +160,6 @@ class Emitter:
     payload with the record's parameters and status.
     """
 
-    note = ""  # a handler's stderr line, printed once every record renders
-
     def __init__(self, fmt: str, command: str, columns: list[str],
                  plain_template: str):
         self.fmt = fmt
@@ -192,11 +195,12 @@ class Emitter:
         return self.plain_template.format(**record.row) + "\n"
 
 
-Output = tuple[Emitter, list[Record]]
-
-
 def _note(message: str) -> None:
-    print(message, file=sys.stderr)
+    """One stderr line; a failed write is dropped, and the exit code stands."""
+    try:
+        print(message, file=sys.stderr)
+    except OSError:
+        pass
 
 
 def _erratum_banner(entry) -> None:
@@ -229,7 +233,7 @@ def _in_doubles(n: int, rep) -> dict:
             "passed": rep.verified}
 
 
-def _cmd_verify_master(args) -> Output:
+def _cmd_verify_master(args) -> tuple[list[Record], str]:
     threads = _threads(args)
     n_values = _parse_range(args.n)
     if (args.coeffs is None) == (args.k is None):
@@ -248,17 +252,6 @@ def _cmd_verify_master(args) -> Output:
         k_values = _parse_range(args.k)
 
     from .moments import _check_lengths, verify_master
-    columns = ["n", "k", "p", "coeffs", "mode", "lhs", "rhs"]
-    if args.mode == "exact":
-        out = Emitter(args.format, "verify master", columns + ["verified"],
-                      "master n={n} k={k} p={p} coeffs={coeffs} "
-                      "lhs={lhs} rhs={rhs} verified={verified}")
-    else:
-        out = Emitter(args.format, "verify master",
-                      columns + ["rel_diff", "passed"],
-                      "master-float n={n} k={k} p={p} coeffs={coeffs} "
-                      "lhs={lhs} rhs={rhs} relDiff={rel_diff} "
-                      "passed={passed}")
     started = time.perf_counter()
     records = []
     for n in n_values:
@@ -279,19 +272,14 @@ def _cmd_verify_master(args) -> Output:
                            passed=_bool(rep.verified))
             records.append(Record(params, payload, _status(rep.verified),
                                   row))
-    out.note = (f"# verify master: {time.perf_counter() - started:.3f}s, "
-                f"threads={threads}")
-    return out, records
+    return records, (f"{time.perf_counter() - started:.3f}s, "
+                     f"threads={threads}")
 
 
-def _cmd_verify_equal_coeff(args) -> Output:
+def _cmd_verify_equal_coeff(args) -> tuple[list[Record], str]:
     threads = _threads(args)
     p = _parse_rational(args.p)
     from .moments import verify_equal_coeff_form
-    out = Emitter(args.format, "verify equal-coeff",
-                  ["n", "k", "p", "lhs", "rhs", "verified"],
-                  "equal-coeff n={n} k={k} p={p} lhs={lhs} rhs={rhs} "
-                  "verified={verified}")
     started = time.perf_counter()
     records = []
     for n in _parse_range(args.n):
@@ -301,9 +289,8 @@ def _cmd_verify_equal_coeff(args) -> Output:
             records.append(Record(params, rep, _status(rep.verified), dict(
                 params, lhs=rep.lhs, rhs=rep.rhs,
                 verified=_bool(rep.verified))))
-    out.note = (f"# verify equal-coeff: {time.perf_counter() - started:.3f}s, "
-                f"threads={threads}")
-    return out, records
+    return records, (f"{time.perf_counter() - started:.3f}s, "
+                     f"threads={threads}")
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +299,10 @@ def _cmd_verify_equal_coeff(args) -> Output:
 
 
 def _even_steps(args) -> tuple[int, bool]:
-    """Returns (half_steps, odd_shortcut); odd steps need --allow-odd."""
+    """Returns (half_steps, odd_shortcut) of a walk's --dim and --steps,
+    which must both be given; odd steps need --allow-odd."""
+    if args.dim is None or args.steps is None:
+        raise InputError(f"{args.what} needs --dim and --steps")
     if args.steps % 2:
         if not args.allow_odd:
             raise InputError(
@@ -322,46 +312,36 @@ def _even_steps(args) -> tuple[int, bool]:
     return args.steps // 2, False
 
 
-def _cmd_compute(args) -> Output:
-    if args.what in ("return-prob", "path-count"):
-        if args.dim is None or args.steps is None:
-            raise InputError(f"{args.what} needs --dim and --steps")
-        half, odd = _even_steps(args)
-        from .walks import (path_count, path_count_odd, return_probability,
-                            return_probability_odd)
-        params = {"dim": args.dim, "steps": args.steps}
-        if args.what == "return-prob":
-            value = (return_probability_odd(args.dim, args.steps) if odd
-                     else return_probability(args.dim, half))
-            payload = {"probability": fraction_str(value),
-                       "decimal": decimal15(value)}
-            out = Emitter(args.format, "compute return-prob",
-                          ["dim", "steps", "probability", "decimal"],
-                          "{probability} {decimal}")
-            return out, [Record(params, payload, "ok",
-                                dict(params, **payload))]
-        pc = (path_count_odd(args.dim, args.steps) if odd
-              else path_count(args.dim, half))
-        payload = pc.to_json_obj()  # every integer is rendered here
-        out = Emitter(args.format, "compute path-count",
-                      ["dim", "steps", "count", "total_paths", "probability",
-                       "decimal"],
-                      "{count}/{total_paths} {decimal}")
-        return out, [Record(params, payload, "ok", dict(
-            params, count=payload["count"], total_paths=payload["totalPaths"],
-            probability=payload["probability"], decimal=payload["decimal"]))]
+def _cmd_return_prob(args) -> tuple[list[Record], str]:
+    half, odd = _even_steps(args)
+    from .walks import return_probability, return_probability_odd
+    value = (return_probability_odd(args.dim, args.steps) if odd
+             else return_probability(args.dim, half))
+    params = {"dim": args.dim, "steps": args.steps}
+    payload = {"probability": fraction_str(value), "decimal": decimal15(value)}
+    return [Record(params, payload, "ok", dict(params, **payload))], ""
 
-    # moment
+
+def _cmd_path_count(args) -> tuple[list[Record], str]:
+    half, odd = _even_steps(args)
+    from .walks import path_count, path_count_odd
+    pc = (path_count_odd(args.dim, args.steps) if odd
+          else path_count(args.dim, half))
+    params = {"dim": args.dim, "steps": args.steps}
+    payload = pc.to_json_obj()  # every integer is rendered here
+    return [Record(params, payload, "ok", dict(
+        params, **payload, total_paths=payload["totalPaths"]))], ""
+
+
+def _cmd_moment(args) -> tuple[list[Record], str]:
     if args.n is None or args.p is None:
         raise InputError("moment needs --n and --p")
     p = _parse_rational(args.p)
     from .moments import even_moment
     moment = even_moment(args.n, p).coeff
     payload = {"value": fraction_str(moment), "decimal": decimal15(moment)}
-    out = Emitter(args.format, "compute moment",
-                  ["n", "p", "value", "decimal"], "{value} {decimal}")
-    return out, [Record({"n": args.n, "p": str(p)}, payload, "ok",
-                        dict(payload, n=args.n, p=p))]
+    return [Record({"n": args.n, "p": str(p)}, payload, "ok",
+                   dict(payload, n=args.n, p=p))], ""
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +349,7 @@ def _cmd_compute(args) -> Output:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_oracle(args) -> Output:
+def _cmd_oracle(args) -> tuple[list[Record], str]:
     if args.steps < 1 or args.steps % 2:
         raise InputError("oracle needs a positive even --steps")
     half = args.steps // 2
@@ -377,10 +357,6 @@ def _cmd_oracle(args) -> Output:
     pc = brute_force_return(args.dim, half, budget=args.budget)
     expected = return_probability(args.dim, half)
     matches = pc.probability == expected
-    out = Emitter(args.format, "oracle",
-                  ["dim", "steps", "count", "total_paths", "probability",
-                   "expected", "matches"],
-                  "{count}/{total_paths} {match}")
     params = {"dim": args.dim, "steps": args.steps, "budget": args.budget}
     payload = dict(pc.to_json_obj(), expected=fraction_str(expected),
                    matches=matches)
@@ -388,7 +364,7 @@ def _cmd_oracle(args) -> Output:
                probability=fraction_str(pc.probability),
                expected=fraction_str(expected), matches=_bool(matches),
                match="match" if matches else "MISMATCH")
-    return out, [Record(params, payload, _status(matches), row)]
+    return [Record(params, payload, _status(matches), row)], ""
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +372,7 @@ def _cmd_oracle(args) -> Output:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(args) -> Output:
+def _cmd_simulate(args) -> tuple[list[Record], str]:
     workers = _threads(args)
     from .walks import WalkSpec, simulate_beta_moment, simulate_walk
     if args.kind == "walk":
@@ -405,12 +381,6 @@ def _cmd_simulate(args) -> Output:
     else:
         result = simulate_beta_moment(args.dim, args.n, args.trials,
                                       args.seed, workers=workers)
-    out = Emitter(args.format, f"simulate {args.kind}",
-                  ["kind", "dim", "n", "trials", "seed", "workers", "hits",
-                   "estimate", "std_error", "exact", "z_score"],
-                  "{kind} dim={dim} n={n} trials={trials} seed={seed} "
-                  "workers={workers} hits={hits} estimate={estimate} "
-                  "stdError={std_error} exact={exact} z={z_score}")
     params = {"dim": args.dim, "n": args.n, "trials": args.trials,
               "seed": args.seed, "workers": workers}
     row = dict(params, kind=args.kind,
@@ -419,7 +389,7 @@ def _cmd_simulate(args) -> Output:
                exact=fraction_str(result.exact_reference),
                z_score=result.z_score)
     ok = abs(result.z_score) < Z_LIMIT
-    return out, [Record(params, result, _status(ok), row)]
+    return [Record(params, result, _status(ok), row)], ""
 
 
 # ---------------------------------------------------------------------------
@@ -427,34 +397,28 @@ def _cmd_simulate(args) -> Output:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_catalog(args) -> Output:
+def _cmd_catalog_list(args) -> tuple[list[Record], str]:
     from .catalog import CATALOG
-    if args.action == "list":
-        out = Emitter(args.format, "catalog list",
-                      ["name", "variant", "location", "parameter_range",
-                       "erratum"],
-                      "{name} [{variant}] {location}; range: {parameter_range}")
-        records = []
-        for entry in CATALOG.values():
-            _erratum_banner(entry)
-            payload = {"name": entry.name, "variant": entry.variant,
-                       "location": entry.location,
-                       "parameterRange": entry.parameter_range,
-                       "erratum": entry.erratum}
-            records.append(Record({"name": entry.name}, payload, "ok", dict(
-                payload, parameter_range=entry.parameter_range,
-                erratum=entry.erratum or "")))
-        return out, records
+    records = []
+    for entry in CATALOG.values():
+        _erratum_banner(entry)
+        payload = {"name": entry.name, "variant": entry.variant,
+                   "location": entry.location,
+                   "parameterRange": entry.parameter_range,
+                   "erratum": entry.erratum}
+        records.append(Record({"name": entry.name}, payload, "ok", dict(
+            payload, parameter_range=entry.parameter_range,
+            erratum=entry.erratum or "")))
+    return records, ""
 
+
+def _cmd_catalog_verify(args) -> tuple[list[Record], str]:
+    from .catalog import CATALOG
     names = [args.name] if args.name != "all" else list(CATALOG)
     for name in names:
         if name not in CATALOG:
             raise InputError(f"unknown catalog entry {_quote(name)} "
                              f"(try: {', '.join(CATALOG)})")
-    out = Emitter(args.format, "catalog verify",
-                  ["name", "variant", "parameters", "lhs", "rhs", "verified"],
-                  "{name} variant={variant} {parameters} lhs={lhs} rhs={rhs} "
-                  "verified={verified}")
     started = time.perf_counter()
     records = []
 
@@ -476,8 +440,7 @@ def _cmd_catalog(args) -> Output:
         records.extend(record(rep, False) for rep in entry.run())
         if entry.counterexample is not None:
             records.append(record(entry.counterexample(), True))
-    out.note = f"# catalog verify: {time.perf_counter() - started:.3f}s"
-    return out, records
+    return records, f"{time.perf_counter() - started:.3f}s"
 
 
 # ---------------------------------------------------------------------------
@@ -485,31 +448,134 @@ def _cmd_catalog(args) -> Output:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_series(args) -> Output:
+def _cmd_series(args) -> tuple[list[Record], str]:
     from .numeric import evaluate_series
     evaluation = evaluate_series(args.n, args.variant,
                                  max_terms=args.max_terms,
                                  cutoff=args.cutoff)
-    out = Emitter(args.format, "series",
-                  ["n", "variant", "terms_evaluated", "converged", "diverged",
-                   "limit_estimate", "target", "last_term"],
-                  "series n={n} variant={variant} terms={terms_evaluated} "
-                  "converged={converged} diverged={diverged} "
-                  "limitEstimate={limit_estimate} target={target}")
     params = {"n": args.n, "variant": args.variant,
               "maxTerms": args.max_terms, "cutoff": args.cutoff}
-    row = {"n": args.n, "variant": args.variant,
-           "terms_evaluated": evaluation.terms_evaluated,
-           "converged": _bool(evaluation.converged),
-           "diverged": _bool(evaluation.diverged),
-           "limit_estimate": evaluation.limit_estimate,
-           "target": evaluation.target, "last_term": evaluation.terms[-1]}
-    return out, [Record(params, evaluation, "ok", row)]
+    row = dict(params, terms_evaluated=evaluation.terms_evaluated,
+               converged=_bool(evaluation.converged),
+               diverged=_bool(evaluation.diverged),
+               limit_estimate=evaluation.limit_estimate,
+               target=evaluation.target, last_term=evaluation.terms[-1])
+    return [Record(params, evaluation, "ok", row)], ""
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the command table and its parser
 # ---------------------------------------------------------------------------
+
+
+class _Command(NamedTuple):
+    """One row of ``COMMANDS``."""
+
+    help: str
+    handler: Callable  # args -> (records, elapsed-time note or "")
+    options: dict  # option name -> argparse keyword arguments
+    output: tuple[list[str], str]  # the CSV columns and the plain template
+
+
+# each group word's argparse dest, which its "required" message names
+_GROUPS = {"verify": ("target", "run exact or float verification"),
+           "compute": ("what", "exact values"),
+           "simulate": ("kind", "seeded Monte Carlo"),
+           "catalog": ("action", "identity registry")}
+
+_THREADS = {"type": _parse_int, "default": 1,
+            "help": "echoed in the output; every run uses one thread"}
+_WALK = {"--dim": {"type": _parse_int}, "--steps": {"type": _parse_int},
+         "--allow-odd": {"action": "store_true"}}
+_SIMULATE = {"--dim": {"type": _parse_int, "required": True},
+             "--n": {"type": _parse_int, "required": True,
+                     "help": "half the walk length"},
+             "--trials": {"type": _parse_int, "required": True},
+             "--seed": {"type": _parse_int, "default": 0},
+             "--threads": _THREADS}
+_SIMULATE_OUTPUT = (["kind", "dim", "n", "trials", "seed", "workers", "hits",
+                     "estimate", "std_error", "exact", "z_score"],
+                    "{kind} dim={dim} n={n} trials={trials} seed={seed} "
+                    "workers={workers} hits={hits} estimate={estimate} "
+                    "stdError={std_error} exact={exact} z={z_score}")
+# the one output an option chooses rather than the command: `verify
+# master --mode float`
+_MASTER_FLOAT = (["n", "k", "p", "coeffs", "mode", "lhs", "rhs", "rel_diff",
+                  "passed"],
+                 "master-float n={n} k={k} p={p} coeffs={coeffs} "
+                 "lhs={lhs} rhs={rhs} relDiff={rel_diff} passed={passed}")
+
+COMMANDS = {
+    "verify master": _Command(
+        "the two-expansion moment identity", _cmd_verify_master,
+        {"--n": {"required": True, "help": "N or LO..HI"},
+         "--coeffs": {"help": "comma-separated weights, e.g. 1/3,1/3"},
+         "--k": {"help": "dimension range (unit weights), e.g. 1..4"},
+         "--p": {"required": True,
+                 "help": "beta shape (a/b; decimal in float mode)"},
+         "--mode": {"choices": ("exact", "float"), "default": "exact",
+                    "help": "float: read decimals exactly and show the "
+                            "exact verdict in doubles"},
+         "--threads": _THREADS},
+        (["n", "k", "p", "coeffs", "mode", "lhs", "rhs", "verified"],
+         "master n={n} k={k} p={p} coeffs={coeffs} lhs={lhs} rhs={rhs} "
+         "verified={verified}")),
+    "verify equal-coeff": _Command(
+        "coefficient-free symmetric form", _cmd_verify_equal_coeff,
+        {"--n": {"required": True, "help": "N or LO..HI"},
+         "--k": {"required": True, "help": "N or LO..HI"},
+         "--p": {"required": True},
+         "--threads": dict(_THREADS, help="echoed in the output; exact "
+                                          "runs use one thread")},
+        (["n", "k", "p", "lhs", "rhs", "verified"],
+         "equal-coeff n={n} k={k} p={p} lhs={lhs} rhs={rhs} "
+         "verified={verified}")),
+    "compute return-prob": _Command(
+        "exact return probability", _cmd_return_prob, _WALK,
+        (["dim", "steps", "probability", "decimal"],
+         "{probability} {decimal}")),
+    "compute path-count": _Command(
+        "closed-path count", _cmd_path_count, _WALK,
+        (["dim", "steps", "count", "total_paths", "probability", "decimal"],
+         "{count}/{total_paths} {decimal}")),
+    "compute moment": _Command(
+        "even moment of the centered beta", _cmd_moment,
+        {"--n": {"type": _parse_int}, "--p": {}},
+        (["n", "p", "value", "decimal"], "{value} {decimal}")),
+    "oracle": _Command(
+        "exhaustive path-enumeration cross-check", _cmd_oracle,
+        {"--dim": {"type": _parse_int, "required": True},
+         "--steps": {"type": _parse_int, "required": True},
+         "--budget": {"type": _parse_int, "default": DEFAULT_PATH_BUDGET}},
+        (["dim", "steps", "count", "total_paths", "probability", "expected",
+          "matches"], "{count}/{total_paths} {match}")),
+    "simulate walk": _Command("simulate lattice walks", _cmd_simulate,
+                              _SIMULATE, _SIMULATE_OUTPUT),
+    "simulate beta": _Command("sample the matching beta moment",
+                              _cmd_simulate, _SIMULATE, _SIMULATE_OUTPUT),
+    "catalog list": _Command(
+        "list entries and errata", _cmd_catalog_list, {},
+        (["name", "variant", "location", "parameter_range", "erratum"],
+         "{name} [{variant}] {location}; range: {parameter_range}")),
+    "catalog verify": _Command(
+        "verify entries over their ranges", _cmd_catalog_verify,
+        {"name": {"nargs": "?", "default": "all"}},
+        (["name", "variant", "parameters", "lhs", "rhs", "verified"],
+         "{name} variant={variant} {parameters} lhs={lhs} rhs={rhs} "
+         "verified={verified}")),
+    "series": _Command(
+        "partial-sum diagnostics for the central-binomial ratio series",
+        _cmd_series,
+        {"--n": {"type": _parse_int, "required": True},
+         "--variant": {"choices": SERIES_VARIANTS, "required": True},
+         "--max-terms": {"type": _parse_int, "default": SERIES_MAX_TERMS},
+         "--cutoff": {"type": _parse_float, "default": 1e-12}},
+        (["n", "variant", "terms_evaluated", "converged", "diverged",
+          "limit_estimate", "target", "last_term"],
+         "series n={n} variant={variant} terms={terms_evaluated} "
+         "converged={converged} diverged={diverged} "
+         "limitEstimate={limit_estimate} target={target}")),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -521,128 +587,53 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
-def _add_format(parser) -> None:
-    parser.add_argument("--format", choices=("plain", "json", "csv"),
-                        default="plain", help="output record format")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every row of ``COMMANDS``, which sets ``words``."""
     parser = _Parser(
         prog="betawalk",
         description=("Exact verification of beta-moment identities and "
                      "lattice walk return probabilities."),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    verify = sub.add_parser("verify", help="run exact or float verification")
-    vsub = verify.add_subparsers(dest="target", required=True)
-
-    vm = vsub.add_parser("master", help="the two-expansion moment identity")
-    vm.add_argument("--n", required=True, help="N or LO..HI")
-    vm.add_argument("--coeffs", help="comma-separated weights, e.g. 1/3,1/3")
-    vm.add_argument("--k", help="dimension range (unit weights), e.g. 1..4")
-    vm.add_argument("--p", required=True, help="beta shape (a/b; decimal in float mode)")
-    vm.add_argument("--mode", choices=("exact", "float"), default="exact",
-                    help="float: read decimals exactly and show the exact "
-                         "verdict in doubles")
-    vm.add_argument("--threads", type=_parse_int, default=1,
-                    help="echoed in the output; every run uses one thread")
-    _add_format(vm)
-    vm.set_defaults(handler=_cmd_verify_master)
-
-    ve = vsub.add_parser("equal-coeff",
-                         help="coefficient-free symmetric form")
-    ve.add_argument("--n", required=True, help="N or LO..HI")
-    ve.add_argument("--k", required=True, help="N or LO..HI")
-    ve.add_argument("--p", required=True)
-    ve.add_argument("--threads", type=_parse_int, default=1,
-                    help="echoed in the output; exact runs use one thread")
-    _add_format(ve)
-    ve.set_defaults(handler=_cmd_verify_equal_coeff)
-
-    compute = sub.add_parser("compute", help="exact values")
-    csub = compute.add_subparsers(dest="what", required=True)
-    for what, helptext in (("return-prob", "exact return probability"),
-                           ("path-count", "closed-path count"),
-                           ("moment", "even moment of the centered beta")):
-        cp = csub.add_parser(what, help=helptext)
-        if what == "moment":
-            cp.add_argument("--n", type=_parse_int)
-            cp.add_argument("--p")
-        else:
-            cp.add_argument("--dim", type=_parse_int)
-            cp.add_argument("--steps", type=_parse_int)
-            cp.add_argument("--allow-odd", action="store_true")
-        _add_format(cp)
-        cp.set_defaults(handler=_cmd_compute)
-
-    oracle = sub.add_parser("oracle",
-                            help="exhaustive path-enumeration cross-check")
-    oracle.add_argument("--dim", type=_parse_int, required=True)
-    oracle.add_argument("--steps", type=_parse_int, required=True)
-    oracle.add_argument("--budget", type=_parse_int,
-                        default=DEFAULT_PATH_BUDGET)
-    _add_format(oracle)
-    oracle.set_defaults(handler=_cmd_oracle)
-
-    simulate = sub.add_parser("simulate", help="seeded Monte Carlo")
-    ssub = simulate.add_subparsers(dest="kind", required=True)
-    for kind, helptext in (("walk", "simulate lattice walks"),
-                           ("beta", "sample the matching beta moment")):
-        sp = ssub.add_parser(kind, help=helptext)
-        sp.add_argument("--dim", type=_parse_int, required=True)
-        sp.add_argument("--n", type=_parse_int, required=True,
-                        help="half the walk length")
-        sp.add_argument("--trials", type=_parse_int, required=True)
-        sp.add_argument("--seed", type=_parse_int, default=0)
-        sp.add_argument("--threads", type=_parse_int, default=1,
-                        help="echoed in the output; every run uses one thread")
-        _add_format(sp)
-        sp.set_defaults(handler=_cmd_simulate)
-
-    cat = sub.add_parser("catalog", help="identity registry")
-    catsub = cat.add_subparsers(dest="action", required=True)
-    cl = catsub.add_parser("list", help="list entries and errata")
-    _add_format(cl)
-    cl.set_defaults(handler=_cmd_catalog)
-    cv = catsub.add_parser("verify", help="verify entries over their ranges")
-    cv.add_argument("name", nargs="?", default="all")
-    _add_format(cv)
-    cv.set_defaults(handler=_cmd_catalog)
-
-    series = sub.add_parser("series",
-                            help="partial-sum diagnostics for the "
-                                 "central-binomial ratio series")
-    series.add_argument("--n", type=_parse_int, required=True)
-    series.add_argument("--variant", choices=SERIES_VARIANTS, required=True)
-    series.add_argument("--max-terms", type=_parse_int,
-                        default=SERIES_MAX_TERMS)
-    series.add_argument("--cutoff", type=_parse_float, default=1e-12)
-    _add_format(series)
-    series.set_defaults(handler=_cmd_series)
-
+    groups = {"": sub}
+    for words, command in COMMANDS.items():
+        group, _, name = words.rpartition(" ")
+        if group not in groups:
+            dest, helptext = _GROUPS[group]
+            groups[group] = sub.add_parser(group, help=helptext) \
+                .add_subparsers(dest=dest, required=True)
+        cp = groups[group].add_parser(name, help=command.help)
+        for option, kwargs in command.options.items():
+            cp.add_argument(option, **kwargs)
+        cp.add_argument("--format", choices=("plain", "json", "csv"),
+                        default="plain", help="output record format")
+        cp.set_defaults(words=words)
     return parser
 
 
 def main(argv: Optional[Iterable[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv if argv is None else list(argv))
+    command = COMMANDS[args.words]
+    output = (_MASTER_FLOAT if getattr(args, "mode", "") == "float"
+              else command.output)
+    out = Emitter(args.format, args.words, *output)
     try:
-        out, records = args.handler(args)
+        records, note = command.handler(args)
         # render all before printing, so a refused value leaves stdout empty
         text = "".join(map(out.emit, records))
         # a full disk fails the write or the flush, whatever the buffering
         sys.stdout.write(text)
         sys.stdout.flush()
     except InputError as exc:
-        print(f"betawalk: error: {exc}", file=sys.stderr)
+        _note(f"betawalk: error: {exc}")
         return EXIT_USAGE
     except Exception as exc:  # a fault of the program, not of the input
         message = " ".join(f"{type(exc).__name__}: {exc}".split())
-        print(f"betawalk: internal error: {message}", file=sys.stderr)
+        _note(f"betawalk: internal error: {message}")
         return EXIT_INTERNAL
-    if out.note:
-        _note(out.note)
+    if note:
+        _note(f"# {args.words}: {note}")
     if any(record.status == "violated" for record in records):
         return EXIT_STATISTICAL if args.command == "simulate" else EXIT_VIOLATED
     return EXIT_OK
@@ -659,12 +650,20 @@ def entry_point() -> None:
     # The process is short and builds no reference cycle, and it ends in
     # os._exit, so the cyclic collector would only pay for numpy's imports.
     gc.disable()
-    code = main()
-    # main has flushed stdout, so the process has nothing left to do and
-    # ends here: interpreter teardown (module finalization, a last garbage
-    # collection, freeing every object) would cost 8-20 ms, and no atexit
-    # hook runs.
-    sys.stderr.flush()
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse has printed --help or a usage error
+        code = exc.code
+    # main has written and flushed its records, so the process has nothing
+    # left to do and ends here: interpreter teardown (module finalization,
+    # a last garbage collection, freeing every object) would cost 8-20 ms,
+    # and no atexit hook runs.  A message that cannot be written keeps the
+    # code, as argparse's own messages do.
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            pass
     os._exit(code)
 
 

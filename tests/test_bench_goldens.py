@@ -1,10 +1,12 @@
-"""The benchmark's checker reads every pinned ``verify master`` output.
+"""The benchmark's checker reads every pinned ``verify master`` output,
+and its tracer still runs the CLI.
 
 The benchmark judges the same commands the goldens pin, with its own
 parser and references (``bench/check.py``).  A golden it could not read
-would fail only in a benchmark run; here it fails with the tests.  The
-benchmark's modules are imported read-only, as ``bench/test_check.py``
-imports them.
+would fail only in a benchmark run; here it fails with the tests.  So
+would a CLI whose parser or emitter the traced run could no longer wrap
+(``bench/spans.py``).  The benchmark's modules are imported read-only, as
+``bench/test_check.py`` imports them.
 """
 
 import json
@@ -19,6 +21,8 @@ from test_golden import CASES, GOLDEN, case_name
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 from check import expected_exit, judge_records, parse_records  # noqa: E402
+from run import load_program  # noqa: E402
+from spans import Tracer, run_in_process  # noqa: E402
 from workloads import master, master_float, master_sweep  # noqa: E402
 
 
@@ -62,3 +66,20 @@ def test_the_benchmark_checker_accepts_the_master_golden(command):
     assert records
     assert judge_records(cmd, records) == []
     assert expected_exit(cmd, records) == (0,) == (codes[name],)
+
+
+def test_the_traced_benchmark_wraps_and_runs_the_cli():
+    # the tracer calls build_parser() with no argument and wraps
+    # Emitter.emit; a changed call shape fails every traced command
+    mods = load_program()
+    tracer = Tracer(mods)
+    assert [name for name in tracer.missing if name.startswith("cli.")] == []
+    first = tracer.start_pass()
+    tracer.install()
+    try:
+        code, _, err = run_in_process(mods["cli"], MASTER_CASES[0].split())
+    finally:
+        tracer.uninstall()
+    assert (code, "Traceback" in err) == (0, False)
+    assert {"cli.parse", "cli.emit"} <= {span[0]
+                                         for span in tracer.spans[first:]}

@@ -495,6 +495,31 @@ def test_simulate_statistical_failure_exit_code(capsys):
     assert runs[False] == (0, "0.0")
 
 
+@pytest.mark.parametrize("kind", ["walk", "beta"])
+@pytest.mark.parametrize("z, code, status", [
+    (3.999, 0, "ok"), (-3.999, 0, "ok"),
+    (4.0, 3, "violated"), (-4.0, 3, "violated"),
+])
+def test_a_simulation_fails_at_the_z_limit(capsys, monkeypatch, kind, z,
+                                           code, status):
+    # |z| < Z_LIMIT passes and |z| >= 4 is a statistical failure, whatever
+    # the sampler drew
+    from betawalk import walks
+    result = walks.SimulationResult(
+        trials=100, hits=50, estimate=0.5, std_error=0.05,
+        exact_reference=Fraction(1, 2), z_score=z, seed=1, workers=1)
+    monkeypatch.setattr(walks, "simulate_walk", lambda *a, **k: result)
+    monkeypatch.setattr(walks, "simulate_beta_moment",
+                        lambda *a, **k: result)
+    got, out, _ = run_cli(capsys, "simulate", kind, "--dim", "1", "--n",
+                          "1", "--trials", "100", "--seed", "1",
+                          "--format", "json")
+    record = json.loads(out)
+    assert (got, record["status"], record["command"],
+            record["payload"]["zScore"]) == (code, status, f"simulate {kind}",
+                                              z)
+
+
 def test_simulate_usage_errors(capsys):
     code, out, err = run_cli(capsys, "simulate", "walk", "--dim", "1",
                              "--n", "1", "--trials", "0")
@@ -1168,3 +1193,26 @@ def test_a_write_to_a_full_disk_exits_70_with_one_line(monkeypatch, argv,
     assert (proc.returncode, lines) == (70, [
         b"betawalk: internal error: OSError: [Errno 28] No space left on "
         b"device"])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False],
+                         ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "master", "--n", "1..3", "--coeffs", "1,2", "--p", "1/2"], 0),
+    (["compute", "return-prob", "--dim", "2", "--steps", "5"], 2),
+    (["catalog", "list"], 0),
+    (["catalog", "verify", "all"], 0),
+    (["verify", "bogus"], 2),
+], ids=["note", "error", "banners", "banners-and-note", "argparse"])
+def test_a_failed_stderr_write_keeps_the_exit_code(monkeypatch, argv, code,
+                                                   unbuffered):
+    # stdout carries the data, and a diagnostic line that cannot be
+    # written changes nothing: the code stays the one the run decided
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    else:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    with open("/dev/full", "wb") as full:
+        proc = run_module(argv, stdout=subprocess.PIPE, stderr=full)
+    assert (proc.returncode, proc.stdout == b"") == (code, code == 2)
