@@ -14,10 +14,8 @@ error (any other exception, reported as one ``betawalk: internal error:
 Float mode reads each decimal as its exact value and runs the exact
 engine; its record shows the exact verdict in doubles.
 
-Each command is one row of ``COMMANDS``: its words, help, handler,
-options, CSV columns and plain template.  The parser, the handler it calls
-and the emitter that serializes the handler's records are all read from
-that row.
+Each command is one row of ``COMMANDS``, from which the parser, the
+handler and the emitter are read.
 
 The CLI turns text into values and checks only what that needs: the
 number syntax, which options go together, and odd walk lengths; every
