@@ -23,8 +23,10 @@ of trials draws from its own PCG64DXSM stream, keyed by seed and block,
 and every block is drawn in order on the calling thread; the worker count
 is validated and recorded, not used.  Both samplers refuse more than
 ``SIMULATION_WORK_BUDGET`` draws, ``MAX_WORKERS`` workers or a seed outside
-0..2^64-1 before they start.  Only the Monte Carlo functions use numpy, and
-they import it when they run, so the exact functions load no numpy.
+0..2^64-1 before they start.  The estimate comes from the draws alone, its
+standard error from the summand's exact variance under the reference.  Only
+the Monte Carlo functions use numpy, and they import it when they run, so
+the exact functions load no numpy.
 """
 
 from __future__ import annotations
@@ -118,10 +120,10 @@ class SimulationResult(NamedTuple):
     """Monte Carlo estimate with its exact reference and z-score.
 
     ``hits`` is the origin-return count for walk simulations and None for
-    moment sampling, where the summand is bounded but not Bernoulli and
-    ``std_error`` is the sample standard error of the mean.  With a
-    standard error of 0, ``z_score`` is 0 if the estimate hits the
-    reference and an infinity if it misses, which JSON writes as null.
+    moment sampling, where the summand is bounded but not Bernoulli.  The
+    estimate comes from the draws alone; ``std_error`` is the exact
+    standard error of the mean under the reference, sqrt(sigma^2 /
+    trials), so it is positive and ``z_score`` finite.
     """
 
     trials: int
@@ -141,7 +143,7 @@ class SimulationResult(NamedTuple):
             "stdError": self.std_error,
             "exactReference": fraction_str(self.exact_reference),
             "exactDecimal": decimal15(self.exact_reference),
-            "zScore": self.z_score if math.isfinite(self.z_score) else None,
+            "zScore": self.z_score,
             "seed": self.seed,
             "workers": self.workers,
         }
@@ -405,8 +407,8 @@ def simulate_walk(spec: WalkSpec, trials: int, seed: int,
     recorded in the result, not used: every block is drawn on the calling
     thread.  The trial and worker counts are checked first, each draw of a
     walk over 64 steps charged as ``_WIDE_DRAW``, then the exact reference
-    is computed, so a count over its work budget fails before anything is
-    drawn.
+    p0 is computed, so a count over its work budget fails before anything
+    is drawn.  The hit indicator's exact variance is p0 (1 - p0).
     """
     dim, steps = spec.dimension, 2 * spec.half_steps
     _check_simulation(trials, dim, seed, workers,
@@ -434,11 +436,8 @@ def simulate_walk(spec: WalkSpec, trials: int, seed: int,
         return int(np.count_nonzero(2 * _fair_coin_counts(rng, left) == left))
 
     hits = sum(_draw(chunk, trials, seed))
-    estimate = hits / trials
-    std_error = math.sqrt(estimate * (1.0 - estimate) / trials)
-    z_score = _z_score(estimate, std_error, reference)
-    return SimulationResult(trials, hits, estimate, std_error, reference,
-                            z_score, seed, workers)
+    return _scored(hits, hits / trials, reference * (1 - reference),
+                   trials, reference, seed, workers)
 
 
 def simulate_beta_moment(dim: int, half_steps: int, trials: int, seed: int,
@@ -450,19 +449,24 @@ def simulate_beta_moment(dim: int, half_steps: int, trials: int, seed: int,
     2^-24 and the cosine is float32, which moves E V^2j by about 1e-7
     relative for j <= 10.  The estimate averages ((V_1+..+V_k)/k)^(2n) in
     float64, the power taken by repeated squaring; chunk sums merge through
-    math.fsum, which is exact compensated summation.  As in
-    ``simulate_walk``, ``workers`` is recorded, not used, and the counts
-    are checked and the exact reference computed before any draw.
+    math.fsum, which is exact compensated summation.  The summand
+    Y = S^2n, S the mean of the variates, has E[Y] = p0, the return
+    probability at 2n steps, and E[Y^2] = E[S^4n], the one at 4n steps,
+    so its exact variance is E[S^4n] - p0^2.  As in ``simulate_walk``,
+    ``workers`` is recorded, not used, and the counts are checked and
+    both exact moments computed before any draw: a 4n-step count over
+    ``COUNT_WORK_BUDGET`` refuses the run.
     """
     if dim < 1 or half_steps < 1:
         raise InputError("dim and half_steps must be >= 1")
     _check_simulation(trials, dim, seed, workers)
     reference = return_probability(dim, half_steps)
+    second_moment = return_probability(dim, 2 * half_steps)  # E[S^4n]
     import numpy as np
 
     power = 2 * half_steps
 
-    def chunk(rng, m: int) -> tuple[float, float]:
+    def chunk(rng, m: int) -> float:
         # one axis at a time: the block never holds an (m, dim) matrix
         variates = np.empty(m, np.float32)
         sample = np.zeros(m)
@@ -471,28 +475,21 @@ def simulate_beta_moment(dim: int, half_steps: int, trials: int, seed: int,
             variates *= np.float32(math.pi)
             sample -= np.cos(variates, out=variates)
         sample /= dim
-        sample = _power_by_squaring(sample, power, np.empty(m))
-        total = float(sample.sum())
-        sample *= sample
-        return total, float(sample.sum())
+        return float(_power_by_squaring(sample, power, np.empty(m)).sum())
 
-    sums, squares = zip(*_draw(chunk, trials, seed))
-    total, total_sq = math.fsum(sums), math.fsum(squares)
-    estimate = total / trials
-    if trials > 1:
-        variance = max(0.0, (total_sq - trials * estimate * estimate)
-                       / (trials - 1))
-        std_error = math.sqrt(variance / trials)
-    else:
-        std_error = 0.0
-    z_score = _z_score(estimate, std_error, reference)
-    return SimulationResult(trials, None, estimate, std_error, reference,
-                            z_score, seed, workers)
+    estimate = math.fsum(_draw(chunk, trials, seed)) / trials
+    return _scored(None, estimate, second_moment - reference * reference,
+                   trials, reference, seed, workers)
 
 
-def _z_score(estimate: float, std_error: float, reference: Fraction) -> float:
-    if std_error > 0.0:
-        return (estimate - float(reference)) / std_error
-    if estimate == float(reference):
-        return 0.0
-    return math.copysign(math.inf, estimate - float(reference))
+def _scored(hits: Optional[int], estimate: float, variance: Fraction,
+            trials: int, reference: Fraction, seed: int,
+            workers: int) -> SimulationResult:
+    """The result of a run whose draws gave ``estimate``, scored on the
+    scale of the exact law: ``variance`` is the summand's exact variance
+    when its mean is ``reference``, so the standard error
+    sqrt(variance / trials) takes nothing from the draws."""
+    std_error = math.sqrt(float(variance) / trials)
+    return SimulationResult(trials, hits, estimate, std_error, reference,
+                            (estimate - float(reference)) / std_error,
+                            seed, workers)

@@ -83,3 +83,21 @@ def test_the_traced_benchmark_wraps_and_runs_the_cli():
     assert (code, "Traceback" in err) == (0, False)
     assert {"cli.parse", "cli.emit"} <= {span[0]
                                          for span in tracer.spans[first:]}
+
+
+def test_the_traced_benchmark_counts_the_sampler_trials():
+    # the tracer binds each sampler's arguments by name: a changed
+    # signature fails the traced run or leaves walks.mc_trials at 0
+    mods = load_program()
+    tracer = Tracer(mods)
+    first = tracer.start_pass()
+    tracer.install()
+    try:
+        code, _, err = run_in_process(mods["cli"], [
+            "simulate", "beta", "--dim", "1", "--n", "1", "--trials", "1000",
+            "--seed", "1"])
+    finally:
+        tracer.uninstall()
+    assert (code, "Traceback" in err) == (0, False)
+    assert tracer.counters["walks.mc_trials"] == 1000
+    assert "walks.simulate_beta" in {span[0] for span in tracer.spans[first:]}

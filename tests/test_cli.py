@@ -445,8 +445,9 @@ def _refuse_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
 
-# runs whose standard error is 0 and whose estimate misses the reference
-ZERO_STD_ERROR_RUNS = [
+# runs whose draws have no spread, one trial or no hit: the standard error
+# is the exact law's, so it is positive and z is finite
+NO_SPREAD_RUNS = [
     ["simulate", "beta", "--dim", "2", "--n", "2", "--trials", "1",
      "--seed", "5", "--format", "json"],
     ["simulate", "walk", "--dim", "199", "--n", "5", "--trials", "1000",
@@ -455,17 +456,17 @@ ZERO_STD_ERROR_RUNS = [
 
 
 def test_every_json_line_is_strict_json(capsys):
-    # no NaN or Infinity, in the goldens or where the z-score is infinite
+    # no NaN or Infinity, in the goldens or where the draws have no spread
     lines = [line for path in sorted(GOLDEN.glob("*json*.out"))
              for line in path.read_text().splitlines()]
     assert len(lines) > 20
-    for argv in ZERO_STD_ERROR_RUNS:
+    for argv in NO_SPREAD_RUNS:
         code, out, err = run_cli(capsys, *argv)
-        assert (code, err) == (3, "")
+        assert (code, err) == (0, "")
         record = json.loads(out, parse_constant=_refuse_constant)
-        assert record["payload"]["stdError"] == 0.0
-        assert record["payload"]["zScore"] is None
-        assert record["status"] == "violated"
+        assert record["payload"]["stdError"] > 0.0
+        assert abs(record["payload"]["zScore"]) < cli.Z_LIMIT
+        assert record["status"] == "ok"
         lines.append(out)
     for line in lines:
         json.loads(line, parse_constant=_refuse_constant)
@@ -476,23 +477,6 @@ def test_simulate_beta(capsys):
                            "--n", "1", "--trials", "20000", "--seed", "1")
     assert code == 0
     assert "exact=1/2" in out
-
-
-def test_simulate_statistical_failure_exit_code(capsys):
-    # two trials of a return probability 1/2: an estimate of 0 or 1 has
-    # stdError 0 and |z| = inf (exit 3), an estimate of 1/2 has z = 0
-    # (exit 0); which seeds give which depends on the stream, so scan
-    argv = ("simulate", "walk", "--dim", "1", "--n", "1", "--trials", "2",
-            "--threads", "1", "--seed")
-    runs = {}
-    for seed in range(64):
-        code, out, _ = run_cli(capsys, *argv, str(seed))
-        z = out.split("z=")[1].split()[0]
-        runs.setdefault(z in ("inf", "-inf"), (code, z))
-        if len(runs) == 2:
-            break
-    assert runs[True][0] == 3
-    assert runs[False] == (0, "0.0")
 
 
 @pytest.mark.parametrize("kind", ["walk", "beta"])
@@ -518,6 +502,25 @@ def test_a_simulation_fails_at_the_z_limit(capsys, monkeypatch, kind, z,
     assert (got, record["status"], record["command"],
             record["payload"]["zScore"]) == (code, status, f"simulate {kind}",
                                               z)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "walk", "--dim", "2", "--n", "5", "--trials", "1000000",
+     "--seed", "7"],
+    ["simulate", "beta", "--dim", "1", "--n", "1", "--trials", "1000000",
+     "--seed", "1"],
+], ids=["walk", "beta"])
+def test_a_reference_off_by_five_percent_fails_the_readme_run(
+        capsys, monkeypatch, argv):
+    # the exact law sets the scale, yet a 5% error in it is still caught
+    from betawalk import walks
+    exact = walks.return_probability
+    monkeypatch.setattr(walks, "return_probability",
+                        lambda dim, n: exact(dim, n) * Fraction(105, 100))
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    record = json.loads(out)
+    assert (code, record["status"]) == (3, "violated")
+    assert abs(record["payload"]["zScore"]) > 10
 
 
 def test_simulate_usage_errors(capsys):
@@ -870,10 +873,10 @@ def test_rejected_inputs_keep_exit_2_and_their_message(capsys):
             assert err.startswith(f"betawalk: error: {message}"), argv
             assert err.count("\n") == 1 and len(err) < 300, argv
             assert "Traceback" not in err, argv
-        # a standard error of 0 is a statistical failure, not a refusal
-        for argv in ZERO_STD_ERROR_RUNS:
+        # draws with no spread are neither a refusal nor a failure
+        for argv in NO_SPREAD_RUNS:
             code, out, err = run_cli(capsys, *argv)
-            assert (code, err) == (3, ""), argv
+            assert (code, err) == (0, ""), argv
             assert out.count("\n") == 1 and len(out) < 400, argv
     finally:
         sys.set_int_max_str_digits(limit)
@@ -967,6 +970,9 @@ def test_odd_path_count_prints_every_format(capsys):
      "equal-coeff record at n=1, k=1 needs about"),
     (["series", "--n", "100001", "--variant", "printed", "--max-terms", "3"],
      "n must be at most 100000"),
+    # the beta summand's variance needs the return probability at 4n steps
+    (["simulate", "beta", "--dim", "2", "--n", "424", "--trials", "10"],
+     "path count at dim=2, half_steps=848 needs about"),
 ])
 def test_inputs_beyond_a_library_bound_exit_2_at_once(capsys, argv, message):
     # each is refused before any work starts
@@ -1122,7 +1128,9 @@ README_MASTER = ["verify", "master", "--n", "1..6", "--coeffs",
     *((README_MASTER + ["--format", fmt], 0)
       for fmt in ("plain", "json", "csv")),
     (["compute", "return-prob", "--dim", "2", "--steps", "5"], 2),
-    (["simulate", "walk", "--dim", "1", "--n", "1", "--trials", "1",
+    # exits 3: ten skewed beta summands whose mean lands 4.7 exact
+    # standard errors above the reference
+    (["simulate", "beta", "--dim", "3", "--n", "10", "--trials", "10",
       "--seed", "1"], 3),
 ], ids=["plain", "json", "csv", "usage", "statistical"])
 def test_the_process_exits_as_main_returns(capsys, argv, code):

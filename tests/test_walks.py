@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from betawalk import walks
+from betawalk.cli import Z_LIMIT
 from betawalk.render import InputError
 from betawalk.walks import (
     COUNT_WORK_BUDGET,
@@ -307,9 +308,8 @@ def test_simulate_walk_determinism_and_fields():
     assert first == second
     assert first.trials == 50_000
     assert first.estimate == first.hits / first.trials
-    expected_se = math.sqrt(first.estimate * (1 - first.estimate)
-                            / first.trials)
-    assert first.std_error == pytest.approx(expected_se, rel=1e-15)
+    # p0 (1 - p0) at p0 = 1/2, whatever the draws
+    assert first.std_error == math.sqrt(0.25 / first.trials)
     assert first.exact_reference == Fraction(1, 2)
     assert abs(first.z_score) < 4
     assert first.seed == 42 and first.workers == 3
@@ -543,6 +543,9 @@ def test_simulations_over_the_count_budget_draw_nothing(monkeypatch):
         simulate_walk(WalkSpec(2, 2000), 10, seed=1)
     with pytest.raises(InputError, match="limb operations"):
         simulate_beta_moment(2, 2000, 10, seed=1)
+    # p0 at 848 steps is admitted, E[S^4n] at 1696 steps is not
+    with pytest.raises(InputError, match="limb operations"):
+        simulate_beta_moment(2, 424, 10, seed=1)
 
 
 def test_multi_worker_multi_chunk_draws_are_pinned(monkeypatch):
@@ -554,11 +557,44 @@ def test_multi_worker_multi_chunk_draws_are_pinned(monkeypatch):
         walk = simulate_walk(WalkSpec(3, 4), 10_000, 2024, workers=workers)
         beta = simulate_beta_moment(3, 4, 10_000, 2024, workers=workers)
         assert walk == SimulationResult(
-            10_000, 261, 0.0261, 0.0015943271307984443, reference,
-            -0.33311049869556614, 2024, workers)
+            10_000, 261, 0.0261, 0.001610027089995594, reference,
+            -0.3298622171789633, 2024, workers)
         assert beta == SimulationResult(
-            10_000, None, 0.029474140337473368, 0.0010292335606637997,
-            reference, 2.762301328393927, 2024, workers)
+            10_000, None, 0.029474140337473368, 0.0009557486931661172,
+            reference, 2.9746870199016624, 2024, workers)
+
+
+def literal_return_probability(dim, half_steps):
+    return Fraction(literal_path_count(dim, half_steps),
+                    (2 * dim) ** (2 * half_steps))
+
+
+@pytest.mark.parametrize("trials", [1, 10, 1000])
+@pytest.mark.parametrize("dim, n", [(1, 1), (1, 4), (2, 2), (3, 3), (4, 2)])
+def test_the_standard_error_is_the_exact_laws(dim, n, trials):
+    # from the literal composition sums, not from path_count: the hit
+    # indicator's variance is p0 (1 - p0), the beta summand S^2n's is
+    # E[S^4n] - p0^2, E[S^4n] being the return probability at 4n steps
+    p0 = literal_return_probability(dim, n)
+    walk = simulate_walk(WalkSpec(dim, n), trials, seed=dim * 10 + n)
+    beta = simulate_beta_moment(dim, n, trials, seed=dim * 10 + n)
+    for result, variance in (
+            (walk, p0 * (1 - p0)),
+            (beta, literal_return_probability(dim, 2 * n) - p0 * p0)):
+        assert result.exact_reference == p0
+        assert result.std_error == math.sqrt(float(variance) / trials)
+        assert result.z_score == ((result.estimate - float(p0))
+                                  / result.std_error)
+
+
+def test_small_samples_raise_no_false_alarm():
+    # at dim 3 n 10, p0 = 0.0071: ten walks most often hit nothing, and a
+    # hundred beta summands are skewed; neither is a miss of the reference
+    for seed in range(200):
+        walk = simulate_walk(WalkSpec(3, 10), 10, seed)
+        beta = simulate_beta_moment(3, 10, 100, seed)
+        assert abs(walk.z_score) < Z_LIMIT, (seed, walk)
+        assert abs(beta.z_score) < Z_LIMIT, (seed, beta)
 
 
 def test_simulate_walk_different_seed_differs():
@@ -653,3 +689,9 @@ def test_simulation_bounds_hold_at_their_edge(monkeypatch):
     assert simulate_walk(WalkSpec(3, 33), 100, 0).trials == 100
     with pytest.raises(InputError, match="needs about 3030 draws"):
         simulate_walk(WalkSpec(3, 33), 101, 0)
+    # the beta summand's variance takes the count at 4n steps, whose work
+    # bound is path_count's
+    assert simulate_beta_moment(2, 423, 10, 0).trials == 10
+    with pytest.raises(InputError, match="half_steps=848 needs about "
+                       r"\d+ limb operations"):
+        simulate_beta_moment(2, 424, 10, 0)
