@@ -1,11 +1,15 @@
 """Registry of the standalone identities, each with an exact verifier.
 
 Some identities circulate in a defective stated form (a wrong summation
-limit, a wrong per-factor coefficient, a mislabeled shape parameter).  For
-those the catalog keeps BOTH variants: the corrected form is what gets
-verified over the declared parameter range, and the stated form is retained
-together with a machine-reproducible counterexample.  Nothing is silently
-substituted; reports and the CLI flag every correction.
+limit, a wrong per-factor coefficient, a mislabeled shape parameter).  Which
+ones is decided in one place, the ``_ERRATA`` table (identity name to
+erratum text).  For those the catalog keeps BOTH variants: the corrected
+form is what gets verified over the declared parameter range, and the
+stated form is kept in the identity's registry row, as its sides at n = 1,
+a machine-reproducible counterexample.  Nothing is silently substituted:
+every report of such an identity carries the erratum as its note, its
+range reports read ``variant=corrected`` and its counterexample
+``variant=printed``.  Every report of any other identity is ``printed``.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from math import comb, factorial
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .exact import PiRational, as_fraction, beta_half, gamma_half
-from .moments import (UPPER_LIMIT_NOTE, IdentityReport, _egf, _raw_moments,
-                      _series_coefficient, verify_master)
+from .moments import (IdentityReport, _egf, _raw_moments, _series_coefficient,
+                      verify_master)
 from .render import InputError
 from .walks import closed_form_2d, return_probability
 
@@ -33,13 +37,38 @@ __all__ = [
     "verify_duplication",
 ]
 
+_UPPER_LIMIT = (
+    "one-variable reduction is summed to 2n; the commonly stated upper "
+    "limit n fails (n=1, p=1/2 gives -1 instead of 1/2)"
+)
+
+# identity name -> what is wrong with its stated form; an identity not
+# listed here is verified as stated
+_ERRATA = {
+    "convolution": (
+        "stated lower summation index 1 drops the j=0 term; the sum must "
+        "start at 0 (n=1: starting at 1 gives 2, not 4)"),
+    "alternating": _UPPER_LIMIT,
+    "one-dim-general-p": _UPPER_LIMIT,
+    "two-dim-remark": (
+        "the remark labels the specialization shape 2, but the displayed "
+        "coefficients C(2j,j)/4^j only arise at shape 1/2 (at shape 2 the "
+        "n=1 moment is 1/10, not the identity's 1/4)"),
+    "k-dim-remark": (
+        "stated per-factor coefficient (-2/k)^j with right side 1/k^(2n) "
+        "fails (n=1, k=1: 17 vs 2); substituting equal weights 1/k at shape "
+        "1/2 into the master identity gives (-1/(2k))^j per factor and "
+        "(1/(2k))^(2n) on the right"),
+}
+
 
 class CatalogEntry(NamedTuple):
     """One named identity with its verifier and declared range.
 
-    An entry that keeps a counterexample callable, reproducing the stated
-    form's failure, is the "corrected" variant and carries the erratum
-    text; any other is "printed".
+    ``erratum`` is the identity's ``_ERRATA`` text, or None.  An entry with
+    an erratum is the "corrected" variant: ``run`` verifies the corrected
+    form and ``counterexample`` reproduces the stated form's failure.  Any
+    other entry is "printed" and has no counterexample.
     """
 
     name: str
@@ -51,13 +80,16 @@ class CatalogEntry(NamedTuple):
 
     @property
     def variant(self) -> str:
-        """"corrected" if the entry keeps a counterexample, else "printed"."""
-        return "printed" if self.counterexample is None else "corrected"
+        """"corrected" if the entry has an erratum, else "printed"."""
+        return "printed" if self.erratum is None else "corrected"
 
 
 def _report(name: str, parameters: dict, lhs: PiRational, rhs: PiRational,
-            notes: tuple[str, ...] = (),
-            variant: str = "corrected") -> IdentityReport:
+            stated: bool = False) -> IdentityReport:
+    """One check of identity ``name``; ``stated`` marks its stated form.
+    The variant and the notes come from ``_ERRATA``."""
+    erratum = _ERRATA.get(name)
+    variant = "printed" if stated or erratum is None else "corrected"
     params = {"variant": variant, **parameters}
     return IdentityReport(
         identity_name=name,
@@ -65,7 +97,7 @@ def _report(name: str, parameters: dict, lhs: PiRational, rhs: PiRational,
         lhs=lhs,
         rhs=rhs,
         verified=lhs == rhs,
-        notes=notes,
+        notes=() if erratum is None else (erratum,),
     )
 
 
@@ -73,39 +105,19 @@ def _report(name: str, parameters: dict, lhs: PiRational, rhs: PiRational,
 # convolution of central binomials:  sum_{j=0}^{n} C(2j,j) C(2n-2j,n-j) = 4^n
 # ---------------------------------------------------------------------------
 
-_CONVOLUTION_ERRATUM = (
-    "stated lower summation index 1 drops the j=0 term; the sum must "
-    "start at 0 (n=1: starting at 1 gives 2, not 4)"
-)
+
+def _convolution_sum(n: int, lower: int) -> int:
+    return sum(comb(2 * j, j) * comb(2 * n - 2 * j, n - j)
+               for j in range(lower, n + 1))
 
 
 def verify_convolution(n: int) -> IdentityReport:
     if n < 1:
         raise InputError("n must be >= 1")
-    corrected = sum(comb(2 * j, j) * comb(2 * n - 2 * j, n - j)
-                    for j in range(n + 1))
+    corrected = _convolution_sum(n, 0)
     printed = corrected - comb(2 * n, n)  # lower index 1
-    return _report(
-        "convolution",
-        {"n": n, "printedSum": printed},
-        PiRational(corrected),
-        PiRational(4 ** n),
-        notes=(_CONVOLUTION_ERRATUM,),
-    )
-
-
-def _convolution_counterexample() -> IdentityReport:
-    n = 1
-    printed = sum(comb(2 * j, j) * comb(2 * n - 2 * j, n - j)
-                  for j in range(1, n + 1))
-    return _report(
-        "convolution",
-        {"n": n},
-        PiRational(printed),
-        PiRational(4 ** n),
-        notes=(_CONVOLUTION_ERRATUM,),
-        variant="printed",
-    )
+    return _report("convolution", {"n": n, "printedSum": printed},
+                   PiRational(corrected), PiRational(4 ** n))
 
 
 # ---------------------------------------------------------------------------
@@ -127,19 +139,6 @@ def verify_alternating(n: int) -> IdentityReport:
         {"n": n, "printedSum": _alternating_sum(n, n)},
         PiRational(_alternating_sum(n, 2 * n)),
         PiRational(Fraction(comb(2 * n, n), 4 ** n)),
-        notes=(UPPER_LIMIT_NOTE,),
-    )
-
-
-def _alternating_counterexample() -> IdentityReport:
-    n = 1
-    return _report(
-        "alternating",
-        {"n": n},
-        PiRational(_alternating_sum(n, n)),
-        PiRational(Fraction(comb(2 * n, n), 4 ** n)),
-        notes=(UPPER_LIMIT_NOTE,),
-        variant="printed",
     )
 
 
@@ -162,16 +161,8 @@ def verify_one_dim_general_p(n: int, p) -> IdentityReport:
     if n < 1:
         raise InputError("n must be >= 1")
     p = as_fraction(p)
-    lhs, rhs = _one_dim_sides(n, p, 2 * n)
-    return _report("one-dim-general-p", {"n": n, "p": p}, lhs, rhs,
-                   notes=(UPPER_LIMIT_NOTE,))
-
-
-def _one_dim_counterexample() -> IdentityReport:
-    n, p = 1, Fraction(1, 2)
-    lhs, rhs = _one_dim_sides(n, p, n)
-    return _report("one-dim-general-p", {"n": n, "p": p}, lhs, rhs,
-                   notes=(UPPER_LIMIT_NOTE,), variant="printed")
+    return _report("one-dim-general-p", {"n": n, "p": p},
+                   *_one_dim_sides(n, p, 2 * n))
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +170,12 @@ def _one_dim_counterexample() -> IdentityReport:
 #   sum over j1+..+j_{k+1} = 2n of multi(2n;j)
 #       * prod_s a^(j_{s+1}) C(2j_{s+1}, j_{s+1})
 #   = (2n)! [x^2n] e^x * (sum_j a^j C(2j,j) x^j / j!)^k
-# whose correct per-factor coefficient is a = -1/(2k); the coefficient is
-# read off the truncated series product, the k-th power raised by
-# recurrence, in O(n^2) operations whatever k is
+# whose correct per-factor coefficient is a = -1/(2k), and whose right side
+# is then the walk's return probability
+#   (1/(2k))^(2n) * sum over i1+..+ik = n of (2n)! / prod i_j!^2;
+# at k = 2 that is C(2n,n)^2 / 4^(2n), at k = 3 the multinomial sum over
+# i1+i2+i3 = n.  The coefficient is read off the truncated series product,
+# the k-th power raised by recurrence, in O(n^2) operations whatever k is
 # ---------------------------------------------------------------------------
 
 
@@ -194,84 +188,32 @@ def _k_dim_sum(n: int, k: int, slot_coeff: Fraction) -> PiRational:
                                             two_n))
 
 
-# ---------------------------------------------------------------------------
-# two-variable remark (arcsine case):
-#   sum over j1+j2+j3 = 2n of (-1)^(j2+j3) 4^-(j2+j3) multi(2n;j)
-#       * C(2j2,j2) C(2j3,j3)  =  C(2n,n)^2 / 4^(2n)
-# ---------------------------------------------------------------------------
-
-_TWO_DIM_ERRATUM = (
-    "the remark labels the specialization shape 2, but the displayed "
-    "coefficients C(2j,j)/4^j only arise at shape 1/2 (at shape 2 the "
-    "n=1 moment is 1/10, not the identity's 1/4)"
-)
+def _remark(name: str, shown: dict, k: int, rhs: Fraction) -> IdentityReport:
+    """The k-variable remark at n = ``shown["n"]`` and its corrected
+    coefficient -1/(2k), against the independent right side ``rhs``."""
+    return _report(name, {**shown, "p": "1/2"},
+                   _k_dim_sum(shown["n"], k, Fraction(-1, 2 * k)),
+                   PiRational(rhs))
 
 
 def verify_two_dim_remark(n: int) -> IdentityReport:
     if n < 1:
         raise InputError("n must be >= 1")
-    return _report("two-dim-remark", {"n": n, "p": "1/2"},
-                   _k_dim_sum(n, 2, Fraction(-1, 4)),
-                   PiRational(closed_form_2d(n)),
-                   notes=(_TWO_DIM_ERRATUM,))
-
-
-def _two_dim_counterexample() -> IdentityReport:
-    # the stated shape: at p=2 the underlying moment no longer matches
-    n = 1
-    moment_at_2 = verify_master(n, (Fraction(1, 2), Fraction(1, 2)), 2).rhs
-    return _report("two-dim-remark", {"n": n, "p": "2"},
-                   moment_at_2, PiRational(closed_form_2d(n)),
-                   notes=(_TWO_DIM_ERRATUM,), variant="printed")
-
-
-# ---------------------------------------------------------------------------
-# three-variable remark:
-#   sum over j1+..+j4 = 2n of multi(2n;j) (-1/6)^(j2+j3+j4)
-#       * C(2j2,j2) C(2j3,j3) C(2j4,j4)
-#   = (1/6)^(2n) * sum over i1+i2+i3 = n of (2n)! / (i1! i2! i3!)^2
-# ---------------------------------------------------------------------------
+    return _remark("two-dim-remark", {"n": n}, 2, closed_form_2d(n))
 
 
 def verify_three_dim_remark(n: int) -> IdentityReport:
     if n < 1:
         raise InputError("n must be >= 1")
-    return _report("three-dim-remark", {"n": n, "p": "1/2"},
-                   _k_dim_sum(n, 3, Fraction(-1, 6)),
-                   PiRational(return_probability(3, n)))
-
-
-# ---------------------------------------------------------------------------
-# k-variable remark, corrected per-factor coefficient (-1/(2k))^j C(2j,j):
-#   sum over j1+..+j_{k+1} = 2n of multi(2n;j)
-#       * prod_s (-1/(2k))^(j_{s+1}) C(2j_{s+1}, j_{s+1})
-#   = (1/(2k))^(2n) * sum over i1+..+ik = n of (2n)! / prod i_j!^2
-# ---------------------------------------------------------------------------
-
-_K_DIM_ERRATUM = (
-    "stated per-factor coefficient (-2/k)^j with right side 1/k^(2n) fails "
-    "(n=1, k=1: 17 vs 2); substituting equal weights 1/k at shape 1/2 into "
-    "the master identity gives (-1/(2k))^j per factor and (1/(2k))^(2n) on "
-    "the right"
-)
+    return _remark("three-dim-remark", {"n": n}, 3,
+                   return_probability(3, n))
 
 
 def verify_k_dim_remark(n: int, k: int) -> IdentityReport:
     if n < 1 or k < 1:
         raise InputError("n and k must be >= 1")
-    lhs = _k_dim_sum(n, k, Fraction(-1, 2 * k))
-    return _report("k-dim-remark", {"n": n, "k": k, "p": "1/2"},
-                   lhs, PiRational(return_probability(k, n)),
-                   notes=(_K_DIM_ERRATUM,))
-
-
-def _k_dim_counterexample() -> IdentityReport:
-    n, k = 1, 1
-    lhs = _k_dim_sum(n, k, Fraction(-2, k))
-    rhs = PiRational(return_probability(k, n) * (2 * k) ** (2 * n)
-                     / Fraction(k ** (2 * n)))
-    return _report("k-dim-remark", {"n": n, "k": k, "p": "1/2"},
-                   lhs, rhs, notes=(_K_DIM_ERRATUM,), variant="printed")
+    return _remark("k-dim-remark", {"n": n, "k": k}, k,
+                   return_probability(k, n))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +239,7 @@ def verify_duplication(n: int) -> IdentityReport:
         raise InputError("n must be >= 0")
     lhs = gamma_half(n + Fraction(1, 2)) / gamma_half(Fraction(1, 2))
     rhs = PiRational(Fraction(comb(2 * n, n) * factorial(n), 4 ** n))
-    return _report("duplication", {"n": n}, lhs, rhs, variant="printed")
+    return _report("duplication", {"n": n}, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -307,65 +249,74 @@ def verify_duplication(n: int) -> IdentityReport:
 _HALF_P_GRID = ("1/2", "1", "3/2", "2", "5/2")
 
 
+def _entry(name: str, location: str, parameter_range: str,
+           run: Callable[[], Iterator[IdentityReport]],
+           stated: Optional[Callable[[], tuple]] = None) -> CatalogEntry:
+    """A registry row.  ``stated`` gives the stated form's (parameters,
+    lhs, rhs), which its counterexample reports as ``variant=printed``."""
+    return CatalogEntry(
+        name, location, parameter_range, run, _ERRATA.get(name),
+        None if stated is None
+        else lambda: _report(name, *stated(), stated=True))
+
+
+# each run calls its verifier by its module-level name, so a wrapper
+# installed on that name sees every report
 CATALOG: dict[str, CatalogEntry] = {entry.name: entry for entry in (
-    CatalogEntry(
-        name="convolution",
-        location="central binomial convolution",
-        parameter_range="n <= 50",
-        run=lambda: (verify_convolution(n) for n in range(1, 51)),
-        erratum=_CONVOLUTION_ERRATUM,
-        counterexample=_convolution_counterexample,
+    _entry(
+        "convolution", "central binomial convolution", "n <= 50",
+        lambda: (verify_convolution(n) for n in range(1, 51)),
+        # the stated lower index 1
+        lambda: ({"n": 1}, PiRational(_convolution_sum(1, 1)),
+                 PiRational(4)),
     ),
-    CatalogEntry(
-        name="alternating",
-        location="one-variable arcsine reduction, alternating form",
-        parameter_range="n <= 50",
-        run=lambda: (verify_alternating(n) for n in range(1, 51)),
-        erratum=UPPER_LIMIT_NOTE,
-        counterexample=_alternating_counterexample,
+    _entry(
+        "alternating", "one-variable arcsine reduction, alternating form",
+        "n <= 50",
+        lambda: (verify_alternating(n) for n in range(1, 51)),
+        # the stated upper limit n
+        lambda: ({"n": 1}, PiRational(_alternating_sum(1, 1)),
+                 PiRational(Fraction(comb(2, 1), 4))),
     ),
-    CatalogEntry(
-        name="one-dim-general-p",
-        location="one-variable reduction at general half-integer shape",
-        parameter_range="n <= 12, p in {1/2, 1, 3/2, 2, 5/2}",
-        run=lambda: (verify_one_dim_general_p(n, p)
-                     for n in range(1, 13) for p in _HALF_P_GRID),
-        erratum=UPPER_LIMIT_NOTE,
-        counterexample=_one_dim_counterexample,
+    _entry(
+        "one-dim-general-p",
+        "one-variable reduction at general half-integer shape",
+        "n <= 12, p in {1/2, 1, 3/2, 2, 5/2}",
+        lambda: (verify_one_dim_general_p(n, p)
+                 for n in range(1, 13) for p in _HALF_P_GRID),
+        # the stated upper limit n, at the arcsine shape
+        lambda: ({"n": 1, "p": Fraction(1, 2)},
+                 *_one_dim_sides(1, Fraction(1, 2), 1)),
     ),
-    CatalogEntry(
-        name="two-dim-remark",
-        location="two-variable arcsine reduction remark",
-        parameter_range="n <= 12",
-        run=lambda: (verify_two_dim_remark(n) for n in range(1, 13)),
-        erratum=_TWO_DIM_ERRATUM,
-        counterexample=_two_dim_counterexample,
+    _entry(
+        "two-dim-remark", "two-variable arcsine reduction remark", "n <= 12",
+        lambda: (verify_two_dim_remark(n) for n in range(1, 13)),
+        # the stated shape 2: the underlying moment no longer matches
+        lambda: ({"n": 1, "p": "2"},
+                 verify_master(1, (Fraction(1, 2), Fraction(1, 2)), 2).rhs,
+                 PiRational(closed_form_2d(1))),
     ),
-    CatalogEntry(
-        name="three-dim-remark",
-        location="three-variable arcsine reduction remark",
-        parameter_range="n <= 8",
-        run=lambda: (verify_three_dim_remark(n) for n in range(1, 9)),
+    _entry(
+        "three-dim-remark", "three-variable arcsine reduction remark",
+        "n <= 8",
+        lambda: (verify_three_dim_remark(n) for n in range(1, 9)),
     ),
-    CatalogEntry(
-        name="k-dim-remark",
-        location="k-variable arcsine reduction remark",
-        parameter_range="n <= 6, k <= 4",
-        run=lambda: (verify_k_dim_remark(n, k)
-                     for n in range(1, 7) for k in range(1, 5)),
-        erratum=_K_DIM_ERRATUM,
-        counterexample=_k_dim_counterexample,
+    _entry(
+        "k-dim-remark", "k-variable arcsine reduction remark",
+        "n <= 6, k <= 4",
+        lambda: (verify_k_dim_remark(n, k)
+                 for n in range(1, 7) for k in range(1, 5)),
+        # the stated coefficient -2/k and right side 1/k^(2n) times
+        # (2n)!/n!^2, at n = k = 1
+        lambda: ({"n": 1, "k": 1, "p": "1/2"},
+                 _k_dim_sum(1, 1, Fraction(-2)), PiRational(comb(2, 1))),
     ),
-    CatalogEntry(
-        name="vandermonde",
-        location="planar path-count reduction",
-        parameter_range="n <= 100",
-        run=lambda: (verify_vandermonde(n) for n in range(1, 101)),
+    _entry(
+        "vandermonde", "planar path-count reduction", "n <= 100",
+        lambda: (verify_vandermonde(n) for n in range(1, 101)),
     ),
-    CatalogEntry(
-        name="duplication",
-        location="gamma duplication at half-integers",
-        parameter_range="n <= 100",
-        run=lambda: (verify_duplication(n) for n in range(0, 101)),
+    _entry(
+        "duplication", "gamma duplication at half-integers", "n <= 100",
+        lambda: (verify_duplication(n) for n in range(0, 101)),
     ),
 )}

@@ -426,7 +426,7 @@ def _cmd_catalog_verify(args) -> tuple[list[Record], str]:
         return Record(dict(rep.parameters), rep,
                       _status(rep.verified or counterexample),
                       {"name": rep.identity_name,
-                       "variant": rep.parameters.get("variant", "corrected"),
+                       "variant": rep.parameters["variant"],
                        "parameters": ",".join(f"{k}={v}"
                                               for k, v in shown.items()),
                        "lhs": rep.lhs, "rhs": rep.rhs,

@@ -53,11 +53,6 @@ __all__ = [
 # the bound on a record's estimated work: about 4 s on a 2-vCPU machine
 MOMENT_WORK_BUDGET = 16_000_000
 
-UPPER_LIMIT_NOTE = (
-    "one-variable reduction is summed to 2n; the commonly stated upper "
-    "limit n fails (n=1, p=1/2 gives -1 instead of 1/2)"
-)
-
 
 class IdentityReport(NamedTuple):
     """Outcome of one exact identity check.

@@ -454,12 +454,16 @@ def simulate_beta_moment(dim: int, half_steps: int, trials: int, seed: int,
     probability at 2n steps, and E[Y^2] = E[S^4n], the one at 4n steps,
     so its exact variance is E[S^4n] - p0^2.  As in ``simulate_walk``,
     ``workers`` is recorded, not used, and the counts are checked and
-    both exact moments computed before any draw: a 4n-step count over
-    ``COUNT_WORK_BUDGET`` refuses the run.
+    both exact moments computed before any draw: a run whose 4n-step
+    count is over ``COUNT_WORK_BUDGET`` is refused, naming dim and n,
+    before either count starts.
     """
     if dim < 1 or half_steps < 1:
         raise InputError("dim and half_steps must be >= 1")
     _check_simulation(trials, dim, seed, workers)
+    # the 4n-step count bounds both exact moments' work
+    check_work(f"beta variance at dim={brief(dim)}, n={brief(half_steps)}",
+               _count_work(dim, 2 * half_steps), COUNT_WORK_BUDGET)
     reference = return_probability(dim, half_steps)
     second_moment = return_probability(dim, 2 * half_steps)  # E[S^4n]
     import numpy as np

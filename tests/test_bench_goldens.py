@@ -1,5 +1,5 @@
-"""The benchmark's checker reads every pinned ``verify master`` output,
-and its tracer still runs the CLI.
+"""The benchmark's checker reads every pinned ``verify master`` output and
+the pinned catalog outputs, and its tracer still runs the CLI.
 
 The benchmark judges the same commands the goldens pin, with its own
 parser and references (``bench/check.py``).  A golden it could not read
@@ -23,7 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from check import expected_exit, judge_records, parse_records  # noqa: E402
 from run import load_program  # noqa: E402
 from spans import Tracer, run_in_process  # noqa: E402
-from workloads import master, master_float, master_sweep  # noqa: E402
+from workloads import catalog, master, master_float, master_sweep  # noqa: E402
 
 
 def bench_command(command: str):
@@ -68,6 +68,25 @@ def test_the_benchmark_checker_accepts_the_master_golden(command):
     assert expected_exit(cmd, records) == (0,) == (codes[name],)
 
 
+CATALOG_CASES = [c for c in CASES
+                 if c.startswith(("catalog list ", "catalog verify all "))]
+
+
+@pytest.mark.parametrize("command", CATALOG_CASES, ids=case_name)
+def test_the_benchmark_checker_accepts_the_catalog_golden(command):
+    # a printed record of an entry without a counterexample is judged
+    # against the identity's value, like a corrected one
+    words = command.split()
+    cmd = catalog(words[1], "all" if words[1] == "verify" else None, words[-1])
+    name = case_name(command)
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    records = parse_records(cmd.kind, cmd.fmt,
+                            (GOLDEN / f"{name}.out").read_text())
+    assert records
+    assert judge_records(cmd, records) == []
+    assert expected_exit(cmd, records) == (0,) == (codes[name],)
+
+
 def test_the_traced_benchmark_wraps_and_runs_the_cli():
     # the tracer calls build_parser() with no argument and wraps
     # Emitter.emit; a changed call shape fails every traced command
@@ -101,3 +120,19 @@ def test_the_traced_benchmark_counts_the_sampler_trials():
     assert (code, "Traceback" in err) == (0, False)
     assert tracer.counters["walks.mc_trials"] == 1000
     assert "walks.simulate_beta" in {span[0] for span in tracer.spans[first:]}
+
+
+def test_the_traced_benchmark_counts_the_catalog_reports():
+    # the tracer wraps each catalog verifier under its module-level name:
+    # a registry that stopped calling through those names reads 0 here
+    mods = load_program()
+    tracer = Tracer(mods)
+    tracer.start_pass()
+    tracer.install()
+    try:
+        code, _, err = run_in_process(mods["cli"],
+                                      ["catalog", "verify", "all"])
+    finally:
+        tracer.uninstall()
+    assert (code, "Traceback" in err) == (0, False)
+    assert tracer.counters["catalog.reports"] == 405

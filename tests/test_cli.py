@@ -556,6 +556,23 @@ def test_catalog_verify_shows_counterexample(capsys):
     assert "ERRATUM [k-dim-remark]" in err
 
 
+def test_catalog_records_take_variant_and_notes_from_their_entry(capsys):
+    # an entry's erratum decides both labels: its range records read the
+    # entry's variant, its one stated-form record reads "printed", and
+    # every record's notes are the erratum
+    code, out, _ = run_cli(capsys, "catalog", "verify", "all",
+                           "--format", "json")
+    assert code == 0
+    payloads = [json.loads(line)["payload"] for line in out.splitlines()]
+    for name, entry in catalog.CATALOG.items():
+        mine = [p for p in payloads if p["identity"] == name]
+        stated = [] if entry.counterexample is None else ["printed"]
+        assert [p["parameters"]["variant"] for p in mine] == (
+            [entry.variant] * (len(mine) - len(stated)) + stated), name
+        notes = [] if entry.erratum is None else [entry.erratum]
+        assert all(p["notes"] == notes for p in mine), name
+
+
 def test_catalog_status_follows_record_role(capsys, monkeypatch):
     # duplication's run reports carry variant=printed; a failing one is
     # still a violation, only an entry's counterexample may fail as "ok"
@@ -942,7 +959,7 @@ def test_odd_path_count_prints_every_format(capsys):
      "path count at dim=1, half_steps=2000000 needs about"),
     (["simulate", "beta", "--dim", "2", "--n", "2000", "--trials", "10",
       "--threads", "1"],
-     "path count at dim=2, half_steps=2000 needs about"),
+     "beta variance at dim=2, n=2000 needs about"),
     (["compute", "path-count", "--dim", "1", "--steps", "100000000001",
       "--allow-odd"],
      "path total at dim=1, steps=100000000001 needs about"),
@@ -972,7 +989,7 @@ def test_odd_path_count_prints_every_format(capsys):
      "n must be at most 100000"),
     # the beta summand's variance needs the return probability at 4n steps
     (["simulate", "beta", "--dim", "2", "--n", "424", "--trials", "10"],
-     "path count at dim=2, half_steps=848 needs about"),
+     "beta variance at dim=2, n=424 needs about"),
 ])
 def test_inputs_beyond_a_library_bound_exit_2_at_once(capsys, argv, message):
     # each is refused before any work starts

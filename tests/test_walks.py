@@ -692,6 +692,8 @@ def test_simulation_bounds_hold_at_their_edge(monkeypatch):
     # the beta summand's variance takes the count at 4n steps, whose work
     # bound is path_count's
     assert simulate_beta_moment(2, 423, 10, 0).trials == 10
-    with pytest.raises(InputError, match="half_steps=848 needs about "
-                       r"\d+ limb operations"):
+    # the refusal names the caller's n, not the doubled walk's
+    with pytest.raises(InputError, match=r"^beta variance at dim=2, n=424 "
+                       r"needs about \d+ limb operations") as refusal:
         simulate_beta_moment(2, 424, 10, 0)
+    assert "half_steps" not in str(refusal.value)
